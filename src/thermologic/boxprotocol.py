@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .costs import WeightVector, expected_cost, is_infinite, transition_cost
+from .costs import WeightVector, expected_cost, is_infinite
 from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 
 HIGH_TEMPERATURE_MARGIN = 10.0
@@ -505,8 +505,8 @@ def reconcile(
 
     A fresh ledger is rebuilt from the scenario and weights and compared
     row by row (catching injected or corrupted stages), then trajectory
-    totals are compared against the per-transition closed form and the
-    expectation against the expected-cost report.
+    totals are compared against the expected-cost report's per-transition
+    closed forms and the expectation against its expected work and heat.
     """
     messages: list[str] = []
     first_divergence = None
@@ -534,21 +534,25 @@ def reconcile(
                 first_divergence = key
                 break
 
+    report = expected_cost(scenario, weights)
+    closed_forms = {(tr.input_index, tr.output_index): tr for tr in report.transitions}
     max_work = 0.0
     max_heat = 0.0
     for (i, j), (work, heat) in ledger.trajectory_totals().items():
-        closed = transition_cost(scenario, weights, i, j)
-        if is_infinite(closed[0]):
+        closed = closed_forms.get((i, j))
+        if closed is None:
+            messages.append(f"trajectory ({i}, {j}) is not a realisable transition")
+            continue
+        if is_infinite(closed.work):
             messages.append(f"trajectory ({i}, {j}) has unbounded closed-form cost")
             continue
-        max_work = max(max_work, abs(work - closed[0]))
-        max_heat = max(max_heat, abs(heat - closed[1]))
+        max_work = max(max_work, abs(work - closed.work))
+        max_heat = max(max_heat, abs(heat - closed.heat))
     if max_work > tol or max_heat > tol:
         messages.append(
             f"trajectory totals mismatch closed forms: work {max_work:.3e}, heat {max_heat:.3e}"
         )
 
-    report = expected_cost(scenario, weights)
     got_work, got_heat = ledger.expected_totals(scenario)
     if is_infinite(report.expected_work):
         expected_work_mismatch = math.inf

@@ -44,6 +44,7 @@ from .quantum import QuantumError, default_setup, run_trials
 from .serialize import (
     ScenarioParseError,
     format_float,
+    load_json,
     load_scenario,
     parse_operation,
     render_energy,
@@ -264,7 +265,7 @@ def _thermo_from_config(entries, count, t_ref):
 
 
 def cmd_cycle_uncertain(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    config = load_json(args.config)
     outdir = Path(args.out)
     write_manifest(outdir, "cycle uncertain", _config_of(args), [args.config], args.seed)
     from .logic import DiscreteDistribution
@@ -302,7 +303,7 @@ def cmd_cycle_uncertain(args) -> int:
 
 
 def cmd_cycle_partial(args) -> int:
-    config = json.loads(Path(args.config).read_text())
+    config = load_json(args.config)
     outdir = Path(args.out)
     write_manifest(outdir, "cycle partial", _config_of(args), [args.config], args.seed)
     t_ref = float(config.get("reference_temperature", 1.0))
@@ -337,7 +338,7 @@ def cmd_qbound(args) -> int:
     inputs = [args.config] if args.config else []
     write_manifest(outdir, "qbound", _config_of(args), inputs, args.seed)
     if args.config:
-        config = json.loads(Path(args.config).read_text())
+        config = load_json(args.config)
     else:
         config = {}
     block_sizes = tuple(

@@ -191,12 +191,17 @@ def _state_sums(scenario: Scenario):
     return k, t_ref, p_in, p_out, e_in, e_out, s_in, s_out
 
 
+def _logs(values: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.log`; ``np.log`` can differ from it in the last bit."""
+    return np.array([math.log(v) for v in values.tolist()], dtype=float)
+
+
 def _entropy_nats(probs: np.ndarray) -> float:
     return -math.fsum(p * math.log(p) for p in probs.tolist() if p > 0.0)
 
 
-def _bounds(scenario: Scenario):
-    k, t_ref, p_in, p_out, e_in, e_out, s_in, s_out = _state_sums(scenario)
+def _bounds(sums):
+    k, t_ref, p_in, p_out, e_in, e_out, s_in, s_out = sums
     mean_e = math.fsum((p_out * e_out).tolist()) - math.fsum((p_in * e_in).tolist())
     state_entropy = math.fsum((p_out * s_out).tolist()) - math.fsum(
         (p_in * s_in).tolist()
@@ -221,7 +226,32 @@ def _bounds(scenario: Scenario):
 
 def glp_bounds(scenario: Scenario) -> CostReport:
     """Bounds-only report: minimal work, heat, bath entropy and mixing cost."""
-    return CostReport(*_bounds(scenario))
+    return CostReport(*_bounds(_state_sums(scenario)))
+
+
+def _priced_transitions(scenario: Scenario, weights: WeightVector, sums, pairs=None):
+    """Work and heat of realisable transitions, computed once as arrays.
+
+    ``sums`` is the scenario's :func:`_state_sums`.  ``pairs`` is an
+    ``(inputs, outputs)`` pair of index arrays; by default every
+    transition with non-zero conditional probability, in row-major
+    order.  Returns ``(inputs, outputs, finite, work, heat)``: ``finite``
+    is false where the input carries zero weight (unbounded cost), and
+    ``work`` and ``heat`` mean nothing there.  Elementwise arithmetic in
+    the order of the closed form, with :func:`math.log` for logarithms,
+    gives each element bit for bit as scalar floats would.
+    """
+    k, t_ref, _, _, e_in, e_out, s_in, s_out = sums
+    rows, cols = scenario.op.matrix.nonzero() if pairs is None else pairs
+    w_in = weights.weights[rows]
+    finite = w_in != 0.0
+    ratio = weights.output_weights[cols] / np.where(finite, w_in, 1.0)
+    log_ratio = _logs(np.where(finite, ratio, 1.0))
+    free_in = e_in - t_ref * k * s_in
+    free_out = e_out - t_ref * k * s_out
+    work = (free_out[cols] - free_in[rows]) + k * t_ref * log_ratio
+    heat = t_ref * k * (s_in[rows] - s_out[cols] + log_ratio)
+    return rows, cols, finite, work, heat
 
 
 def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int, output_index: int):
@@ -239,53 +269,32 @@ def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int,
             f"transition {scenario.op.input_labels[i]!r} -> "
             f"{scenario.op.output_labels[j]!r} never occurs"
         )
-    w_in = weights.weights[i]
-    if w_in == 0.0:
-        return INFINITE_COST, INFINITE_COST
-    w_out = weights.output_weights[j]
-    k = scenario.units.k_B
-    t_ref = scenario.reference_temperature
-    st_in = scenario.input_thermo[i]
-    st_out = scenario.output_thermo[j]
-    log_ratio = math.log(w_out / w_in)
-    work = (
-        (st_out.energy - t_ref * k * st_out.entropy)
-        - (st_in.energy - t_ref * k * st_in.entropy)
-        + k * t_ref * log_ratio
+    _, _, finite, work, heat = _priced_transitions(
+        scenario, weights, _state_sums(scenario), (np.array([i]), np.array([j]))
     )
-    heat = t_ref * k * (st_in.entropy - st_out.entropy + log_ratio)
-    return work, heat
+    if not finite[0]:
+        return INFINITE_COST, INFINITE_COST
+    return float(work[0]), float(heat[0])
 
 
 def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
     """Full cost report for a scenario implemented with the given weights."""
-    p_in = scenario.input_dist.probs
-    matrix = scenario.op.matrix
-    rows = []
-    work_terms = []
-    heat_terms = []
-    infinite = False
-    for i in range(scenario.op.n_inputs):
-        for j in range(scenario.op.n_outputs):
-            if matrix[i, j] == 0.0:
-                continue
-            joint = p_in[i] * matrix[i, j]
-            work, heat = transition_cost(scenario, weights, i, j)
-            rows.append(TransitionCost(i, j, joint, work, heat))
-            if is_infinite(work):
-                if joint > 0.0:
-                    infinite = True
-                continue
-            work_terms.append(joint * work)
-            heat_terms.append(joint * heat)
-    if infinite:
+    sums = _state_sums(scenario)
+    rows, cols, finite, work, heat = _priced_transitions(scenario, weights, sums)
+    joint = scenario.input_dist.probs[rows] * scenario.op.matrix[rows, cols]
+    works = [w if f else INFINITE_COST for w, f in zip(work.tolist(), finite.tolist())]
+    heats = [h if f else INFINITE_COST for h, f in zip(heat.tolist(), finite.tolist())]
+    transitions = tuple(
+        map(TransitionCost, rows.tolist(), cols.tolist(), joint.tolist(), works, heats)
+    )
+    if (~finite & (joint > 0.0)).any():
         expected_work = expected_heat = INFINITE_COST
     else:
-        expected_work = math.fsum(work_terms)
-        expected_heat = math.fsum(heat_terms)
+        expected_work = math.fsum((joint * work)[finite].tolist())
+        expected_heat = math.fsum((joint * heat)[finite].tolist())
     return CostReport(
-        *_bounds(scenario),
-        transitions=tuple(rows),
+        *_bounds(sums),
+        transitions=transitions,
         expected_work=expected_work,
         expected_heat=expected_heat,
     )
@@ -355,13 +364,14 @@ def minimize_expected_work(
     best_w = None
     best_f = math.inf
     best_iters = 0
-    converged = False
+    best_converged = False
     for start in starts:
         w = np.clip(start, 1e-12, None)
         w = w / w.sum()
         f = objective(w)
         step = 0.5
         stalled = 0
+        converged = False
         iteration = 0
         for iteration in range(1, max_iterations + 1):
             g = gradient(w)
@@ -389,13 +399,13 @@ def minimize_expected_work(
                 converged = True
                 break
         if f < best_f:
-            best_f, best_w, best_iters = f, w, iteration
+            best_f, best_w, best_iters, best_converged = f, w, iteration, converged
     assert best_w is not None
     return OptimizationResult(
         weights=best_w,
         value=base + k_t * best_f,
         iterations=best_iters,
-        converged=converged,
+        converged=best_converged,
     )
 
 
@@ -415,7 +425,8 @@ def minimax_weights(
 
     Subgradient mirror descent on ``max`` over realisable transitions.
     No optimality is claimed beyond dominance: the returned worst case
-    never exceeds the worst case at the mean-optimal weights.
+    never exceeds the worst case at the mean-optimal weights ``w = P``,
+    which is where the search's best value starts.
     """
     joint, p_in, p_out, matrix = _log_cost_parts(scenario)
     k = scenario.units.k_B
@@ -446,7 +457,7 @@ def minimax_weights(
     rng = np.random.default_rng(seed)
     n = matrix.shape[0]
     starts = [np.full(n, 1.0 / n), rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]
-    best_w = starts[0]
+    best_w = p_in.copy()
     best_value, _ = worst(best_w)
     for w in starts:
         for iteration in range(1, max_iterations + 1):

@@ -30,11 +30,12 @@ from .costs import (
     CostReport,
     INFINITE_COST,
     WeightVector,
+    _logs,
+    _state_sums,
     expected_cost,
     is_infinite,
     make_weights,
     optimal_weights,
-    transition_cost,
 )
 from .logic import (
     DiscreteDistribution,
@@ -110,6 +111,14 @@ class BoxCycleReport:
             ),
             "bath": math.fsum(s.bath_entropy_change for s in self.stages),
         }
+
+
+def _mixture_value(probs, energy, entropy, kt: float) -> float:
+    """``sum p (E - kT (S - ln p))`` over the positive ``probs``, arrays broadcast together."""
+    probs, energy, entropy = np.broadcast_arrays(probs, energy, entropy)
+    live = probs > 0.0
+    p = probs[live]
+    return math.fsum((p * (energy[live] - kt * (entropy[live] - _logs(p)))).tolist())
 
 
 def _mixing_entropy(probs) -> float:
@@ -258,33 +267,28 @@ def entropy_ledgers(
     """
     if weights.flagged_infinite:
         raise CostError("entropy ledgers need finite costs; some live input has zero weight")
-    k = scenario.units.k_B
-    kt = k * scenario.reference_temperature
+    k, t_ref, p_in, _, _, _, s_in, s_out = _state_sums(scenario)
+    kt = k * t_ref
     report = expected_cost(scenario, weights)
-    matrix = scenario.op.matrix
-    entries = []
-    for i in range(scenario.op.n_inputs):
-        for j in range(scenario.op.n_outputs):
-            if matrix[i, j] == 0.0 or scenario.input_dist.probs[i] == 0.0:
-                continue
-            work, heat = transition_cost(scenario, weights, i, j)
-            value = (
-                scenario.output_thermo[j].entropy
-                - scenario.input_thermo[i].entropy
-                + heat / kt
-            )
-            bound = math.log(matrix[i, j])
-            entries.append(
-                TransitionEntropy(i, j, value, bound, abs(value - bound) <= tol)
-            )
+    occupied = (p_in != 0.0).tolist()
+    live = [tr for tr in report.transitions if occupied[tr.input_index]]
+    rows = np.array([tr.input_index for tr in live], dtype=int)
+    cols = np.array([tr.output_index for tr in live], dtype=int)
+    heat = np.array([tr.heat for tr in live], dtype=float)
+    values = (s_out[cols] - s_in[rows] + heat / kt).tolist()
+    bounds = [math.log(m) for m in scenario.op.matrix[rows, cols].tolist()]
+    entries = [
+        TransitionEntropy(i, j, value, bound, abs(value - bound) <= tol)
+        for i, j, value, bound in zip(rows.tolist(), cols.tolist(), values, bounds)
+    ]
     average = report.state_entropy_change + report.expected_heat / kt
     gibbs = report.entropy_change + report.expected_heat / kt
     return EntropyLedger(
         individual=tuple(entries),
         average=average,
         gibbs=gibbs,
-        individual_flags_irreversible=any(e.value > tol for e in entries),
-        individual_decreases=any(e.value < -tol for e in entries),
+        individual_flags_irreversible=any(v > tol for v in values),
+        individual_decreases=any(v < -tol for v in values),
         average_flags_irreversible=average > tol,
         average_decreases=average < -tol,
         gibbs_flags_irreversible=gibbs > tol,
@@ -389,14 +393,10 @@ def suboptimal_cycle_cost(
     w_out = w @ op.matrix
     p_out = p_in @ op.matrix
     kt = units.k_B * reference_temperature
-    terms = []
-    for i in range(op.n_inputs):
-        for j in range(op.n_outputs):
-            joint = p_in[i] * op.matrix[i, j]
-            if joint == 0.0:
-                continue
-            terms.append(joint * math.log(p_in[i] * w_out[j] / (p_out[j] * w[i])))
-    work = kt * math.fsum(terms)
+    joint = p_in[:, None] * op.matrix
+    rows, cols = np.nonzero(joint)
+    ratio = p_in[rows] * w_out[cols] / (p_out[cols] * w[rows])
+    work = kt * math.fsum((joint[rows, cols] * _logs(ratio)).tolist())
     return SuboptimalCycleCost(
         work=work,
         weights_match_input=bool(np.allclose(w, p_in, rtol=0.0, atol=1e-12)),
@@ -529,49 +529,31 @@ def partial_operation_cost(
         raise CostError("joint prior arity does not match operation")
     if len(input_thermo) != op.n_inputs or len(output_thermo) != op.n_outputs:
         raise CostError("thermo table arity mismatch")
-    k = units.k_B
-    t_ref = reference_temperature
-    kt = k * t_ref
+    kt = units.k_B * reference_temperature
+    m = op.matrix
     p_in = joint.sum(axis=1)
     p_bystander = joint.sum(axis=0)
-    p_out = p_in @ op.matrix
-    out_joint = op.matrix.T @ joint  # (output, bystander)
+    p_out = p_in @ m
+    out_joint = m.T @ joint  # (output, bystander)
+    e_in = np.array([st.energy for st in input_thermo])
+    s_in = np.array([st.entropy for st in input_thermo])
+    e_out = np.array([st.energy for st in output_thermo])
+    s_out = np.array([st.entropy for st in output_thermo])
 
-    def value(prob, st):
-        return prob * (st.energy - t_ref * k * (st.entropy - math.log(prob)))
-
-    forward_work = math.fsum(
-        value(p, st) for p, st in zip(p_out, output_thermo) if p > 0.0
-    ) - math.fsum(value(p, st) for p, st in zip(p_in, input_thermo) if p > 0.0)
-    restore_in = math.fsum(
-        value(joint[i, g], input_thermo[i])
-        for i in range(joint.shape[0])
-        for g in range(joint.shape[1])
-        if joint[i, g] > 0.0
+    forward_work = _mixture_value(p_out, e_out, s_out, kt) - _mixture_value(
+        p_in, e_in, s_in, kt
     )
-    restore_out = math.fsum(
-        value(out_joint[j, g], output_thermo[j])
-        for j in range(out_joint.shape[0])
-        for g in range(out_joint.shape[1])
-        if out_joint[j, g] > 0.0
-    )
+    restore_in = _mixture_value(joint, e_in[:, None], s_in[:, None], kt)
+    restore_out = _mixture_value(out_joint, e_out[:, None], s_out[:, None], kt)
     restore_work = restore_in - restore_out
     cycle_total = math.fsum((forward_work, restore_work))
 
-    cmi_terms = []
-    for i in range(joint.shape[0]):
-        for g in range(joint.shape[1]):
-            if joint[i, g] == 0.0:
-                continue
-            for j in range(op.n_outputs):
-                tri = joint[i, g] * op.matrix[i, j]
-                if tri == 0.0:
-                    continue
-                p_ij = p_in[i] * op.matrix[i, j]
-                cmi_terms.append(
-                    tri * math.log(tri * p_out[j] / (p_ij * out_joint[j, g]))
-                )
-    cmi = math.fsum(cmi_terms)
+    rows, cols = np.nonzero(m)
+    tri = joint[rows] * m[rows, cols][:, None]  # (realisable transition, bystander)
+    t, g = np.nonzero(tri)
+    i, j, tri = rows[t], cols[t], tri[t, g]
+    ratio = tri * p_out[j] / (p_in[i] * m[i, j] * out_joint[j, g])
+    cmi = math.fsum((tri * _logs(ratio)).tolist())
     product = bool(
         np.allclose(joint, np.outer(p_in, p_bystander), rtol=0.0, atol=1e-12)
     )

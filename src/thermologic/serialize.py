@@ -47,6 +47,7 @@ __all__ = [
     "ScenarioParseError",
     "parse_operation",
     "parse_scenario",
+    "load_json",
     "load_scenario",
     "format_float",
     "render_energy",
@@ -180,13 +181,25 @@ def parse_scenario(data: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def load_json(path):
+    """Parse a JSON input file, rejecting ``NaN`` and ``Infinity`` tokens.
+
+    Python's ``json`` accepts those tokens, and no computation here can
+    use the values they stand for.
+    """
+
+    def reject(token):
+        raise ScenarioParseError(f"non-finite number {token} in {path}")
+
     text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        return json.loads(text, parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise ScenarioParseError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_scenario(data)
+
+
+def load_scenario(path) -> Scenario:
+    return parse_scenario(load_json(path))
 
 
 def format_float(value: float) -> str:

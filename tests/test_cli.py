@@ -104,6 +104,29 @@ class TestExitCodes:
     def test_degenerate_cycle_exits_3(self, tmp_path):
         assert main(["cycle", "rle-le", "--p", "0.0", "--out", str(tmp_path / "o")]) == 3
 
+    def test_non_finite_scenario_value_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(RTZ_SCENARIO).replace("[0.5, 0.5]", "[NaN, 1.0]"))
+        out = tmp_path / "o"
+        assert main(["cost", str(path), "--out", str(out)]) == 2
+        assert "non-finite number NaN" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_config_value_exits_2(self, tmp_path, capsys, token):
+        path = tmp_path / "c.json"
+        path.write_text(
+            '{"joint_prior": [[%s, 0.0], [0.0, 0.5]], "operation": {"inputs": ["0", "1"], '
+            '"outputs": ["0"], "rows": [[1.0], [1.0]]}}' % token
+        )
+        assert main(["cycle", "partial", str(path), "--out", str(tmp_path / "o")]) == 2
+        assert f"non-finite number {token}" in capsys.readouterr().err
+
+    def test_non_finite_qbound_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        path.write_text('{"trials": 2, "reference_temperature": Infinity}')
+        assert main(["qbound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
 
 class TestCostCommand:
     def test_reports_and_files(self, tmp_path, capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     permutation_operation,
@@ -23,6 +25,7 @@ from thermologic.costs import (
     optimal_weights,
     transition_cost,
 )
+from thermologic.cycles import entropy_ledgers
 from thermologic.logic import DiscreteDistribution, LogicalOperation, identity_op, rtz, ufz
 from thermologic.thermo import ModelSkeleton, Scenario, make_model
 
@@ -239,18 +242,125 @@ class TestNumericOptimizer:
         analytic = expected_cost(sc, optimal_weights(sc)).expected_work
         assert result.value == pytest.approx(analytic, abs=1e-8)
 
+    def test_converged_reports_the_best_start(self):
+        # The uniform start hits the iteration cap while a random restart
+        # converges; the uniform start's weights are the best found.
+        sc = random_scenario(np.random.default_rng(0), max_states=6)
+        result = minimize_expected_work(sc, seed=0, max_iterations=40)
+        assert result.iterations == 40
+        assert not result.converged
+        assert not minimize_expected_work(sc, seed=0, max_iterations=40, restarts=0).converged
+
     def test_minimax_never_exceeds_mean_optimal_worst_case(self):
+        def worst_at_mean(sc):
+            return max(
+                tr.work
+                for tr in expected_cost(sc, optimal_weights(sc)).transitions
+                if tr.joint_probability > 0.0 and not is_infinite(tr.work)
+            )
+
         rng = np.random.default_rng(8)
         for _ in range(10):
             sc = random_scenario(rng, max_states=4)
-            w_mean = optimal_weights(sc)
-            worst_at_mean = max(
-                tr.work
-                for tr in expected_cost(sc, w_mean).transitions
-                if tr.joint_probability > 0.0 and not is_infinite(tr.work)
-            )
             result = minimax_weights(sc, seed=9, max_iterations=4000)
-            assert result.value <= worst_at_mean + 1e-9
+            assert result.value <= worst_at_mean(sc) + 1e-9
+        # Scenarios on which the descent never improves on its uniform start.
+        for k in (84, 145, 164):
+            sc = random_scenario(np.random.default_rng(k), max_states=8)
+            result = minimax_weights(sc, seed=k, max_iterations=100)
+            assert result.value <= worst_at_mean(sc) + 1e-9
+
+
+def _priced_scenario(seed: int, structure: str, dead_input: bool) -> Scenario:
+    rng = np.random.default_rng(seed)
+    n_in = int(rng.integers(3, 7))  # a zero weight on input 0 and on the last leaves one
+    n_out = n_in if structure in ("dense", "permutation") else int(rng.integers(1, 7))
+    if structure == "permutation":
+        op = permutation_operation(tuple(rng.permutation(n_in).tolist()))
+    elif structure == "reset":
+        op = LogicalOperation(np.eye(n_out)[np.zeros(n_in, dtype=int)])
+    else:
+        rows = rng.dirichlet(np.ones(n_out), size=n_in)
+        if structure == "sparse":
+            rows[rng.random(rows.shape) < 0.5] = 0.0
+            rows[np.arange(n_in), rng.integers(0, n_out, n_in)] += 0.5
+        op = LogicalOperation(rows / rows.sum(axis=1, keepdims=True))
+    probs = random_distribution(rng, n_in).probs.copy()
+    if dead_input:
+        probs[0] = 0.0
+    return Scenario(
+        input_dist=DiscreteDistribution(probs / probs.sum()),
+        op=op,
+        input_thermo=random_thermo(rng, n_in),
+        output_thermo=random_thermo(rng, n_out),
+        reference_temperature=float(rng.uniform(0.5, 2.0)),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    dead_input=st.booleans(),
+    zero_live_weight=st.booleans(),
+)
+def test_shared_pricing_is_exact(seed, structure, dead_input, zero_live_weight):
+    """Reports, single transitions and entropy ledgers agree bit for bit.
+
+    Each row is also recomputed here with scalar floats in the order of
+    the closed form in the module docstring, and compared with ``==``.
+    """
+    sc = _priced_scenario(seed, structure, dead_input)
+    rng = np.random.default_rng(seed)
+    raw = rng.dirichlet(np.ones(sc.op.n_inputs))
+    if dead_input:
+        raw[0] = 0.0
+    if zero_live_weight:
+        raw[-1] = 0.0
+    w = make_weights(sc, raw / raw.sum())
+    report = expected_cost(sc, w)
+
+    rows, cols = np.nonzero(sc.op.matrix)
+    assert [(tr.input_index, tr.output_index) for tr in report.transitions] == list(
+        zip(rows.tolist(), cols.tolist())
+    )
+    k, t_ref = sc.units.k_B, sc.reference_temperature
+    for tr in report.transitions:
+        i, j = tr.input_index, tr.output_index
+        assert (tr.work, tr.heat) == transition_cost(sc, w, i, j)
+        assert tr.joint_probability == sc.input_dist.probs[i] * sc.op.matrix[i, j]
+        if w.weights[i] == 0.0:
+            assert tr.work is INFINITE_COST and tr.heat is INFINITE_COST
+            continue
+        st_in, st_out = sc.input_thermo[i], sc.output_thermo[j]
+        log_ratio = math.log(w.output_weights[j] / w.weights[i])
+        work = (
+            (st_out.energy - t_ref * k * st_out.entropy)
+            - (st_in.energy - t_ref * k * st_in.entropy)
+            + k * t_ref * log_ratio
+        )
+        assert tr.work == work
+        assert tr.heat == t_ref * k * (st_in.entropy - st_out.entropy + log_ratio)
+
+    if w.flagged_infinite:
+        assert is_infinite(report.expected_work)
+        with pytest.raises(CostError):
+            entropy_ledgers(sc, w)
+        return
+    ledger = entropy_ledgers(sc, w)
+    kt = k * t_ref
+    expected = [
+        (
+            tr.input_index,
+            tr.output_index,
+            sc.output_thermo[tr.output_index].entropy
+            - sc.input_thermo[tr.input_index].entropy
+            + tr.heat / kt,
+        )
+        for tr in report.transitions
+        if sc.input_dist.probs[tr.input_index] != 0.0
+    ]
+    assert [(e.input_index, e.output_index, e.value) for e in ledger.individual] == expected
 
 
 def test_infinite_sentinel_is_singleton_and_serialisable():
