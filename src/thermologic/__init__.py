@@ -14,7 +14,6 @@ from .logic import (
     shannon_entropy,
 )
 from .thermo import (
-    HeatBath,
     ModelSkeleton,
     NATURAL_UNITS,
     SI_UNITS,

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .logic import ArityMismatchError, classify
+from .logic import ArityMismatchError, _entropy_nats, _logs, classify
 from .thermo import Scenario
 
 DEFAULT_SEED = 1729
@@ -119,8 +119,8 @@ def make_weights(scenario: Scenario, weights) -> WeightVector:
         raise ArityMismatchError(
             f"expected {scenario.op.n_inputs} weights, got {w.size}"
         )
-    if np.any(w < 0.0):
-        raise CostError("weights must be non-negative")
+    if not (w >= 0.0).all():  # NaN fails too; +inf fails the sum below
+        raise CostError(f"weights must be non-negative, got {w.tolist()}")
     total = math.fsum(w.tolist())
     if abs(total - 1.0) > 1e-9:
         raise CostError(f"weights sum to {total!r}, expected 1")
@@ -179,32 +179,17 @@ class CostReport:
     expected_heat: object = None
 
 
-def _state_sums(scenario: Scenario):
+def _bounds(scenario: Scenario):
     k = scenario.units.k_B
     t_ref = scenario.reference_temperature
     p_in = scenario.input_dist.probs
     p_out = scenario.output_dist.probs
-    e_in = np.array([st.energy for st in scenario.input_thermo])
-    e_out = np.array([st.energy for st in scenario.output_thermo])
-    s_in = np.array([st.entropy for st in scenario.input_thermo])
-    s_out = np.array([st.entropy for st in scenario.output_thermo])
-    return k, t_ref, p_in, p_out, e_in, e_out, s_in, s_out
-
-
-def _logs(values: np.ndarray) -> np.ndarray:
-    """Elementwise :func:`math.log`; ``np.log`` can differ from it in the last bit."""
-    return np.array([math.log(v) for v in values.tolist()], dtype=float)
-
-
-def _entropy_nats(probs: np.ndarray) -> float:
-    return -math.fsum(p * math.log(p) for p in probs.tolist() if p > 0.0)
-
-
-def _bounds(sums):
-    k, t_ref, p_in, p_out, e_in, e_out, s_in, s_out = sums
-    mean_e = math.fsum((p_out * e_out).tolist()) - math.fsum((p_in * e_in).tolist())
-    state_entropy = math.fsum((p_out * s_out).tolist()) - math.fsum(
-        (p_in * s_in).tolist()
+    table_in, table_out = scenario.input_arrays, scenario.output_arrays
+    mean_e = math.fsum((p_out * table_out.energy).tolist()) - math.fsum(
+        (p_in * table_in.energy).tolist()
+    )
+    state_entropy = math.fsum((p_out * table_out.entropy).tolist()) - math.fsum(
+        (p_in * table_in.entropy).tolist()
     )
     h_in = _entropy_nats(p_in) / math.log(2.0)
     h_out = _entropy_nats(p_out) / math.log(2.0)
@@ -226,31 +211,30 @@ def _bounds(sums):
 
 def glp_bounds(scenario: Scenario) -> CostReport:
     """Bounds-only report: minimal work, heat, bath entropy and mixing cost."""
-    return CostReport(*_bounds(_state_sums(scenario)))
+    return CostReport(*_bounds(scenario))
 
 
-def _priced_transitions(scenario: Scenario, weights: WeightVector, sums, pairs=None):
+def _priced_transitions(scenario: Scenario, weights: WeightVector, pairs=None):
     """Work and heat of realisable transitions, computed once as arrays.
 
-    ``sums`` is the scenario's :func:`_state_sums`.  ``pairs`` is an
-    ``(inputs, outputs)`` pair of index arrays; by default every
-    transition with non-zero conditional probability, in row-major
-    order.  Returns ``(inputs, outputs, finite, work, heat)``: ``finite``
-    is false where the input carries zero weight (unbounded cost), and
-    ``work`` and ``heat`` mean nothing there.  Elementwise arithmetic in
+    ``pairs`` is an ``(inputs, outputs)`` pair of index arrays; by
+    default every transition with non-zero conditional probability, in
+    row-major order.  Returns ``(inputs, outputs, finite, work, heat)``:
+    ``finite`` is false where the input carries zero weight (unbounded
+    cost), and ``work`` and ``heat`` mean nothing there.  Elementwise arithmetic in
     the order of the closed form, with :func:`math.log` for logarithms,
     gives each element bit for bit as scalar floats would.
     """
-    k, t_ref, _, _, e_in, e_out, s_in, s_out = sums
+    k = scenario.units.k_B
+    t_ref = scenario.reference_temperature
+    table_in, table_out = scenario.input_arrays, scenario.output_arrays
     rows, cols = scenario.op.matrix.nonzero() if pairs is None else pairs
     w_in = weights.weights[rows]
     finite = w_in != 0.0
     ratio = weights.output_weights[cols] / np.where(finite, w_in, 1.0)
     log_ratio = _logs(np.where(finite, ratio, 1.0))
-    free_in = e_in - t_ref * k * s_in
-    free_out = e_out - t_ref * k * s_out
-    work = (free_out[cols] - free_in[rows]) + k * t_ref * log_ratio
-    heat = t_ref * k * (s_in[rows] - s_out[cols] + log_ratio)
+    work = (table_out.free_energy[cols] - table_in.free_energy[rows]) + k * t_ref * log_ratio
+    heat = t_ref * k * (table_in.entropy[rows] - table_out.entropy[cols] + log_ratio)
     return rows, cols, finite, work, heat
 
 
@@ -270,7 +254,7 @@ def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int,
             f"{scenario.op.output_labels[j]!r} never occurs"
         )
     _, _, finite, work, heat = _priced_transitions(
-        scenario, weights, _state_sums(scenario), (np.array([i]), np.array([j]))
+        scenario, weights, (np.array([i]), np.array([j]))
     )
     if not finite[0]:
         return INFINITE_COST, INFINITE_COST
@@ -279,8 +263,7 @@ def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int,
 
 def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
     """Full cost report for a scenario implemented with the given weights."""
-    sums = _state_sums(scenario)
-    rows, cols, finite, work, heat = _priced_transitions(scenario, weights, sums)
+    rows, cols, finite, work, heat = _priced_transitions(scenario, weights)
     joint = scenario.input_dist.probs[rows] * scenario.op.matrix[rows, cols]
     works = [w if f else INFINITE_COST for w, f in zip(work.tolist(), finite.tolist())]
     heats = [h if f else INFINITE_COST for h, f in zip(heat.tolist(), finite.tolist())]
@@ -293,7 +276,7 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
         expected_work = math.fsum((joint * work)[finite].tolist())
         expected_heat = math.fsum((joint * heat)[finite].tolist())
     return CostReport(
-        *_bounds(sums),
+        *_bounds(scenario),
         transitions=transitions,
         expected_work=expected_work,
         expected_heat=expected_heat,
@@ -410,9 +393,10 @@ def minimize_expected_work(
 
 
 def _base_cost(scenario: Scenario) -> float:
-    k, t_ref, p_in, p_out, e_in, e_out, s_in, s_out = _state_sums(scenario)
-    return math.fsum((p_out * (e_out - t_ref * k * s_out)).tolist()) - math.fsum(
-        (p_in * (e_in - t_ref * k * s_in)).tolist()
+    p_in = scenario.input_dist.probs
+    p_out = scenario.output_dist.probs
+    return math.fsum((p_out * scenario.output_arrays.free_energy).tolist()) - math.fsum(
+        (p_in * scenario.input_arrays.free_energy).tolist()
     )
 
 
@@ -429,28 +413,14 @@ def minimax_weights(
     which is where the search's best value starts.
     """
     joint, p_in, p_out, matrix = _log_cost_parts(scenario)
-    k = scenario.units.k_B
-    t_ref = scenario.reference_temperature
-    k_t = k * t_ref
-    realisable = np.argwhere(joint > 0.0)
-    if realisable.size == 0:
+    k_t = scenario.kT
+    rows, cols = np.nonzero(joint > 0.0)
+    if rows.size == 0:
         raise CostError("no realisable transitions")
-    e_in = np.array([st.energy for st in scenario.input_thermo])
-    e_out = np.array([st.energy for st in scenario.output_thermo])
-    s_in = np.array([st.entropy for st in scenario.input_thermo])
-    s_out = np.array([st.entropy for st in scenario.output_thermo])
-    const = np.array(
-        [
-            (e_out[j] - t_ref * k * s_out[j]) - (e_in[i] - t_ref * k * s_in[i])
-            for i, j in realisable
-        ]
-    )
+    const = scenario.output_arrays.free_energy[cols] - scenario.input_arrays.free_energy[rows]
 
     def worst(w):
-        w_out = w @ matrix
-        values = const + k_t * np.array(
-            [math.log(w_out[j] / w[i]) for i, j in realisable]
-        )
+        values = const + k_t * _logs((w @ matrix)[cols] / w[rows])
         idx = int(np.argmax(values))
         return float(values[idx]), idx
 
@@ -464,7 +434,7 @@ def minimax_weights(
             value, idx = worst(w)
             if value < best_value:
                 best_value, best_w = value, w.copy()
-            i_star, j_star = realisable[idx]
+            i_star, j_star = rows[idx], cols[idx]
             w_out = w @ matrix
             g = k_t * (matrix[:, j_star] / w_out[j_star])
             g[i_star] -= k_t / w[i_star]

@@ -30,8 +30,6 @@ from .costs import (
     CostReport,
     INFINITE_COST,
     WeightVector,
-    _logs,
-    _state_sums,
     expected_cost,
     is_infinite,
     make_weights,
@@ -40,13 +38,22 @@ from .costs import (
 from .logic import (
     DiscreteDistribution,
     LogicalOperation,
+    _entropy_nats,
+    _logs,
     bayes_invert,
     classify,
     propagate,
     prune_zero_inputs,
     prune_zero_outputs,
 )
-from .thermo import NATURAL_UNITS, Scenario, StateThermo, UnitSystem
+from .thermo import (
+    NATURAL_UNITS,
+    Scenario,
+    StateThermo,
+    UnitSystem,
+    mixture_free_energy,
+    state_arrays,
+)
 
 __all__ = [
     "DegenerateCycleError",
@@ -113,18 +120,6 @@ class BoxCycleReport:
         }
 
 
-def _mixture_value(probs, energy, entropy, kt: float) -> float:
-    """``sum p (E - kT (S - ln p))`` over the positive ``probs``, arrays broadcast together."""
-    probs, energy, entropy = np.broadcast_arrays(probs, energy, entropy)
-    live = probs > 0.0
-    p = probs[live]
-    return math.fsum((p * (energy[live] - kt * (entropy[live] - _logs(p)))).tolist())
-
-
-def _mixing_entropy(probs) -> float:
-    return -math.fsum(p * math.log(p) for p in probs if p > 0.0)
-
-
 def _stage(name: str, kind: str, before, after, kt: float) -> CycleStage:
     """Cost one manipulation of branch (probability, width) tables.
 
@@ -143,8 +138,8 @@ def _stage(name: str, kind: str, before, after, kt: float) -> CycleStage:
         work = kt * math.fsum(terms)
     mean_before = math.fsum(p * math.log(w) for p, w in before if p > 0.0)
     mean_after = math.fsum(p * math.log(w) for p, w in after if p > 0.0)
-    mixing_change = _mixing_entropy([p for p, _ in after]) - _mixing_entropy(
-        [p for p, _ in before]
+    mixing_change = _entropy_nats(np.array([p for p, _ in after])) - _entropy_nats(
+        np.array([p for p, _ in before])
     )
     return CycleStage(
         name=name,
@@ -267,14 +262,14 @@ def entropy_ledgers(
     """
     if weights.flagged_infinite:
         raise CostError("entropy ledgers need finite costs; some live input has zero weight")
-    k, t_ref, p_in, _, _, _, s_in, s_out = _state_sums(scenario)
-    kt = k * t_ref
+    kt = scenario.kT
     report = expected_cost(scenario, weights)
-    occupied = (p_in != 0.0).tolist()
+    occupied = (scenario.input_dist.probs != 0.0).tolist()
     live = [tr for tr in report.transitions if occupied[tr.input_index]]
     rows = np.array([tr.input_index for tr in live], dtype=int)
     cols = np.array([tr.output_index for tr in live], dtype=int)
     heat = np.array([tr.heat for tr in live], dtype=float)
+    s_in, s_out = scenario.input_arrays.entropy, scenario.output_arrays.entropy
     values = (s_out[cols] - s_in[rows] + heat / kt).tolist()
     bounds = [math.log(m) for m in scenario.op.matrix[rows, cols].tolist()]
     entries = [
@@ -446,27 +441,21 @@ def uncertain_operation_cost(
     if len(input_thermo) != n_in or len(output_thermo) != n_out:
         raise CostError("thermo table arity mismatch")
     p_in = input_dist.probs
-    k = units.k_B
-    kt = k * reference_temperature
+    kt = units.k_B * reference_temperature
+    free_in = state_arrays(input_thermo, kt).free_energy
+    free_out = state_arrays(output_thermo, kt).free_energy
 
-    def mixture_value(probs, thermo):
-        return math.fsum(
-            p * (st.energy - reference_temperature * k * st.entropy + kt * math.log(p))
-            for p, st in zip(probs, thermo)
-            if p > 0.0
-        )
-
-    input_value = mixture_value(p_in, input_thermo)
+    input_value = mixture_free_energy(p_in, free_in, kt)
     out_by_branch = np.array([p_in @ op.matrix for op in ops])
     branch_works = tuple(
-        mixture_value(out_by_branch[g], output_thermo) - input_value
+        mixture_free_energy(out_by_branch[g], free_out, kt) - input_value
         for g in range(len(ops))
     )
     p_out = gamma @ out_by_branch
     mean_branch_work = math.fsum(
         g * w for g, w in zip(gamma.tolist(), branch_works)
     )
-    restore_work = input_value - mixture_value(p_out, output_thermo)
+    restore_work = input_value - mixture_free_energy(p_out, free_out, kt)
     cycle_total = math.fsum((mean_branch_work, restore_work))
 
     mi_terms = []
@@ -535,16 +524,14 @@ def partial_operation_cost(
     p_bystander = joint.sum(axis=0)
     p_out = p_in @ m
     out_joint = m.T @ joint  # (output, bystander)
-    e_in = np.array([st.energy for st in input_thermo])
-    s_in = np.array([st.entropy for st in input_thermo])
-    e_out = np.array([st.energy for st in output_thermo])
-    s_out = np.array([st.entropy for st in output_thermo])
+    free_in = state_arrays(input_thermo, kt).free_energy
+    free_out = state_arrays(output_thermo, kt).free_energy
 
-    forward_work = _mixture_value(p_out, e_out, s_out, kt) - _mixture_value(
-        p_in, e_in, s_in, kt
+    forward_work = mixture_free_energy(p_out, free_out, kt) - mixture_free_energy(
+        p_in, free_in, kt
     )
-    restore_in = _mixture_value(joint, e_in[:, None], s_in[:, None], kt)
-    restore_out = _mixture_value(out_joint, e_out[:, None], s_out[:, None], kt)
+    restore_in = mixture_free_energy(joint, free_in, kt)
+    restore_out = mixture_free_energy(out_joint, free_out, kt)
     restore_work = restore_in - restore_out
     cycle_total = math.fsum((forward_work, restore_work))
 

@@ -109,7 +109,7 @@ class DiscreteDistribution:
         arr = np.atleast_1d(np.asarray(self.probs, dtype=float))
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidDistributionError("distribution must be a non-empty vector")
-        if np.any(arr < -PROB_ATOL) or np.any(arr > 1.0 + PROB_ATOL):
+        if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():  # NaN fails too
             raise InvalidDistributionError(f"probabilities outside [0, 1]: {arr.tolist()}")
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > PROB_ATOL:
@@ -158,7 +158,7 @@ class LogicalOperation:
         out_labels = self.output_labels or _index_labels(n_out)
         if len(in_labels) != n_in or len(out_labels) != n_out:
             raise InvalidOperationError("label count does not match matrix shape")
-        if np.any(arr < -PROB_ATOL) or np.any(arr > 1.0 + PROB_ATOL):
+        if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():  # NaN fails too
             raise InvalidOperationError("conditional probabilities outside [0, 1]")
         for i, row in enumerate(arr):
             total = math.fsum(row.tolist())
@@ -187,7 +187,7 @@ class JointDistribution:
 
     def __post_init__(self):
         arr = np.atleast_2d(np.asarray(self.matrix, dtype=float))
-        if np.any(arr < -PROB_ATOL):
+        if not (arr >= -PROB_ATOL).all():  # NaN fails too; +inf fails the sum below
             raise InvalidDistributionError("joint probabilities must be non-negative")
         total = math.fsum(arr.ravel().tolist())
         if abs(total - 1.0) > PROB_ATOL:
@@ -261,9 +261,13 @@ def bayes_invert(op: LogicalOperation, dist: DiscreteDistribution) -> LogicalOpe
     )
 
 
+def _logs(values: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`math.log`; ``np.log`` can differ from it in the last bit."""
+    return np.array([math.log(v) for v in values.tolist()], dtype=float)
+
+
 def _entropy_nats(probs: np.ndarray) -> float:
-    nz = probs[probs > 0.0]
-    return -math.fsum(p * math.log(p) for p in nz.tolist()) + 0.0
+    return -math.fsum(p * math.log(p) for p in probs.tolist() if p > 0.0) + 0.0
 
 
 def shannon_entropy(dist: DiscreteDistribution) -> float:

@@ -14,8 +14,12 @@ Scenario files look like:
     }
 
 With a ``model`` entry the per-state thermo tables are derived from the
-named assumption set and may be omitted.  Floats are emitted with
-``repr`` so identical inputs produce byte-identical files.
+named assumption set and may be omitted.  All heat goes to the one
+reference bath, so each optional ``baths`` entry must have ``temperature``
+equal to ``reference_temperature``; any other temperature is rejected
+rather than ignored.  Heat deposited in several baths is combined into one
+effective bath with :func:`thermologic.thermo.aggregate_baths`.  Floats are
+emitted with ``repr`` so identical inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,12 +37,12 @@ from .boxprotocol import ProtocolLedger
 from .costs import CostReport, is_infinite
 from .logic import DiscreteDistribution, LogicalOperation
 from .thermo import (
-    HeatBath,
     ModelSkeleton,
     NATURAL_UNITS,
     SI_UNITS,
     Scenario,
     StateThermo,
+    ThermoError,
     UnitSystem,
     make_model,
 )
@@ -129,9 +133,13 @@ def parse_scenario(data: dict) -> Scenario:
     out_labels = output_block.get("labels")
     if out_labels is not None and tuple(str(s) for s in out_labels) != op.output_labels:
         raise ScenarioParseError("output labels disagree with operation outputs")
-    baths = tuple(
-        HeatBath(float(_need(b, "temperature", "bath"))) for b in data.get("baths", [])
-    )
+    for bath in data.get("baths", []):
+        temperature = float(_need(bath, "temperature", "bath"))
+        if temperature != t_ref:
+            raise ThermoError(
+                f"bath temperature {temperature!r} differs from reference_temperature "
+                f"{t_ref!r}; only the reference bath is modelled (see aggregate_baths)"
+            )
 
     model = data.get("model")
     if model is not None:
@@ -155,16 +163,7 @@ def parse_scenario(data: dict) -> Scenario:
             if "output_temperatures" in model
             else None,
         )
-        scenario = make_model(kind, skeleton)
-        return Scenario(
-            input_dist=scenario.input_dist,
-            op=scenario.op,
-            input_thermo=scenario.input_thermo,
-            output_thermo=scenario.output_thermo,
-            reference_temperature=t_ref,
-            units=units,
-            baths=baths,
-        )
+        return make_model(kind, skeleton)
 
     input_thermo = _parse_thermo(_need(input_block, "thermo", "input"), op.n_inputs, "input")
     output_thermo = _parse_thermo(
@@ -177,7 +176,6 @@ def parse_scenario(data: dict) -> Scenario:
         output_thermo=output_thermo,
         reference_temperature=t_ref,
         units=units,
-        baths=baths,
     )
 
 

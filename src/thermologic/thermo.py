@@ -4,7 +4,10 @@ Each logical state carries a mean energy, an entropy (stored in units of
 the Boltzmann constant) and a preparation temperature.  A
 :class:`Scenario` bundles an input distribution, an operation, the
 per-state thermodynamic tables and a reference temperature; it is the
-unit of work for the cost and protocol machinery.
+unit of work for the cost and protocol machinery.  Each table is turned
+into read-only energy, entropy and free-energy arrays once
+(:func:`state_arrays`), and the mixture free energy of a distribution
+over states has one implementation (:func:`mixture_free_energy`).
 
 Four standard assumption sets are provided as constructors
 (:func:`make_model`) and as report-only checks (:func:`validate`):
@@ -23,8 +26,9 @@ Four standard assumption sets are provided as constructors
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,6 +36,9 @@ from .logic import (
     DiscreteDistribution,
     LogicalOperation,
     ArityMismatchError,
+    _entropy_nats,
+    _frozen_array,
+    _logs,
     propagate,
 )
 
@@ -48,7 +55,9 @@ __all__ = [
     "NATURAL_UNITS",
     "SI_UNITS",
     "StateThermo",
-    "HeatBath",
+    "StateArrays",
+    "state_arrays",
+    "mixture_free_energy",
     "Scenario",
     "ModelSkeleton",
     "make_model",
@@ -77,8 +86,9 @@ class UnitSystem:
 
     def __post_init__(self):
         for name in ("k_B", "hbar", "mass"):
-            if getattr(self, name) <= 0.0:
-                raise ThermoError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not math.isfinite(value) or value <= 0.0:
+                raise ThermoError(f"{name} must be finite and strictly positive, got {value!r}")
 
 
 NATURAL_UNITS = UnitSystem()
@@ -97,6 +107,10 @@ class StateThermo:
     temperature: float
 
     def __post_init__(self):
+        for name in ("energy", "entropy", "temperature"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ThermoError(f"{name} must be finite, got {value!r}")
         if self.temperature <= 0.0:
             raise ThermoError(f"temperature must be positive, got {self.temperature!r}")
         if self.entropy < -_ENTROPY_SLACK:
@@ -105,19 +119,33 @@ class StateThermo:
             object.__setattr__(self, "entropy", 0.0)
 
 
-@dataclass(frozen=True)
-class HeatBath:
-    """Ideal heat bath: fixed temperature, signed running heat total."""
+class StateArrays(NamedTuple):
+    """Read-only per-state arrays of one thermo table."""
 
-    temperature: float
-    accumulated_heat: float = 0.0
+    energy: np.ndarray
+    entropy: np.ndarray
+    free_energy: np.ndarray  # E - k T_R S
 
-    def __post_init__(self):
-        if self.temperature <= 0.0:
-            raise ThermoError("bath temperature must be positive")
 
-    def deposit(self, heat: float) -> "HeatBath":
-        return HeatBath(self.temperature, self.accumulated_heat + heat)
+def state_arrays(thermo, kt: float) -> StateArrays:
+    """Energy, entropy and free energy ``E - kt S`` of each state in ``thermo``."""
+    energy = _frozen_array([st.energy for st in thermo])
+    entropy = _frozen_array([st.entropy for st in thermo])
+    return StateArrays(energy, entropy, _frozen_array(energy - kt * entropy))
+
+
+def mixture_free_energy(probs: np.ndarray, free_energy: np.ndarray, kt: float) -> float:
+    """``sum p (F + kt ln p)`` over the positive ``probs``.
+
+    The free energy of a distribution over states with state free
+    energies ``F``: minus ``kt`` times the mixing entropy added to the
+    mean state free energy.  ``probs`` may carry further axes, such as a
+    bystander system whose own free energy cancels; ``F`` is indexed by
+    the first axis.
+    """
+    live = np.nonzero(probs > 0.0)
+    p = probs[live]
+    return math.fsum((p * (free_energy[live[0]] + kt * _logs(p))).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,11 +158,11 @@ class Scenario:
     output_thermo: tuple[StateThermo, ...]
     reference_temperature: float
     units: UnitSystem = NATURAL_UNITS
-    baths: tuple[HeatBath, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.reference_temperature <= 0.0:
-            raise ThermoError("reference temperature must be positive")
+        t_ref = self.reference_temperature
+        if not math.isfinite(t_ref) or t_ref <= 0.0:
+            raise ThermoError(f"reference temperature must be finite and positive, got {t_ref!r}")
         if len(self.input_dist) != self.op.n_inputs:
             raise ArityMismatchError("input distribution arity does not match operation")
         object.__setattr__(self, "input_thermo", tuple(self.input_thermo))
@@ -143,11 +171,18 @@ class Scenario:
             raise ArityMismatchError("input thermo table arity does not match operation")
         if len(self.output_thermo) != self.op.n_outputs:
             raise ArityMismatchError("output thermo table arity does not match operation")
-        object.__setattr__(self, "baths", tuple(self.baths))
 
     @cached_property
     def output_dist(self) -> DiscreteDistribution:
         return propagate(self.op, self.input_dist)
+
+    @cached_property
+    def input_arrays(self) -> StateArrays:
+        return state_arrays(self.input_thermo, self.kT)
+
+    @cached_property
+    def output_arrays(self) -> StateArrays:
+        return state_arrays(self.output_thermo, self.kT)
 
     @property
     def kT(self) -> float:
@@ -294,8 +329,7 @@ class AssumptionReport:
 
 
 def _spread(values) -> float:
-    values = list(values)
-    return max(values) - min(values) if values else 0.0
+    return float(np.ptp(values))
 
 
 def validate(scenario: Scenario, atol: float = EPS_MODEL) -> AssumptionReport:
@@ -305,69 +339,52 @@ def validate(scenario: Scenario, atol: float = EPS_MODEL) -> AssumptionReport:
     units of k, so one tolerance covers both.  Purely diagnostic: nothing
     is raised and nothing is modified, enabling model auto-detection.
     """
-    k = scenario.units.k_B
     t_ref = scenario.reference_temperature
-    kt = k * t_ref
+    kt = scenario.kT
     p_in = scenario.input_dist.probs
     p_out = scenario.output_dist.probs
-    thermo_in = scenario.input_thermo
-    thermo_out = scenario.output_thermo
-    every = list(thermo_in) + list(thermo_out)
-
-    def mixture_log(probs, thermo, combine):
-        # Sum of P * combine(state, ln P) over supported states.
-        return math.fsum(
-            p * combine(st, math.log(p)) for p, st in zip(probs, thermo) if p > 0.0
-        )
+    table_in = scenario.input_arrays
+    table_out = scenario.output_arrays
+    energy = np.concatenate((table_in.energy, table_out.energy))
+    entropy = np.concatenate((table_in.entropy, table_out.entropy))
 
     checks: list[AssumptionCheck] = []
 
     def add(name: str, residual: float):
         checks.append(AssumptionCheck(name, residual <= atol, residual))
 
-    add("isothermal", _spread([st.temperature for st in every] + [t_ref]) / t_ref)
-    add(
-        "uniform_states",
-        max(
-            _spread(st.energy for st in every) / kt,
-            _spread(st.entropy for st in every),
-        ),
-    )
-    mean_e_in = math.fsum(p * st.energy for p, st in zip(p_in, thermo_in))
-    mean_e_out = math.fsum(p * st.energy for p, st in zip(p_out, thermo_out))
-    mean_s_in = math.fsum(p * st.entropy for p, st in zip(p_in, thermo_in))
-    mean_s_out = math.fsum(p * st.entropy for p, st in zip(p_out, thermo_out))
+    temperatures = [st.temperature for st in scenario.input_thermo + scenario.output_thermo]
+    add("isothermal", _spread(temperatures + [t_ref]) / t_ref)
+    add("uniform_states", max(_spread(energy) / kt, _spread(entropy)))
+    mean_e_in = math.fsum((p_in * table_in.energy).tolist())
+    mean_e_out = math.fsum((p_out * table_out.energy).tolist())
+    mean_s_in = math.fsum((p_in * table_in.entropy).tolist())
+    mean_s_out = math.fsum((p_out * table_out.entropy).tolist())
     add(
         "uniform_computing",
         max(abs(mean_e_out - mean_e_in) / kt, abs(mean_s_out - mean_s_in)),
     )
 
-    supported = all(p > 0.0 for p in p_in) and all(p > 0.0 for p in p_out)
-    if supported:
-        equilibrium_values = [
-            (st.energy - kt * st.entropy + kt * math.log(p)) / kt
-            for p, st in list(zip(p_in, thermo_in)) + list(zip(p_out, thermo_out))
-        ]
-        add("equilibrium", _spread(equilibrium_values))
-        adiabatic_values = [
-            st.entropy - math.log(p)
-            for p, st in list(zip(p_in, thermo_in)) + list(zip(p_out, thermo_out))
-        ]
+    if np.all(p_in > 0.0) and np.all(p_out > 0.0):
+        probs = np.concatenate((p_in, p_out))
+        free_energy = np.concatenate((table_in.free_energy, table_out.free_energy))
+        add("equilibrium", _spread((free_energy + kt * _logs(probs)) / kt))
+        adiabatic_values = entropy - _logs(probs)
         add("adiabatic", _spread(adiabatic_values))
         add(
             "adiabatic_equilibrium",
-            max(_spread(st.energy for st in every) / kt, _spread(adiabatic_values)),
+            max(_spread(energy) / kt, _spread(adiabatic_values)),
         )
     else:
         checks.append(AssumptionCheck("equilibrium", False, math.inf))
         checks.append(AssumptionCheck("adiabatic", False, math.inf))
         checks.append(AssumptionCheck("adiabatic_equilibrium", False, math.inf))
 
-    free_in = mixture_log(p_in, thermo_in, lambda st, lnp: st.energy / kt - st.entropy + lnp)
-    free_out = mixture_log(p_out, thermo_out, lambda st, lnp: st.energy / kt - st.entropy + lnp)
-    add("zero_mean_work", abs(free_out - free_in))
-    ent_in = mixture_log(p_in, thermo_in, lambda st, lnp: st.entropy - lnp)
-    ent_out = mixture_log(p_out, thermo_out, lambda st, lnp: st.entropy - lnp)
+    free_in = mixture_free_energy(p_in, table_in.free_energy, kt)
+    free_out = mixture_free_energy(p_out, table_out.free_energy, kt)
+    add("zero_mean_work", abs(free_out - free_in) / kt)
+    ent_in = mean_s_in + _entropy_nats(p_in)
+    ent_out = mean_s_out + _entropy_nats(p_out)
     add("zero_mean_heat", abs(ent_out - ent_in))
 
     order = (

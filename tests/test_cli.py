@@ -5,6 +5,7 @@ import pytest
 
 from thermologic.cli import main
 from thermologic.serialize import ScenarioParseError, load_scenario, parse_scenario
+from thermologic.thermo import ThermoError
 
 RTZ_SCENARIO = {
     "units": "natural",
@@ -49,7 +50,12 @@ class TestScenarioParsing:
         sc = load_scenario(write(tmp_path, "s.json", EXPLICIT_SCENARIO))
         assert sc.reference_temperature == 2.0
         assert sc.input_thermo[1].temperature == 1.5
-        assert sc.baths[0].temperature == 2.0
+        # Its one bath is at the reference temperature, so it parses.
+        assert EXPLICIT_SCENARIO["baths"][0]["temperature"] == sc.reference_temperature
+
+    def test_bath_off_the_reference_temperature_is_rejected(self):
+        with pytest.raises(ThermoError, match="bath temperature 5.0"):
+            parse_scenario(dict(EXPLICIT_SCENARIO, baths=[{"temperature": 5.0}]))
 
     def test_missing_key(self):
         with pytest.raises(ScenarioParseError):
@@ -93,6 +99,34 @@ class TestExitCodes:
         path = write(tmp_path, "s.json", payload)
         assert main(["classify", path, "--out", str(tmp_path / "o")]) == 3
         assert "'0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('"E": 0.1', '"E": 1e400', "energy must be finite"),
+            (
+                '"reference_temperature": 2.0, "baths": [{"temperature": 2.0}]',
+                '"reference_temperature": 1e400',
+                "reference temperature must be finite",
+            ),
+        ],
+        ids=["energy", "reference_temperature"],
+    )
+    def test_overflowing_scenario_value_exits_3(self, tmp_path, capsys, old, new, message):
+        # 1e400 is valid JSON that parses to inf, so it reaches the constructors.
+        text = json.dumps(EXPLICIT_SCENARIO)
+        assert old in text
+        path = tmp_path / "s.json"
+        path.write_text(text.replace(old, new))
+        out = tmp_path / "o"
+        assert main(["cost", str(path), "--out", str(out)]) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bath_off_the_reference_temperature_exits_3(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", dict(EXPLICIT_SCENARIO, baths=[{"temperature": 5.0}]))
+        assert main(["cost", path, "--out", str(tmp_path / "o")]) == 3
+        assert "reference_temperature" in capsys.readouterr().err
 
     def test_protocol_abort_exits_4(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", RTZ_SCENARIO)

@@ -25,9 +25,9 @@ from thermologic.costs import (
     optimal_weights,
     transition_cost,
 )
-from thermologic.cycles import entropy_ledgers
+from thermologic.cycles import entropy_ledgers, partial_operation_cost, uncertain_operation_cost
 from thermologic.logic import DiscreteDistribution, LogicalOperation, identity_op, rtz, ufz
-from thermologic.thermo import ModelSkeleton, Scenario, make_model
+from thermologic.thermo import ModelSkeleton, Scenario, make_model, validate
 
 LN2 = math.log(2.0)
 
@@ -361,6 +361,31 @@ def test_shared_pricing_is_exact(seed, structure, dead_input, zero_live_weight):
         if sc.input_dist.probs[tr.input_index] != 0.0
     ]
     assert [(e.input_index, e.output_index, e.value) for e in ledger.individual] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mixture_free_energy_routes_agree(seed):
+    """Every route to the minimal mean work gives the same number.
+
+    The optimal expected cost, the bound's ``<dE> - T_R dS``, a one-branch
+    uncertain operation, a partial operation with a one-state bystander
+    and the ``zero_mean_work`` residual of :func:`validate` each reach
+    the mixture free-energy difference through their own code path.
+    """
+    sc = random_scenario(np.random.default_rng(seed), max_states=6)
+    thermo = (sc.input_thermo, sc.output_thermo, sc.reference_temperature, sc.units)
+    bound = glp_bounds(sc).work_bound
+    works = [
+        expected_cost(sc, optimal_weights(sc)).expected_work,
+        uncertain_operation_cost([(sc.op, 1.0)], sc.input_dist, *thermo).branch_works[0],
+        partial_operation_cost(sc.input_dist.probs[:, None], sc.op, *thermo).forward_work,
+    ]
+    tol = 1e-9 * (1.0 + max(abs(v) for v in works + [bound]))
+    for work in works:
+        assert abs(work - bound) <= tol
+    residual = sc.kT * validate(sc)["zero_mean_work"].residual
+    assert abs(residual - abs(bound)) <= tol
 
 
 def test_infinite_sentinel_is_singleton_and_serialisable():

@@ -2,10 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import random_operation
-from thermologic.costs import expected_cost, optimal_weights
-from thermologic.logic import DiscreteDistribution, not_op, rtz
+from thermologic.costs import CostError, expected_cost, make_weights, optimal_weights
+from thermologic.logic import (
+    DiscreteDistribution,
+    InvalidDistributionError,
+    InvalidOperationError,
+    JointDistribution,
+    LogicalOperation,
+    not_op,
+    rtz,
+)
 from thermologic.thermo import (
     DegenerateBathError,
     ModelSkeleton,
@@ -33,6 +43,37 @@ class TestUnits:
     def test_positive_required(self):
         with pytest.raises(ThermoError):
             UnitSystem(k_B=0.0)
+
+
+def _flat_scenario(t_ref=1.0):
+    flat = (StateThermo(0.5, 0.0, 1.0),) * 2
+    return Scenario(DiscreteDistribution([0.5, 0.5]), not_op(), flat, flat, t_ref)
+
+
+# Each entry puts one value into one field of one public constructor.
+NON_FINITE_FIELDS = {
+    "UnitSystem.k_B": (ThermoError, lambda v: UnitSystem(k_B=v)),
+    "UnitSystem.hbar": (ThermoError, lambda v: UnitSystem(hbar=v)),
+    "UnitSystem.mass": (ThermoError, lambda v: UnitSystem(mass=v)),
+    "StateThermo.energy": (ThermoError, lambda v: StateThermo(v, 0.0, 1.0)),
+    "StateThermo.entropy": (ThermoError, lambda v: StateThermo(0.0, v, 1.0)),
+    "StateThermo.temperature": (ThermoError, lambda v: StateThermo(0.0, 0.0, v)),
+    "DiscreteDistribution": (InvalidDistributionError, lambda v: DiscreteDistribution([v, 1.0])),
+    "JointDistribution": (InvalidDistributionError, lambda v: JointDistribution([[v, 0.5]])),
+    "LogicalOperation": (InvalidOperationError, lambda v: LogicalOperation([[v, 1.0], [0.0, 1.0]])),
+    "Scenario.reference_temperature": (ThermoError, lambda v: _flat_scenario(t_ref=v)),
+    "make_weights": (CostError, lambda v: make_weights(_flat_scenario(), [v, 1.0])),
+}
+
+
+@given(
+    field=st.sampled_from(sorted(NON_FINITE_FIELDS)),
+    value=st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_constructors_reject_non_finite_values(field, value):
+    error, build = NON_FINITE_FIELDS[field]
+    with pytest.raises(error):
+        build(value)
 
 
 class TestStateThermo:
