@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,8 @@ from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 
 HIGH_TEMPERATURE_MARGIN = 10.0
 SUM_TRUNCATION = 1e-16
+RECONCILE_TOL = 1e-9  # reconcile: trajectory and expected totals against the closed forms
+RECONCILE_STEP_TOL = 1e-12  # reconcile: each row against its recomputation
 
 __all__ = [
     "ProtocolAbortError",
@@ -212,32 +215,41 @@ class LedgerRow:
 
 @dataclass(frozen=True, eq=False)
 class ProtocolLedger:
+    """Rows of one run, grouped into trajectory legs once, on first use.
+
+    Trajectory ``i -> j`` joins input ``i`` (steps 1-3), branch ``(i, j)``
+    (steps 4-5) and output ``j`` (steps 6-9, no input index).
+    """
+
     rows: tuple[LedgerRow, ...]
     layouts: tuple[tuple[int, BoxLayout], ...]
     warnings: tuple[str, ...]
+
+    @cached_property
+    def _legs(self) -> tuple[dict, dict, dict]:
+        inputs, branches, outputs = {}, {}, {}
+        for row in self.rows:
+            if row.step <= 3:
+                inputs.setdefault(row.input_index, []).append(row)
+            elif row.step <= 5:
+                branches.setdefault((row.input_index, row.output_index), []).append(row)
+            elif row.input_index is None:
+                outputs.setdefault(row.output_index, []).append(row)
+        return inputs, branches, outputs
 
     def rows_for(self, step: int) -> tuple[LedgerRow, ...]:
         return tuple(r for r in self.rows if r.step == step)
 
     def layout(self, step: int) -> BoxLayout:
-        for s, layout in self.layouts:
-            if s == step:
-                return layout
-        raise KeyError(step)
+        return dict(self.layouts)[step]
 
     def branch_rows(self, input_index: int, output_index: int) -> tuple[LedgerRow, ...]:
-        picked = []
-        for row in self.rows:
-            if row.step <= 3 and row.input_index == input_index:
-                picked.append(row)
-            elif row.step in (4, 5) and (row.input_index, row.output_index) == (
-                input_index,
-                output_index,
-            ):
-                picked.append(row)
-            elif row.step >= 6 and row.output_index == output_index and row.input_index is None:
-                picked.append(row)
-        return tuple(picked)
+        inputs, branches, outputs = self._legs
+        return (
+            *inputs.get(input_index, ()),
+            *branches.get((input_index, output_index), ()),
+            *outputs.get(output_index, ()),
+        )
 
     def branch_total(self, input_index: int, output_index: int) -> tuple[float, float]:
         """Total (work, heat) along the trajectory input -> output."""
@@ -252,14 +264,7 @@ class ProtocolLedger:
         )
 
     def trajectory_totals(self) -> dict[tuple[int, int], tuple[float, float]]:
-        pairs = sorted(
-            {
-                (r.input_index, r.output_index)
-                for r in self.rows
-                if r.step == 4 and r.input_index is not None and r.output_index is not None
-            }
-        )
-        return {pair: self.branch_total(*pair) for pair in pairs}
+        return {pair: self.branch_total(*pair) for pair in sorted(self._legs[1])}
 
     def expected_totals(self, scenario: Scenario) -> tuple[float, float]:
         """Expectation of the trajectory totals over the joint distribution."""
@@ -292,7 +297,6 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
         )
 
     rows: list[LedgerRow] = []
-    layouts: list[tuple[int, BoxLayout]] = []
     warnings: set[str] = set()
 
     def check_regime(step: int, width: float, temperature: float, branch: str):
@@ -339,8 +343,6 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
                 heat=0.0,
             )
         )
-    layouts.append((1, BoxLayout(tuple(Partition(i, None, d1[i]) for i in range(n_in)))))
-    layouts.append((2, BoxLayout(tuple(Partition(i, None, d2[i]) for i in range(n_in)))))
 
     total_width = math.fsum(d2.tolist())
     d3 = w_in * total_width
@@ -362,11 +364,7 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
                 heat=iso,
             )
         )
-    layouts.append(
-        (3, BoxLayout(tuple(Partition(i, None, d3[i]) for i in range(n_in) if w_in[i] > 0.0)))
-    )
 
-    sub = []
     for i in range(n_in):
         if w_in[i] == 0.0:
             continue
@@ -374,7 +372,6 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
             if matrix[i, j] == 0.0:
                 continue
             width = matrix[i, j] * w_in[i] * total_width
-            sub.append((i, j, width))
             entropy = entropy_for_width(width, t_ref, units)
             check_regime(
                 4,
@@ -396,9 +393,6 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
                         heat=0.0,
                     )
                 )
-    layouts.append((4, BoxLayout(tuple(Partition(i, j, wd) for i, j, wd in sub))))
-    regrouped = sorted(sub, key=lambda item: (item[1], item[0]))
-    layouts.append((5, BoxLayout(tuple(Partition(i, j, wd) for i, j, wd in regrouped))))
 
     d6 = w_out * total_width
     d7 = np.zeros(n_out)
@@ -466,21 +460,23 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
                 heat=0.0,
             )
         )
-    for step, widths in ((6, d6), (7, d7), (8, d8)):
-        layouts.append(
-            (
-                step,
-                BoxLayout(
-                    tuple(
-                        Partition(None, j, widths[j]) for j in range(n_out) if w_out[j] > 0.0
-                    )
-                ),
-            )
-        )
 
     return ProtocolLedger(
-        rows=tuple(rows), layouts=tuple(layouts), warnings=tuple(sorted(warnings))
+        rows=tuple(rows), layouts=_layouts(rows), warnings=tuple(sorted(warnings))
     )
+
+
+def _layouts(rows: list[LedgerRow]) -> tuple[tuple[int, BoxLayout], ...]:
+    """Box layout after each of stages 1-8, read off that stage's rows.
+
+    Stage 5 brings equal outputs together, so it is ordered by (output, input).
+    """
+    partitions: dict[int, list[Partition]] = {step: [] for step in range(1, 9)}
+    for row in rows:
+        if row.step in partitions:
+            partitions[row.step].append(Partition(row.input_index, row.output_index, row.width))
+    partitions[5].sort(key=lambda p: (p.output_index, p.input_index))
+    return tuple((step, BoxLayout(tuple(parts))) for step, parts in partitions.items())
 
 
 @dataclass(frozen=True)
@@ -495,11 +491,7 @@ class ReconcileReport:
 
 
 def reconcile(
-    ledger: ProtocolLedger,
-    scenario: Scenario,
-    weights: WeightVector,
-    tol: float = 1e-9,
-    step_tol: float = 1e-12,
+    ledger: ProtocolLedger, scenario: Scenario, weights: WeightVector
 ) -> ReconcileReport:
     """Check a ledger against an independent recomputation and the closed forms.
 
@@ -524,9 +516,9 @@ def reconcile(
                 first_divergence = key
                 break
             if (
-                abs(got.work - want.work) > step_tol
-                or abs(got.heat - want.heat) > step_tol
-                or abs(got.width - want.width) > step_tol
+                abs(got.work - want.work) > RECONCILE_STEP_TOL
+                or abs(got.heat - want.heat) > RECONCILE_STEP_TOL
+                or abs(got.width - want.width) > RECONCILE_STEP_TOL
             ):
                 messages.append(
                     f"step {key[0]} branch ({key[1]}, {key[2]}) diverges from recomputation"
@@ -536,9 +528,17 @@ def reconcile(
 
     report = expected_cost(scenario, weights)
     closed_forms = {(tr.input_index, tr.output_index): tr for tr in report.transitions}
+    try:
+        totals = ledger.trajectory_totals()
+        got_work, got_heat = ledger.expected_totals(scenario)
+    except KeyError as exc:  # a trajectory misses or repeats a row
+        messages.append(exc.args[0])
+        return ReconcileReport(
+            False, math.inf, math.inf, math.inf, math.inf, first_divergence, tuple(messages)
+        )
     max_work = 0.0
     max_heat = 0.0
-    for (i, j), (work, heat) in ledger.trajectory_totals().items():
+    for (i, j), (work, heat) in totals.items():
         closed = closed_forms.get((i, j))
         if closed is None:
             messages.append(f"trajectory ({i}, {j}) is not a realisable transition")
@@ -548,12 +548,11 @@ def reconcile(
             continue
         max_work = max(max_work, abs(work - closed.work))
         max_heat = max(max_heat, abs(heat - closed.heat))
-    if max_work > tol or max_heat > tol:
+    if max_work > RECONCILE_TOL or max_heat > RECONCILE_TOL:
         messages.append(
             f"trajectory totals mismatch closed forms: work {max_work:.3e}, heat {max_heat:.3e}"
         )
 
-    got_work, got_heat = ledger.expected_totals(scenario)
     if is_infinite(report.expected_work):
         expected_work_mismatch = math.inf
         expected_heat_mismatch = math.inf
@@ -561,18 +560,13 @@ def reconcile(
     else:
         expected_work_mismatch = abs(got_work - report.expected_work)
         expected_heat_mismatch = abs(got_heat - report.expected_heat)
-        if expected_work_mismatch > tol or expected_heat_mismatch > tol:
+        if not (  # NaN fails too
+            expected_work_mismatch <= RECONCILE_TOL and expected_heat_mismatch <= RECONCILE_TOL
+        ):
             messages.append("expected totals mismatch the cost report")
 
-    ok = (
-        not messages
-        and max_work <= tol
-        and max_heat <= tol
-        and expected_work_mismatch <= tol
-        and expected_heat_mismatch <= tol
-    )
     return ReconcileReport(
-        ok=ok,
+        ok=not messages,
         max_work_mismatch=max_work,
         max_heat_mismatch=max_heat,
         expected_work_mismatch=expected_work_mismatch,

@@ -43,6 +43,8 @@ from .logic import LogicError, shannon_entropy
 from .quantum import QuantumError, default_setup, run_trials
 from .serialize import (
     ScenarioParseError,
+    _energy_value,
+    _parse_thermo,
     format_float,
     load_json,
     load_scenario,
@@ -236,32 +238,21 @@ def cmd_cycle_build(args) -> int:
     divisor, unit = _divisor(scenario, args)
     payload = {
         "energy_unit": unit,
-        "leg_works": [
-            "INF" if is_infinite(c.expected_work) else c.expected_work / divisor
-            for c in evaluation.leg_costs
-        ],
-        "total_work": "INF"
-        if is_infinite(evaluation.total_work)
-        else evaluation.total_work / divisor,
-        "total_heat": "INF"
-        if is_infinite(evaluation.total_heat)
-        else evaluation.total_heat / divisor,
+        "leg_works": [_energy_value(c.expected_work, divisor) for c in evaluation.leg_costs],
+        "total_work": _energy_value(evaluation.total_work, divisor),
+        "total_heat": _energy_value(evaluation.total_heat, divisor),
     }
     (outdir / "cycle.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"total_work = {payload['total_work']}")
     return EXIT_OK
 
 
-def _thermo_from_config(entries, count, t_ref):
+def _config_thermo(config: dict, side: str, count: int, t_ref: float):
+    """A cycle config's ``{side}_thermo`` table; uniform states if it has none."""
+    entries = config.get(f"{side}_thermo")
     if entries is None:
-        uniform = StateThermo(0.5 * t_ref, 0.0, t_ref)
-        return (uniform,) * count
-    out = []
-    for entry in entries:
-        out.append(StateThermo(float(entry["E"]), float(entry["S"]), float(entry["T"])))
-    if len(out) != count:
-        raise ScenarioParseError(f"thermo table must list {count} states")
-    return tuple(out)
+        return (StateThermo(0.5 * t_ref, 0.0, t_ref),) * count
+    return _parse_thermo(entries, count, side)
 
 
 def cmd_cycle_uncertain(args) -> int:
@@ -281,8 +272,8 @@ def cmd_cycle_uncertain(args) -> int:
     report = uncertain_operation_cost(
         branches,
         dist,
-        _thermo_from_config(config.get("input_thermo"), n_in, t_ref),
-        _thermo_from_config(config.get("output_thermo"), n_out, t_ref),
+        _config_thermo(config, "input", n_in, t_ref),
+        _config_thermo(config, "output", n_out, t_ref),
         reference_temperature=t_ref,
     )
     payload = {
@@ -311,8 +302,8 @@ def cmd_cycle_partial(args) -> int:
     report = partial_operation_cost(
         config["joint_prior"],
         op,
-        _thermo_from_config(config.get("input_thermo"), op.n_inputs, t_ref),
-        _thermo_from_config(config.get("output_thermo"), op.n_outputs, t_ref),
+        _config_thermo(config, "input", op.n_inputs, t_ref),
+        _config_thermo(config, "output", op.n_outputs, t_ref),
         reference_temperature=t_ref,
     )
     payload = {

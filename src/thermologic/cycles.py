@@ -120,6 +120,11 @@ class BoxCycleReport:
         }
 
 
+def _is_distribution(p: np.ndarray) -> bool:
+    """Entries at least 0 summing to 1; NaN fails the range test, +inf the sum."""
+    return bool((p >= 0.0).all()) and abs(math.fsum(p.ravel().tolist()) - 1.0) <= 1e-9
+
+
 def _stage(name: str, kind: str, before, after, kt: float) -> CycleStage:
     """Cost one manipulation of branch (probability, width) tables.
 
@@ -374,8 +379,8 @@ def suboptimal_cycle_cost(
     for every logically reversible operation regardless of weights.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size != op.n_inputs:
-        raise CostError("weight arity does not match operation")
+    if w.size != op.n_inputs or not _is_distribution(w):
+        raise CostError("weights must form a distribution over the operation inputs")
     p_in = actual_input.probs
     if p_in.size != op.n_inputs:
         raise CostError("input distribution arity does not match operation")
@@ -432,7 +437,7 @@ def uncertain_operation_cost(
     gamma = np.asarray([prob for _, prob in branches], dtype=float)
     if not ops:
         raise CostError("at least one branch is required")
-    if abs(math.fsum(gamma.tolist()) - 1.0) > 1e-9 or np.any(gamma < 0.0):
+    if not _is_distribution(gamma):
         raise CostError("branch probabilities must form a distribution")
     n_in = ops[0].n_inputs
     n_out = ops[0].n_outputs
@@ -512,7 +517,7 @@ def partial_operation_cost(
     joint = np.asarray(joint_prior, dtype=float)
     if joint.ndim != 2:
         raise CostError("joint prior must be a 2-d array over (input, bystander)")
-    if np.any(joint < 0.0) or abs(float(joint.sum()) - 1.0) > 1e-9:
+    if not _is_distribution(joint):
         raise CostError("joint prior must be a probability table")
     if joint.shape[0] != op.n_inputs:
         raise CostError("joint prior arity does not match operation")
@@ -591,7 +596,7 @@ def build_reversible_cycle(
     certifies the middle implementation as thermodynamically reversible.
     """
     w = np.asarray(weights, dtype=float)
-    if w.size != op.n_inputs or np.any(w < 0.0) or abs(float(w.sum()) - 1.0) > 1e-9:
+    if w.size != op.n_inputs or not _is_distribution(w):
         raise CostError("weights must form a distribution over the operation inputs")
     if standard_state is None:
         standard_state = StateThermo(

@@ -280,7 +280,7 @@ class TrialSetup:
 
     def __post_init__(self):
         probs = np.asarray(self.input_probs, dtype=float)
-        if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-9:
+        if not (probs >= 0.0).all() or abs(float(probs.sum()) - 1.0) > 1e-9:  # NaN fails too
             raise SetupError("input probabilities must form a distribution")
         object.__setattr__(self, "input_probs", _frozen(probs.copy()))
         dim = self.system_h.dim

@@ -71,14 +71,14 @@ class ScenarioParseError(ValueError):
 
 
 def _need(mapping: dict, key: str, context: str):
+    if not isinstance(mapping, dict):
+        raise ScenarioParseError(f"{context} must be an object")
     if key not in mapping:
         raise ScenarioParseError(f"missing {key!r} in {context}")
     return mapping[key]
 
 
 def parse_operation(data) -> LogicalOperation:
-    if not isinstance(data, dict):
-        raise ScenarioParseError("operation must be an object")
     inputs = _need(data, "inputs", "operation")
     outputs = _need(data, "outputs", "operation")
     rows = _need(data, "rows", "operation")
@@ -107,12 +107,13 @@ def _parse_thermo(entries, count: int, context: str) -> tuple[StateThermo, ...]:
     if not isinstance(entries, list) or len(entries) != count:
         raise ScenarioParseError(f"{context} thermo table must list {count} states")
     out = []
+    where = f"{context} thermo entry"
     for entry in entries:
         out.append(
             StateThermo(
-                energy=float(_need(entry, "E", context)),
-                entropy=float(_need(entry, "S", context)),
-                temperature=float(_need(entry, "T", context)),
+                energy=float(_need(entry, "E", where)),
+                entropy=float(_need(entry, "S", where)),
+                temperature=float(_need(entry, "T", where)),
             )
         )
     return tuple(out)
@@ -125,10 +126,11 @@ def parse_scenario(data: dict) -> Scenario:
     t_ref = float(_need(data, "reference_temperature", "scenario"))
     op = parse_operation(_need(data, "operation", "scenario"))
     input_block = _need(data, "input", "scenario")
+    probs = _need(input_block, "probs", "input")
     labels = input_block.get("labels")
     if labels is not None and tuple(str(s) for s in labels) != op.input_labels:
         raise ScenarioParseError("input labels disagree with operation inputs")
-    dist = DiscreteDistribution(_need(input_block, "probs", "input"))
+    dist = DiscreteDistribution(probs)
     output_block = data.get("output", {})
     out_labels = output_block.get("labels")
     if out_labels is not None and tuple(str(s) for s in out_labels) != op.output_labels:

@@ -172,6 +172,44 @@ class TestBookkeeping:
             )
             assert row.width == pytest.approx(expected, rel=1e-12)
 
+    def cases(self):
+        """Random scenarios and weights; the last has a zero-weight dead input."""
+        rng = np.random.default_rng(19)
+        cases = []
+        for _ in range(10):
+            sc = random_scenario(rng)
+            cases.append((sc, make_weights(sc, rng.dirichlet(np.ones(sc.op.n_inputs)))))
+        sc = random_scenario(rng)
+        probs = np.append(0.0, rng.dirichlet(np.ones(sc.op.n_inputs - 1)))
+        dead = dataclasses.replace(sc, input_dist=DiscreteDistribution(probs))
+        cases.append((dead, make_weights(dead, probs)))
+        return cases
+
+    def test_layouts_list_each_stage_rows(self):
+        for sc, weights in self.cases():
+            ledger = run_protocol(sc, weights)
+            assert [step for step, _ in ledger.layouts] == list(range(1, 9))
+            for step in range(1, 9):
+                want = [(r.input_index, r.output_index, r.width) for r in ledger.rows_for(step)]
+                if step == 5:  # equal outputs brought together
+                    want.sort(key=lambda p: (p[1], p[0]))
+                got = [
+                    (p.input_index, p.output_index, p.width)
+                    for p in ledger.layout(step).partitions
+                ]
+                assert got == want
+        # the last case's dead input 0 is compressed away at stage 3
+        assert 0 not in {p.input_index for p in ledger.layout(3).partitions}
+
+    def test_totals_ignore_row_order(self):
+        rng = np.random.default_rng(20)
+        for sc, weights in self.cases():
+            ledger = run_protocol(sc, weights)
+            rows = list(ledger.rows)
+            rng.shuffle(rows)
+            shuffled = ProtocolLedger(tuple(rows), ledger.layouts, ledger.warnings)
+            assert shuffled.trajectory_totals() == ledger.trajectory_totals()
+
     def test_step_energy_accounting(self):
         sc = self.scenario(15)
         ledger = run_protocol(sc, optimal_weights(sc))
@@ -250,3 +288,19 @@ class TestReconcile:
         report = reconcile(bad, sc, weights)
         assert not report.ok
         assert report.first_divergent_step == (7, None, 0)
+
+    @pytest.mark.parametrize("tamper", ["drop a step-7 row", "repeat the last row"])
+    def test_missing_or_extra_row_is_reported(self, tamper):
+        sc = uniform_scenario(rtz(), [0.5, 0.5])
+        weights = optimal_weights(sc)
+        ledger = run_protocol(sc, weights)
+        rows = list(ledger.rows)
+        if tamper == "drop a step-7 row":
+            del rows[next(k for k, row in enumerate(rows) if row.step == 7)]
+        else:
+            rows.append(rows[-1])
+        bad = ProtocolLedger(tuple(rows), ledger.layouts, ledger.warnings)
+        report = reconcile(bad, sc, weights)
+        assert not report.ok
+        assert report.messages[0].startswith("row count")
+        assert "trajectory 0 -> 0 is not realised in this ledger" in report.messages

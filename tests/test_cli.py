@@ -156,6 +156,32 @@ class TestExitCodes:
         assert main(["cycle", "partial", str(path), "--out", str(tmp_path / "o")]) == 2
         assert f"non-finite number {token}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            (["cost"], dict(RTZ_SCENARIO, input=[])),
+            (
+                ["cost"],
+                dict(EXPLICIT_SCENARIO, input=dict(EXPLICIT_SCENARIO["input"], thermo=[1.0, 2.0])),
+            ),
+            (["cost"], dict(EXPLICIT_SCENARIO, baths=[1.0])),
+            (["cost"], dict(RTZ_SCENARIO, model=5)),
+            (
+                ["cycle", "uncertain"],
+                {
+                    "input": {"probs": [0.5, 0.5]},
+                    "branches": [{"operation": RTZ_SCENARIO["operation"], "probability": 1.0}],
+                    "input_thermo": [1.0, 2.0],
+                },
+            ),
+        ],
+        ids=["input", "thermo", "baths", "model", "input_thermo"],
+    )
+    def test_value_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, payload):
+        path = write(tmp_path, "s.json", payload)
+        assert main([*command, path, "--out", str(tmp_path / "o")]) == 2
+        assert "must be an object" in capsys.readouterr().err
+
     def test_non_finite_qbound_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "q.json"
         path.write_text('{"trials": 2, "reference_temperature": Infinity}')

@@ -9,7 +9,7 @@ from helpers import (
     random_operation,
     random_thermo,
 )
-from thermologic.costs import is_infinite, make_weights, optimal_weights
+from thermologic.costs import CostError, is_infinite, make_weights, optimal_weights
 from thermologic.cycles import (
     DegenerateCycleError,
     build_reversible_cycle,
@@ -411,3 +411,26 @@ class TestBuildReversibleCycle:
         )
         evaluation = evaluate_cycle(spec, middle_input=random_distribution(rng, 3).probs)
         assert evaluation.total_work == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda x: partial_operation_cost(
+            [[x, 0.5], [0.25, 0.25]], rtz(), flat_thermo(2), flat_thermo(2)
+        ),
+        lambda x: uncertain_operation_cost(
+            [(rtz(), x), (identity_op(2), 1.0)],
+            DiscreteDistribution([0.5, 0.5]),
+            flat_thermo(2),
+            flat_thermo(2),
+        ),
+        lambda x: suboptimal_cycle_cost(rtz(), [x, 1.0], DiscreteDistribution([0.5, 0.5])),
+        lambda x: build_reversible_cycle(rtz(), [x, 1.0], flat_thermo(2), flat_thermo(2)),
+    ],
+    ids=["joint_prior", "branch_probabilities", "suboptimal_weights", "cycle_weights"],
+)
+def test_non_finite_probabilities_are_rejected(call, bad):
+    with pytest.raises(CostError):
+        call(bad)

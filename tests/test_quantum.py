@@ -155,6 +155,11 @@ class TestMixtureIdentity:
         decomposed = mixture_entropy_terms(setup.input_probs, setup.input_states)
         assert direct == pytest.approx(decomposed, abs=1e-10)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_input_probs_are_rejected(self, bad):
+        with pytest.raises(SetupError):
+            default_setup((2, 2), 4, 1.0, input_probs=[bad, 0.5])
+
     def test_blocks_must_not_overlap(self):
         h = HamiltonianSpec(np.zeros(4))
         with pytest.raises(SetupError):
