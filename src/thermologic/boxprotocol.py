@@ -130,7 +130,6 @@ class WellProperties:
     energy_high_t: float
     entropy_high_t: float
     high_temperature_ok: bool
-    terms_used: int
 
 
 def squarewell_props(
@@ -174,7 +173,6 @@ def squarewell_props(
         energy_high_t=0.5 * k * temperature,
         entropy_high_t=entropy_for_width(width, temperature, units),
         high_temperature_ok=well.high_temperature_ok,
-        terms_used=n,
     )
 
 
@@ -515,10 +513,10 @@ def reconcile(
                 messages.append(f"row ordering diverges at step {want.step}")
                 first_divergence = key
                 break
-            if (
-                abs(got.work - want.work) > RECONCILE_STEP_TOL
-                or abs(got.heat - want.heat) > RECONCILE_STEP_TOL
-                or abs(got.width - want.width) > RECONCILE_STEP_TOL
+            if not (  # NaN fails too
+                abs(got.work - want.work) <= RECONCILE_STEP_TOL
+                and abs(got.heat - want.heat) <= RECONCILE_STEP_TOL
+                and abs(got.width - want.width) <= RECONCILE_STEP_TOL
             ):
                 messages.append(
                     f"step {key[0]} branch ({key[1]}, {key[2]}) diverges from recomputation"
@@ -536,8 +534,8 @@ def reconcile(
         return ReconcileReport(
             False, math.inf, math.inf, math.inf, math.inf, first_divergence, tuple(messages)
         )
-    max_work = 0.0
-    max_heat = 0.0
+    work_residuals = [0.0]
+    heat_residuals = [0.0]
     for (i, j), (work, heat) in totals.items():
         closed = closed_forms.get((i, j))
         if closed is None:
@@ -546,9 +544,12 @@ def reconcile(
         if is_infinite(closed.work):
             messages.append(f"trajectory ({i}, {j}) has unbounded closed-form cost")
             continue
-        max_work = max(max_work, abs(work - closed.work))
-        max_heat = max(max_heat, abs(heat - closed.heat))
-    if max_work > RECONCILE_TOL or max_heat > RECONCILE_TOL:
+        work_residuals.append(abs(work - closed.work))
+        heat_residuals.append(abs(heat - closed.heat))
+    # np.max keeps a NaN residual, which the builtin max would drop.
+    max_work = float(np.max(work_residuals))
+    max_heat = float(np.max(heat_residuals))
+    if not (max_work <= RECONCILE_TOL and max_heat <= RECONCILE_TOL):
         messages.append(
             f"trajectory totals mismatch closed forms: work {max_work:.3e}, heat {max_heat:.3e}"
         )

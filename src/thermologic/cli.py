@@ -4,8 +4,9 @@ Subcommands: ``classify``, ``cost``, ``optimize``, ``box-run``,
 ``cycle {rle-le, build, uncertain, partial}`` and ``qbound``.  Every run
 writes ``manifest.json`` (config, input hashes, seed, versions) into the
 output directory before any other file; identical configs and seeds
-produce byte-identical outputs.  Energies are reported in units of
-``k T_R`` unless ``--si`` is given.
+produce byte-identical outputs.  Input is parsed and the computation run
+before anything is written, so a run that exits 2 or 3 writes nothing.
+Energies are reported in units of ``k T_R`` unless ``--si`` is given.
 
 Exit codes: 0 ok, 2 unparseable input, 3 validation failure, 4 runtime
 failure.
@@ -39,11 +40,13 @@ from .cycles import (
     uncertain_operation_cost,
 )
 from .logic import classify as classify_op
-from .logic import LogicError, shannon_entropy
+from .logic import DiscreteDistribution, LogicError, shannon_entropy
 from .quantum import QuantumError, default_setup, run_trials
 from .serialize import (
     ScenarioParseError,
     _energy_value,
+    _need,
+    _object,
     _parse_thermo,
     format_float,
     load_json,
@@ -94,10 +97,19 @@ def _config_of(args) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
+def _output_dir(args, command: str, input_paths) -> Path:
+    """Write the run's manifest, its first output file, and return ``--out``.
+
+    Called once the computation has succeeded, so a run that exits on bad
+    input (code 2 or 3) writes nothing.
+    """
+    outdir = Path(args.out)
+    write_manifest(outdir, command, _config_of(args), input_paths, args.seed)
+    return outdir
+
+
 def cmd_classify(args) -> int:
     scenario = load_scenario(args.scenario)
-    outdir = Path(args.out)
-    write_manifest(outdir, "classify", _config_of(args), [args.scenario], args.seed)
     kind = classify_op(scenario.op)
     payload = {
         "deterministic": kind.deterministic,
@@ -106,6 +118,7 @@ def cmd_classify(args) -> int:
         "output_entropy_bits": shannon_entropy(scenario.output_dist),
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
+    outdir = _output_dir(args, "classify", [args.scenario])
     (outdir / "classify.json").write_text(text + "\n")
     print(text)
     return EXIT_OK
@@ -113,11 +126,10 @@ def cmd_classify(args) -> int:
 
 def cmd_cost(args) -> int:
     scenario = load_scenario(args.scenario)
-    outdir = Path(args.out)
-    write_manifest(outdir, "cost", _config_of(args), [args.scenario], args.seed)
     weights = _parse_weights(args.weights, scenario)
     report = expected_cost(scenario, weights)
     divisor, unit = _divisor(scenario, args)
+    outdir = _output_dir(args, "cost", [args.scenario])
     if args.format in ("csv", "both"):
         write_cost_csv(report, scenario, outdir / "report.csv", divisor)
     if args.format in ("json", "both"):
@@ -131,8 +143,6 @@ def cmd_cost(args) -> int:
 
 def cmd_optimize(args) -> int:
     scenario = load_scenario(args.scenario)
-    outdir = Path(args.out)
-    write_manifest(outdir, "optimize", _config_of(args), [args.scenario], args.seed)
     analytic = optimal_weights(scenario)
     numeric = minimize_expected_work(scenario, seed=args.seed)
     analytic_value = expected_cost(scenario, analytic).expected_work
@@ -148,6 +158,7 @@ def cmd_optimize(args) -> int:
         "glp_work_bound": glp_bounds(scenario).work_bound / divisor,
     }
     text = json.dumps(payload, indent=2, sort_keys=True)
+    outdir = _output_dir(args, "optimize", [args.scenario])
     (outdir / "optimize.json").write_text(text + "\n")
     print(text)
     return EXIT_OK
@@ -155,14 +166,13 @@ def cmd_optimize(args) -> int:
 
 def cmd_box_run(args) -> int:
     scenario = load_scenario(args.scenario)
-    outdir = Path(args.out)
-    write_manifest(outdir, "box-run", _config_of(args), [args.scenario], args.seed)
     weights = _parse_weights(args.weights, scenario)
     ledger = run_protocol(scenario, weights)
+    check = reconcile(ledger, scenario, weights)
     divisor, unit = _divisor(scenario, args)
+    outdir = _output_dir(args, "box-run", [args.scenario])
     write_ledger_csv(ledger, scenario, outdir / "ledger.csv", divisor)
     write_widths_tsv(ledger, scenario, outdir / "widths.tsv")
-    check = reconcile(ledger, scenario, weights)
     for warning in ledger.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     for (i, j), (work, heat) in sorted(ledger.trajectory_totals().items()):
@@ -180,8 +190,6 @@ def cmd_box_run(args) -> int:
 
 
 def cmd_cycle_rle_le(args) -> int:
-    outdir = Path(args.out)
-    write_manifest(outdir, "cycle rle-le", _config_of(args), [], args.seed)
     report = rle_le_cycle(
         args.p, args.p_prime, model=args.model, temperature=args.temperature
     )
@@ -211,6 +219,7 @@ def cmd_cycle_rle_le(args) -> int:
         "reversible": report.reversible,
         "entropy_totals_k": report.entropy_totals,
     }
+    outdir = _output_dir(args, "cycle rle-le", [])
     (outdir / "cycle.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"net_work = {report.net_work / divisor:.6f} {unit}")
     print(f"kl = {report.kl_nats:.6f} nats")
@@ -220,8 +229,6 @@ def cmd_cycle_rle_le(args) -> int:
 
 def cmd_cycle_build(args) -> int:
     scenario = load_scenario(args.scenario)
-    outdir = Path(args.out)
-    write_manifest(outdir, "cycle build", _config_of(args), [args.scenario], args.seed)
     weights = _parse_weights(args.weights, scenario)
     spec = build_reversible_cycle(
         scenario.op,
@@ -242,6 +249,7 @@ def cmd_cycle_build(args) -> int:
         "total_work": _energy_value(evaluation.total_work, divisor),
         "total_heat": _energy_value(evaluation.total_heat, divisor),
     }
+    outdir = _output_dir(args, "cycle build", [args.scenario])
     (outdir / "cycle.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     print(f"total_work = {payload['total_work']}")
     return EXIT_OK
@@ -257,16 +265,15 @@ def _config_thermo(config: dict, side: str, count: int, t_ref: float):
 
 def cmd_cycle_uncertain(args) -> int:
     config = load_json(args.config)
-    outdir = Path(args.out)
-    write_manifest(outdir, "cycle uncertain", _config_of(args), [args.config], args.seed)
-    from .logic import DiscreteDistribution
-
-    t_ref = float(config.get("reference_temperature", 1.0))
     branches = [
-        (parse_operation(b["operation"]), float(b["probability"]))
-        for b in config["branches"]
+        (
+            parse_operation(_need(b, "operation", "branch")),
+            float(_need(b, "probability", "branch")),
+        )
+        for b in _need(config, "branches", "config")
     ]
-    dist = DiscreteDistribution(config["input"]["probs"])
+    t_ref = float(config.get("reference_temperature", 1.0))
+    dist = DiscreteDistribution(_need(_need(config, "input", "config"), "probs", "input"))
     n_in = branches[0][0].n_inputs
     n_out = branches[0][0].n_outputs
     report = uncertain_operation_cost(
@@ -286,6 +293,7 @@ def cmd_cycle_uncertain(args) -> int:
         "excess": report.excess,
         "factorizes": report.factorizes,
     }
+    outdir = _output_dir(args, "cycle uncertain", [args.config])
     (outdir / "uncertain.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -295,12 +303,10 @@ def cmd_cycle_uncertain(args) -> int:
 
 def cmd_cycle_partial(args) -> int:
     config = load_json(args.config)
-    outdir = Path(args.out)
-    write_manifest(outdir, "cycle partial", _config_of(args), [args.config], args.seed)
+    op = parse_operation(_need(config, "operation", "config"))
     t_ref = float(config.get("reference_temperature", 1.0))
-    op = parse_operation(config["operation"])
     report = partial_operation_cost(
-        config["joint_prior"],
+        _need(config, "joint_prior", "config"),
         op,
         _config_thermo(config, "input", op.n_inputs, t_ref),
         _config_thermo(config, "output", op.n_outputs, t_ref),
@@ -317,6 +323,7 @@ def cmd_cycle_partial(args) -> int:
         "product_prior": report.product_prior,
         "screens_off": report.screens_off,
     }
+    outdir = _output_dir(args, "cycle partial", [args.config])
     (outdir / "partial.json").write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
@@ -325,13 +332,7 @@ def cmd_cycle_partial(args) -> int:
 
 
 def cmd_qbound(args) -> int:
-    outdir = Path(args.out)
-    inputs = [args.config] if args.config else []
-    write_manifest(outdir, "qbound", _config_of(args), inputs, args.seed)
-    if args.config:
-        config = load_json(args.config)
-    else:
-        config = {}
+    config = _object(load_json(args.config), "config") if args.config else {}
     block_sizes = tuple(
         int(v) for v in str(config.get("system_blocks", args.blocks)).strip("[]").split(",")
     )
@@ -345,6 +346,7 @@ def cmd_qbound(args) -> int:
     trials = int(config.get("trials", args.trials))
     seed = int(config.get("seed", args.seed))
     batch = run_trials(setup, trials, seed)
+    outdir = _output_dir(args, "qbound", [args.config] if args.config else [])
     write_trials_csv(batch, outdir / "trials.csv")
     print(f"trials = {trials}")
     print(f"violations: {batch.total_violations}")

@@ -31,6 +31,7 @@ from .logic import ArityMismatchError, _entropy_nats, _logs, classify
 from .thermo import Scenario
 
 DEFAULT_SEED = 1729
+STALL_TOL = 1e-10  # minimize_expected_work: a step gaining less than this counts as stalled
 
 __all__ = [
     "DEFAULT_SEED",
@@ -315,7 +316,6 @@ def _log_ratio_expectation(joint, w, w_out) -> float:
 def minimize_expected_work(
     scenario: Scenario,
     seed: int = DEFAULT_SEED,
-    tol: float = 1e-10,
     max_iterations: int = 100_000,
     restarts: int = 4,
 ) -> OptimizationResult:
@@ -372,7 +372,7 @@ def minimize_expected_work(
                 if f_candidate <= f:
                     break
                 trial_step *= 0.5
-            if abs(f - f_candidate) < tol:
+            if abs(f - f_candidate) < STALL_TOL:
                 stalled += 1
             else:
                 stalled = 0

@@ -55,6 +55,8 @@ from .thermo import (
     state_arrays,
 )
 
+LEDGER_TOL = 1e-9  # entropy_ledgers: values within this of zero or of their bound count as equal
+
 __all__ = [
     "DegenerateCycleError",
     "CycleStage",
@@ -71,7 +73,6 @@ __all__ = [
     "uncertain_operation_cost",
     "PartialOperationReport",
     "partial_operation_cost",
-    "CycleLeg",
     "CycleSpec",
     "build_reversible_cycle",
     "CycleEvaluation",
@@ -180,6 +181,8 @@ def rle_le_cycle(
             raise DegenerateCycleError(f"{name} must lie strictly inside (0, 1), got {value!r}")
     if model not in ("uniform", "adiabatic_equilibrium"):
         raise DegenerateCycleError(f"unknown cycle model {model!r}")
+    if not 0.0 < temperature < math.inf:  # NaN fails too
+        raise DegenerateCycleError(f"temperature must be finite and positive, got {temperature!r}")
     kt = units.k_B * temperature
     q, q_prime = 1.0 - p, 1.0 - p_prime
 
@@ -254,9 +257,7 @@ class EntropyLedger:
     gibbs_flags_irreversible: bool
 
 
-def entropy_ledgers(
-    scenario: Scenario, weights: WeightVector, tol: float = 1e-9
-) -> EntropyLedger:
+def entropy_ledgers(scenario: Scenario, weights: WeightVector) -> EntropyLedger:
     """Evaluate all three entropy measures for the given implementation.
 
     Each realisable transition contributes
@@ -278,7 +279,7 @@ def entropy_ledgers(
     values = (s_out[cols] - s_in[rows] + heat / kt).tolist()
     bounds = [math.log(m) for m in scenario.op.matrix[rows, cols].tolist()]
     entries = [
-        TransitionEntropy(i, j, value, bound, abs(value - bound) <= tol)
+        TransitionEntropy(i, j, value, bound, abs(value - bound) <= LEDGER_TOL)
         for i, j, value, bound in zip(rows.tolist(), cols.tolist(), values, bounds)
     ]
     average = report.state_entropy_change + report.expected_heat / kt
@@ -287,11 +288,11 @@ def entropy_ledgers(
         individual=tuple(entries),
         average=average,
         gibbs=gibbs,
-        individual_flags_irreversible=any(v > tol for v in values),
-        individual_decreases=any(v < -tol for v in values),
-        average_flags_irreversible=average > tol,
-        average_decreases=average < -tol,
-        gibbs_flags_irreversible=gibbs > tol,
+        individual_flags_irreversible=any(v > LEDGER_TOL for v in values),
+        individual_decreases=any(v < -LEDGER_TOL for v in values),
+        average_flags_irreversible=average > LEDGER_TOL,
+        average_decreases=average < -LEDGER_TOL,
+        gibbs_flags_irreversible=gibbs > LEDGER_TOL,
     )
 
 
@@ -561,18 +562,17 @@ def partial_operation_cost(
 
 
 @dataclass(frozen=True, eq=False)
-class CycleLeg:
+class CycleSpec:
+    """Open-emit-reset cycle around one operation, anchored at a standard state.
+
+    The middle leg runs ``op`` implemented for ``weights``; the opening
+    and closing legs are derived from it by :func:`evaluate_cycle`.
+    """
+
     op: LogicalOperation
     weights: np.ndarray
     input_thermo: tuple[StateThermo, ...]
     output_thermo: tuple[StateThermo, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class CycleSpec:
-    """Open-emit-reset cycle around one operation, anchored at a standard state."""
-
-    legs: tuple[CycleLeg, CycleLeg, CycleLeg]
     reference_temperature: float
     units: UnitSystem
     standard_state: StateThermo
@@ -602,21 +602,11 @@ def build_reversible_cycle(
         standard_state = StateThermo(
             0.5 * units.k_B * reference_temperature, 0.0, reference_temperature
         )
-    opener = LogicalOperation(
-        w[None, :], input_labels=("standard",), output_labels=op.input_labels
-    )
-    closer = LogicalOperation(
-        np.ones((op.n_outputs, 1)),
-        input_labels=op.output_labels,
-        output_labels=("standard",),
-    )
-    legs = (
-        CycleLeg(opener, np.array([1.0]), (standard_state,), tuple(input_thermo)),
-        CycleLeg(op, w, tuple(input_thermo), tuple(output_thermo)),
-        CycleLeg(closer, w @ op.matrix, tuple(output_thermo), (standard_state,)),
-    )
     return CycleSpec(
-        legs=legs,
+        op=op,
+        weights=w,
+        input_thermo=tuple(input_thermo),
+        output_thermo=tuple(output_thermo),
         reference_temperature=reference_temperature,
         units=units,
         standard_state=standard_state,
@@ -634,51 +624,40 @@ def evaluate_cycle(spec: CycleSpec, middle_input=None) -> CycleEvaluation:
     """Total cost of the cycle for given (possibly mismatched) middle statistics.
 
     With no ``middle_input`` the designed weights are used and the total
-    vanishes.  Otherwise the opening and closing legs are re-derived for
+    vanishes.  Otherwise the opening and closing legs are derived for
     the actual statistics (they define the cycle for that input) while
     the middle leg keeps its designed weights, so the total reduces to
-    the suboptimal-implementation excess.
+    the suboptimal-implementation excess.  The opening leg is one row
+    from the standard state to the inputs; the closing leg is one column
+    from every output back to it.
     """
-    middle = spec.legs[1]
-    p_mid = (
-        np.asarray(middle_input, dtype=float)
-        if middle_input is not None
-        else middle.weights
-    )
+
+    def leg(dist, op, input_thermo, output_thermo) -> Scenario:
+        return Scenario(
+            input_dist=dist,
+            op=op,
+            input_thermo=input_thermo,
+            output_thermo=output_thermo,
+            reference_temperature=spec.reference_temperature,
+            units=spec.units,
+        )
+
+    p_mid = np.asarray(middle_input, dtype=float) if middle_input is not None else spec.weights
     mid_dist = DiscreteDistribution(p_mid)
+    standard = ("standard",)
     opener_op = LogicalOperation(
-        p_mid[None, :],
-        input_labels=("standard",),
-        output_labels=middle.op.input_labels,
+        p_mid[None, :], input_labels=standard, output_labels=spec.op.input_labels
     )
-    opener = Scenario(
-        input_dist=DiscreteDistribution([1.0]),
-        op=opener_op,
-        input_thermo=(spec.standard_state,),
-        output_thermo=middle.input_thermo,
-        reference_temperature=spec.reference_temperature,
-        units=spec.units,
+    closer_op = LogicalOperation(
+        np.ones((spec.op.n_outputs, 1)), input_labels=spec.op.output_labels, output_labels=standard
     )
-    mid = Scenario(
-        input_dist=mid_dist,
-        op=middle.op,
-        input_thermo=middle.input_thermo,
-        output_thermo=middle.output_thermo,
-        reference_temperature=spec.reference_temperature,
-        units=spec.units,
-    )
-    out_dist = propagate(middle.op, mid_dist)
-    closer = Scenario(
-        input_dist=out_dist,
-        op=spec.legs[2].op,
-        input_thermo=middle.output_thermo,
-        output_thermo=(spec.standard_state,),
-        reference_temperature=spec.reference_temperature,
-        units=spec.units,
-    )
+    opener = leg(DiscreteDistribution([1.0]), opener_op, (spec.standard_state,), spec.input_thermo)
+    mid = leg(mid_dist, spec.op, spec.input_thermo, spec.output_thermo)
+    out_dist = propagate(spec.op, mid_dist)
+    closer = leg(out_dist, closer_op, spec.output_thermo, (spec.standard_state,))
     costs = (
         expected_cost(opener, make_weights(opener, [1.0])),
-        expected_cost(mid, make_weights(mid, middle.weights)),
+        expected_cost(mid, make_weights(mid, spec.weights)),
         expected_cost(closer, make_weights(closer, out_dist.probs)),
     )
     if any(is_infinite(c.expected_work) for c in costs):

@@ -11,6 +11,10 @@ final environment state against the canonical one is non-negative.  This
 module computes all three inequalities explicitly per trial so a failure
 pinpoints which link broke.
 
+Everything here is in natural units (k_B = 1): temperatures are energies,
+and entropies are in nats.  Every Hamiltonian is diagonal in the
+computational basis, so canonical states are diagonal too.
+
 Dimensions are deliberately small (joint dimension capped at 64); dense
 eigendecomposition is the only linear algebra required.
 """
@@ -24,6 +28,9 @@ import numpy as np
 
 EIG_ATOL = 1e-10
 MAX_JOINT_DIM = 64
+RANK_TOL = 1e-12  # canonicalize: eigenvalues at or below this are off the support
+MARGINAL_TOL = 0.05  # verify_bound: output block weights within this respect the operation
+SLACK_TOL = 1e-9  # run_trials: a slack or lemma term below minus this is a violation
 
 __all__ = [
     "QuantumError",
@@ -84,55 +91,43 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.matrix.shape[0]
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianSpec:
-    """Real spectrum plus an eigenbasis (identity basis when omitted)."""
+    """Real spectrum of a Hamiltonian diagonal in the computational basis."""
 
     energies: np.ndarray
-    basis: np.ndarray | None = None
 
     def __post_init__(self):
         e = np.asarray(self.energies, dtype=float)
         if e.ndim != 1 or e.size == 0:
             raise QuantumError("energies must form a non-empty vector")
         object.__setattr__(self, "energies", _frozen(e.copy()))
-        if self.basis is not None:
-            b = np.asarray(self.basis, dtype=complex)
-            if b.shape != (e.size, e.size):
-                raise QuantumError("basis shape does not match spectrum")
-            if np.max(np.abs(b.conj().T @ b - np.eye(e.size))) > 1e-9:
-                raise QuantumError("basis is not unitary")
-            object.__setattr__(self, "basis", _frozen(b.copy()))
 
     @property
     def dim(self) -> int:
         return self.energies.size
 
     def matrix(self) -> np.ndarray:
-        if self.basis is None:
-            return np.diag(self.energies).astype(complex)
-        return self.basis @ np.diag(self.energies).astype(complex) @ self.basis.conj().T
+        return np.diag(self.energies).astype(complex)
 
 
-def gibbs_state(hamiltonian: HamiltonianSpec, temperature: float, k: float = 1.0) -> DensityMatrix:
-    """Canonical state exp(-H / kT) / Z, evaluated in the eigenbasis.
+def _positive_finite(temperature: float) -> bool:
+    return 0.0 < temperature < math.inf  # NaN fails too
 
-    Energies are shifted by their minimum before exponentiating so large
-    spectra cannot overflow.
-    """
-    if temperature <= 0.0:
-        raise QuantumError("temperature must be positive")
-    shifted = hamiltonian.energies - hamiltonian.energies.min()
-    weights = np.exp(-shifted / (k * temperature))
+
+def _gibbs_exponents(hamiltonian: HamiltonianSpec, temperature: float) -> np.ndarray:
+    """``-(E - E_min) / T``: shifted by the minimum so large spectra cannot overflow."""
+    return -(hamiltonian.energies - hamiltonian.energies.min()) / temperature
+
+
+def gibbs_state(hamiltonian: HamiltonianSpec, temperature: float) -> DensityMatrix:
+    """Canonical state exp(-H / T) / Z at a finite positive temperature."""
+    if not _positive_finite(temperature):
+        raise QuantumError("temperature must be finite and positive")
+    weights = np.exp(_gibbs_exponents(hamiltonian, temperature))
     populations = weights / weights.sum()
-    if hamiltonian.basis is None:
-        return DensityMatrix(np.diag(populations).astype(complex))
-    b = hamiltonian.basis
-    return DensityMatrix(b @ np.diag(populations).astype(complex) @ b.conj().T)
+    return DensityMatrix(np.diag(populations).astype(complex))
 
 
 def _entropy_from_eigs(eigs: np.ndarray) -> float:
@@ -156,14 +151,10 @@ def relative_entropy(rho: np.ndarray, sigma_log: np.ndarray) -> float:
     return term - cross
 
 
-def _log_gibbs(hamiltonian: HamiltonianSpec, temperature: float, k: float = 1.0) -> np.ndarray:
-    shifted = hamiltonian.energies - hamiltonian.energies.min()
-    weights = np.exp(-shifted / (k * temperature))
-    log_pop = -shifted / (k * temperature) - math.log(float(weights.sum()))
-    if hamiltonian.basis is None:
-        return np.diag(log_pop).astype(complex)
-    b = hamiltonian.basis
-    return b @ np.diag(log_pop).astype(complex) @ b.conj().T
+def _log_gibbs(hamiltonian: HamiltonianSpec, temperature: float) -> np.ndarray:
+    exponents = _gibbs_exponents(hamiltonian, temperature)
+    log_pop = exponents - math.log(float(np.exp(exponents).sum()))
+    return np.diag(log_pop).astype(complex)
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -193,7 +184,6 @@ class CanonicalizedState:
     hamiltonian: HamiltonianSpec
     unitary: np.ndarray
     support_dim: int
-    populations: np.ndarray
 
     @property
     def full_rank(self) -> bool:
@@ -201,39 +191,34 @@ class CanonicalizedState:
 
 
 def canonicalize(
-    rho: DensityMatrix,
-    temperature: float,
-    target_energy: float,
-    k: float = 1.0,
-    rank_tol: float = 1e-12,
+    rho: DensityMatrix, temperature: float, target_energy: float
 ) -> CanonicalizedState:
     """Hamiltonian and unitary that make a given state exactly canonical.
 
     Choosing level ``n`` at energy
-    ``target_energy - kT (ln p_n - sum_m p_m ln p_m)`` makes the canonical
+    ``target_energy - T (ln p_n - sum_m p_m ln p_m)`` makes the canonical
     populations reproduce the spectrum ``p`` of ``rho``; the unitary maps
     the state's eigenbasis onto the computational basis, so
     ``U rho U^dagger`` equals ``gibbs_state(H, T)`` with mean energy
     exactly ``target_energy`` and unchanged entropy.  Rank-deficient
     states are handled on their support, reported via ``support_dim``.
     """
-    if temperature <= 0.0:
-        raise QuantumError("temperature must be positive")
+    if not _positive_finite(temperature):
+        raise QuantumError("temperature must be finite and positive")
     eigs, vecs = np.linalg.eigh(rho.matrix)
     order = np.argsort(eigs)[::-1]
     eigs = np.clip(eigs[order], 0.0, None)
     vecs = vecs[:, order]
-    support = eigs > rank_tol
+    support = eigs > RANK_TOL
     populations = eigs[support]
     populations = populations / populations.sum()
     mean_log = float((populations * np.log(populations)).sum())
-    energies = target_energy - k * temperature * (np.log(populations) - mean_log)
+    energies = target_energy - temperature * (np.log(populations) - mean_log)
     unitary = vecs.conj().T  # maps each eigenvector onto a computational axis
     return CanonicalizedState(
         hamiltonian=HamiltonianSpec(energies),
         unitary=unitary,
         support_dim=int(support.sum()),
-        populations=populations,
     )
 
 
@@ -291,8 +276,8 @@ class TrialSetup:
             covered.extend(range(start, start + size))
         if len(set(covered)) != len(covered):
             raise SetupError("blocks overlap")
-        if self.reference_temperature <= 0.0:
-            raise SetupError("reference temperature must be positive")
+        if not _positive_finite(self.reference_temperature):
+            raise SetupError("reference temperature must be finite and positive")
         if self.system_h.dim * self.env_h.dim > MAX_JOINT_DIM:
             raise SetupError(f"joint dimension exceeds cap {MAX_JOINT_DIM}")
         if self.target_output_probs is not None:
@@ -345,8 +330,6 @@ def default_setup(
 class TrialResult:
     index: int
     work: float
-    system_energy_change: float
-    system_entropy_change: float
     bound: float
     slack: float
     subadditivity_slack: float
@@ -355,9 +338,7 @@ class TrialResult:
     respects_operation: bool | None
 
 
-def verify_bound(
-    setup: TrialSetup, unitary: np.ndarray, index: int = 0, marginal_tol: float = 0.05
-) -> TrialResult:
+def verify_bound(setup: TrialSetup, unitary: np.ndarray, index: int = 0) -> TrialResult:
     """Evaluate one unitary against the work bound and its two lemmas."""
     ds = setup.system_h.dim
     de = setup.env_h.dim
@@ -382,8 +363,7 @@ def verify_bound(
 
     s_initial = vn_entropy(rho_sys)
     s_final = vn_entropy(sys_final)
-    entropy_change = s_final - s_initial
-    bound = (e_sys_1 - e_sys_0) - t_ref * entropy_change
+    bound = (e_sys_1 - e_sys_0) - t_ref * (s_final - s_initial)
 
     joint_entropy = vn_entropy(rho_final)
     subadd = s_final + vn_entropy(env_final) - joint_entropy
@@ -398,13 +378,11 @@ def verify_bound(
     respects = None
     if setup.target_output_probs is not None:
         respects = bool(
-            np.max(np.abs(weights - setup.target_output_probs)) <= marginal_tol
+            np.max(np.abs(weights - setup.target_output_probs)) <= MARGINAL_TOL
         )
     return TrialResult(
         index=index,
         work=work,
-        system_energy_change=e_sys_1 - e_sys_0,
-        system_entropy_change=entropy_change,
         bound=bound,
         slack=work - bound,
         subadditivity_slack=subadd,
@@ -417,8 +395,6 @@ def verify_bound(
 @dataclass(frozen=True, eq=False)
 class TrialBatchResult:
     results: tuple[TrialResult, ...]
-    seed: int
-    slack_tolerance: float
     bound_violations: int
     subadditivity_violations: int
     relative_entropy_violations: int
@@ -433,30 +409,22 @@ class TrialBatchResult:
         )
 
 
-def run_trials(
-    setup: TrialSetup,
-    trials: int,
-    seed: int,
-    slack_tol: float = 1e-9,
-    marginal_tol: float = 0.05,
-) -> TrialBatchResult:
+def run_trials(setup: TrialSetup, trials: int, seed: int) -> TrialBatchResult:
     """Sweep seeded Haar-random unitaries and count bound violations."""
     rng = np.random.default_rng(seed)
     dim = setup.system_h.dim * setup.env_h.dim
     results = []
     for index in range(trials):
         unitary = haar_unitary(dim, rng)
-        results.append(verify_bound(setup, unitary, index=index, marginal_tol=marginal_tol))
+        results.append(verify_bound(setup, unitary, index=index))
     return TrialBatchResult(
         results=tuple(results),
-        seed=seed,
-        slack_tolerance=slack_tol,
-        bound_violations=sum(1 for r in results if r.slack < -slack_tol),
+        bound_violations=sum(1 for r in results if r.slack < -SLACK_TOL),
         subadditivity_violations=sum(
-            1 for r in results if r.subadditivity_slack < -slack_tol
+            1 for r in results if r.subadditivity_slack < -SLACK_TOL
         ),
         relative_entropy_violations=sum(
-            1 for r in results if r.environment_relative_entropy < -slack_tol
+            1 for r in results if r.environment_relative_entropy < -SLACK_TOL
         ),
         respecting_trials=sum(1 for r in results if r.respects_operation),
     )

@@ -70,10 +70,14 @@ class ScenarioParseError(ValueError):
     pass
 
 
-def _need(mapping: dict, key: str, context: str):
-    if not isinstance(mapping, dict):
+def _object(value, context: str) -> dict:
+    if not isinstance(value, dict):
         raise ScenarioParseError(f"{context} must be an object")
-    if key not in mapping:
+    return value
+
+
+def _need(mapping: dict, key: str, context: str):
+    if key not in _object(mapping, context):
         raise ScenarioParseError(f"missing {key!r} in {context}")
     return mapping[key]
 
@@ -131,7 +135,7 @@ def parse_scenario(data: dict) -> Scenario:
     if labels is not None and tuple(str(s) for s in labels) != op.input_labels:
         raise ScenarioParseError("input labels disagree with operation inputs")
     dist = DiscreteDistribution(probs)
-    output_block = data.get("output", {})
+    output_block = _object(data.get("output", {}), "output")
     out_labels = output_block.get("labels")
     if out_labels is not None and tuple(str(s) for s in out_labels) != op.output_labels:
         raise ScenarioParseError("output labels disagree with operation outputs")
@@ -355,7 +359,11 @@ def _sha256(path) -> str:
 
 
 def write_manifest(outdir, command: str, config: dict, input_paths, seed) -> Path:
-    """Record what produced a run's outputs; written before any output file."""
+    """Record what produced a run's outputs; written before any output file.
+
+    The command line writes it only once its computation has succeeded, so
+    a run rejected for its input leaves no files behind.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     manifest = {

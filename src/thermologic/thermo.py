@@ -332,12 +332,13 @@ def _spread(values) -> float:
     return float(np.ptp(values))
 
 
-def validate(scenario: Scenario, atol: float = EPS_MODEL) -> AssumptionReport:
+def validate(scenario: Scenario) -> AssumptionReport:
     """Report which standard assumption sets a scenario satisfies.
 
     Energy residuals are scaled by k T_R and entropy residuals are in
-    units of k, so one tolerance covers both.  Purely diagnostic: nothing
-    is raised and nothing is modified, enabling model auto-detection.
+    units of k, so one tolerance, ``EPS_MODEL``, covers both.  Purely
+    diagnostic: nothing is raised and nothing is modified, enabling model
+    auto-detection.
     """
     t_ref = scenario.reference_temperature
     kt = scenario.kT
@@ -351,7 +352,7 @@ def validate(scenario: Scenario, atol: float = EPS_MODEL) -> AssumptionReport:
     checks: list[AssumptionCheck] = []
 
     def add(name: str, residual: float):
-        checks.append(AssumptionCheck(name, residual <= atol, residual))
+        checks.append(AssumptionCheck(name, residual <= EPS_MODEL, residual))
 
     temperatures = [st.temperature for st in scenario.input_thermo + scenario.output_thermo]
     add("isothermal", _spread(temperatures + [t_ref]) / t_ref)

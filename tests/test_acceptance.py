@@ -178,7 +178,7 @@ def test_criterion_7_quantum_bound_sweep():
         reference_temperature=1.0,
         input_probs=[0.6, 0.4],
     )
-    batch = run_trials(setup, 500, seed=7, slack_tol=1e-9)
+    batch = run_trials(setup, 500, seed=7)
     elapsed = time.perf_counter() - start
     ok = batch.total_violations == 0 and elapsed < 60.0
     report(

@@ -278,16 +278,18 @@ class TestReconcile:
         target = next(
             idx for idx, row in enumerate(ledger.rows) if row.step == 7
         )
-        corrupted = list(ledger.rows)
-        corrupted[target] = dataclasses.replace(
-            corrupted[target], work=corrupted[target].work + 1e-6
-        )
-        bad = ProtocolLedger(
-            rows=tuple(corrupted), layouts=ledger.layouts, warnings=ledger.warnings
-        )
-        report = reconcile(bad, sc, weights)
-        assert not report.ok
-        assert report.first_divergent_step == (7, None, 0)
+        # A NaN work compares false with every tolerance, so it must fail the row test.
+        for work in (ledger.rows[target].work + 1e-6, math.nan):
+            corrupted = list(ledger.rows)
+            corrupted[target] = dataclasses.replace(corrupted[target], work=work)
+            bad = ProtocolLedger(
+                rows=tuple(corrupted), layouts=ledger.layouts, warnings=ledger.warnings
+            )
+            report = reconcile(bad, sc, weights)
+            assert not report.ok
+            assert report.first_divergent_step == (7, None, 0)
+            assert not report.max_work_mismatch <= 1e-9
+            assert report.messages[1].startswith("trajectory totals mismatch closed forms")
 
     @pytest.mark.parametrize("tamper", ["drop a step-7 row", "repeat the last row"])
     def test_missing_or_extra_row_is_reported(self, tamper):

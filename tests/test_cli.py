@@ -34,6 +34,17 @@ EXPLICIT_SCENARIO = {
 }
 
 
+UNCERTAIN_CONFIG = {
+    "input": {"probs": [0.5, 0.5]},
+    "branches": [{"operation": RTZ_SCENARIO["operation"], "probability": 1.0}],
+}
+
+PARTIAL_CONFIG = {
+    "joint_prior": [[0.25, 0.25], [0.25, 0.25]],
+    "operation": RTZ_SCENARIO["operation"],
+}
+
+
 def write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -166,21 +177,71 @@ class TestExitCodes:
             ),
             (["cost"], dict(EXPLICIT_SCENARIO, baths=[1.0])),
             (["cost"], dict(RTZ_SCENARIO, model=5)),
-            (
-                ["cycle", "uncertain"],
-                {
-                    "input": {"probs": [0.5, 0.5]},
-                    "branches": [{"operation": RTZ_SCENARIO["operation"], "probability": 1.0}],
-                    "input_thermo": [1.0, 2.0],
-                },
-            ),
+            (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, input_thermo=[1.0, 2.0])),
+            (["cost"], dict(RTZ_SCENARIO, output=[])),
+            (["cycle", "uncertain"], [UNCERTAIN_CONFIG]),
+            (["cycle", "partial"], [PARTIAL_CONFIG]),
+            (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branches=[1.0])),
         ],
-        ids=["input", "thermo", "baths", "model", "input_thermo"],
+        ids=[
+            "input",
+            "thermo",
+            "baths",
+            "model",
+            "input_thermo",
+            "output",
+            "uncertain_config",
+            "partial_config",
+            "branch",
+        ],
     )
     def test_value_that_is_not_an_object_exits_2(self, tmp_path, capsys, command, payload):
         path = write(tmp_path, "s.json", payload)
         assert main([*command, path, "--out", str(tmp_path / "o")]) == 2
         assert "must be an object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, payload, code",
+        [
+            (["classify"], {"reference_temperature": 1.0}, 2),
+            (["cost", "--weights", "0.5,x"], RTZ_SCENARIO, 3),
+            (["optimize"], dict(RTZ_SCENARIO, input={"probs": [0.5, 0.6]}), 3),
+            (["box-run", "--weights", "0.5,x"], RTZ_SCENARIO, 3),
+            (["cycle", "rle-le", "--p", "0.5", "--temperature", "0"], None, 3),
+            (["cycle", "build", "--middle-input", "0.5,x"], RTZ_SCENARIO, 3),
+            (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branches=[{"probability": 1.0}]), 2),
+            (["cycle", "partial"], dict(PARTIAL_CONFIG, joint_prior="x"), 3),
+            (["qbound", "--config"], {"env_dim": "x"}, 3),
+        ],
+        ids=[
+            "classify",
+            "cost",
+            "optimize",
+            "box-run",
+            "cycle-rle-le",
+            "cycle-build",
+            "cycle-uncertain",
+            "cycle-partial",
+            "qbound",
+        ],
+    )
+    def test_rejected_run_writes_nothing(self, tmp_path, capsys, command, payload, code):
+        inputs = [] if payload is None else [write(tmp_path, "in.json", payload)]
+        out = tmp_path / "o"
+        assert main([*command, *inputs, "--out", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "command",
+        [["cycle", "rle-le", "--p", "0.5", "--temperature"], ["qbound", "--trials", "2", "--t-ref"]],
+        ids=["rle-le", "qbound"],
+    )
+    def test_bad_temperature_exits_3(self, tmp_path, capsys, command, value):
+        out = tmp_path / "o"
+        assert main([*command, value, "--out", str(out)]) == 3
+        assert "temperature must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_finite_qbound_config_exits_2(self, tmp_path, capsys):
         path = tmp_path / "q.json"

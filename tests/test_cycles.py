@@ -110,6 +110,14 @@ class TestRleLeCycle:
         with pytest.raises(DegenerateCycleError):
             rle_le_cycle(0.5, 1.0)
 
+    @pytest.mark.parametrize(
+        "temperature", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+    )
+    @pytest.mark.parametrize("model", ["uniform", "adiabatic_equilibrium"])
+    def test_temperature_must_be_finite_and_positive(self, model, temperature):
+        with pytest.raises(DegenerateCycleError, match="temperature"):
+            rle_le_cycle(0.3, 0.6, model=model, temperature=temperature)
+
     def test_grid_matches_kl_formula(self):
         grid = np.linspace(0.05, 0.95, 10)
         for p in grid:

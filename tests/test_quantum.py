@@ -82,6 +82,31 @@ class TestEntropy:
         assert abs(vn_entropy(rotated) - vn_entropy(rho)) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "temperature", [0.0, -1.0, math.nan, math.inf], ids=["zero", "negative", "nan", "inf"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: gibbs_state(HamiltonianSpec(np.array([0.0, 1.0])), t),
+        lambda t: canonicalize(DensityMatrix(np.diag([0.75, 0.25]).astype(complex)), t, 0.0),
+        lambda t: TrialSetup(
+            system_h=HamiltonianSpec(np.zeros(2)),
+            env_h=HamiltonianSpec(np.zeros(2)),
+            blocks=((0, 2),),
+            input_probs=np.array([1.0]),
+            input_states=(np.eye(2) / 2.0,),
+            reference_temperature=t,
+        ),
+        lambda t: default_setup((2, 2), 4, t),
+    ],
+    ids=["gibbs_state", "canonicalize", "TrialSetup", "default_setup"],
+)
+def test_temperature_must_be_finite_and_positive(call, temperature):
+    with pytest.raises(QuantumError, match="temperature must be finite and positive"):
+        call(temperature)
+
+
 class TestCanonicalize:
     def test_maximally_mixed_gives_degenerate_spectrum(self):
         rho = DensityMatrix(np.eye(3, dtype=complex) / 3.0)
