@@ -15,7 +15,7 @@ failure.
 from __future__ import annotations
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -40,27 +40,27 @@ from .cycles import (
     uncertain_operation_cost,
 )
 from .logic import classify as classify_op
-from .logic import DiscreteDistribution, LogicError, shannon_entropy
+from .logic import LogicError, shannon_entropy
 from .quantum import QuantumError, default_setup, run_trials
 from .serialize import (
     ScenarioParseError,
-    _energy_value,
-    _need,
-    _object,
-    _parse_thermo,
+    cost_report_dict,
+    energy_value,
     format_float,
-    load_json,
+    load_partial_config,
+    load_qbound_config,
     load_scenario,
-    parse_operation,
+    load_uncertain_config,
+    parse_floats,
     render_energy,
     write_cost_csv,
-    write_cost_json,
+    write_json,
     write_ledger_csv,
     write_manifest,
     write_trials_csv,
     write_widths_tsv,
 )
-from .thermo import NATURAL_UNITS, StateThermo, ThermoError
+from .thermo import ThermoError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -88,8 +88,7 @@ def _divisor(scenario, args) -> tuple[float, str]:
 def _parse_weights(text, scenario):
     if text is None:
         return optimal_weights(scenario)
-    values = [float(v) for v in text.split(",")]
-    return make_weights(scenario, values)
+    return make_weights(scenario, parse_floats(text))
 
 
 def _config_of(args) -> dict:
@@ -117,10 +116,8 @@ def cmd_classify(args) -> int:
         "input_entropy_bits": shannon_entropy(scenario.input_dist),
         "output_entropy_bits": shannon_entropy(scenario.output_dist),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
     outdir = _output_dir(args, "classify", [args.scenario])
-    (outdir / "classify.json").write_text(text + "\n")
-    print(text)
+    print(write_json(outdir / "classify.json", payload), end="")
     return EXIT_OK
 
 
@@ -133,7 +130,7 @@ def cmd_cost(args) -> int:
     if args.format in ("csv", "both"):
         write_cost_csv(report, scenario, outdir / "report.csv", divisor)
     if args.format in ("json", "both"):
-        write_cost_json(report, scenario, outdir / "report.json", divisor, unit)
+        write_json(outdir / "report.json", cost_report_dict(report, scenario, divisor, unit))
     print(f"work_bound = {report.work_bound / divisor:.6f} {unit}")
     print(f"heat_bound = {report.heat_bound / divisor:.6f} {unit}")
     print(f"expected_work = {render_energy(report.expected_work, divisor)} {unit}")
@@ -157,10 +154,8 @@ def cmd_optimize(args) -> int:
         "weight_independent": analytic.weight_independent,
         "glp_work_bound": glp_bounds(scenario).work_bound / divisor,
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
     outdir = _output_dir(args, "optimize", [args.scenario])
-    (outdir / "optimize.json").write_text(text + "\n")
-    print(text)
+    print(write_json(outdir / "optimize.json", payload), end="")
     return EXIT_OK
 
 
@@ -193,8 +188,7 @@ def cmd_cycle_rle_le(args) -> int:
     report = rle_le_cycle(
         args.p, args.p_prime, model=args.model, temperature=args.temperature
     )
-    kt = NATURAL_UNITS.k_B * args.temperature
-    divisor = 1.0 if args.si else kt
+    divisor = 1.0 if args.si else args.temperature
     unit = "scenario" if args.si else "kT"
     payload = {
         "model": report.model,
@@ -219,8 +213,7 @@ def cmd_cycle_rle_le(args) -> int:
         "reversible": report.reversible,
         "entropy_totals_k": report.entropy_totals,
     }
-    outdir = _output_dir(args, "cycle rle-le", [])
-    (outdir / "cycle.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(_output_dir(args, "cycle rle-le", []) / "cycle.json", payload)
     print(f"net_work = {report.net_work / divisor:.6f} {unit}")
     print(f"kl = {report.kl_nats:.6f} nats")
     print(f"reversible = {str(report.reversible).lower()}")
@@ -238,114 +231,53 @@ def cmd_cycle_build(args) -> int:
         scenario.reference_temperature,
         scenario.units,
     )
-    middle = (
-        [float(v) for v in args.middle_input.split(",")] if args.middle_input else None
-    )
+    middle = parse_floats(args.middle_input) if args.middle_input else None
     evaluation = evaluate_cycle(spec, middle_input=middle)
     divisor, unit = _divisor(scenario, args)
     payload = {
         "energy_unit": unit,
-        "leg_works": [_energy_value(c.expected_work, divisor) for c in evaluation.leg_costs],
-        "total_work": _energy_value(evaluation.total_work, divisor),
-        "total_heat": _energy_value(evaluation.total_heat, divisor),
+        "leg_works": [energy_value(c.expected_work, divisor) for c in evaluation.leg_costs],
+        "total_work": energy_value(evaluation.total_work, divisor),
+        "total_heat": energy_value(evaluation.total_heat, divisor),
     }
-    outdir = _output_dir(args, "cycle build", [args.scenario])
-    (outdir / "cycle.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(_output_dir(args, "cycle build", [args.scenario]) / "cycle.json", payload)
     print(f"total_work = {payload['total_work']}")
     return EXIT_OK
 
 
-def _config_thermo(config: dict, side: str, count: int, t_ref: float):
-    """A cycle config's ``{side}_thermo`` table; uniform states if it has none."""
-    entries = config.get(f"{side}_thermo")
-    if entries is None:
-        return (StateThermo(0.5 * t_ref, 0.0, t_ref),) * count
-    return _parse_thermo(entries, count, side)
-
-
 def cmd_cycle_uncertain(args) -> int:
-    config = load_json(args.config)
-    branches = [
-        (
-            parse_operation(_need(b, "operation", "branch")),
-            float(_need(b, "probability", "branch")),
-        )
-        for b in _need(config, "branches", "config")
-    ]
-    t_ref = float(config.get("reference_temperature", 1.0))
-    dist = DiscreteDistribution(_need(_need(config, "input", "config"), "probs", "input"))
-    n_in = branches[0][0].n_inputs
-    n_out = branches[0][0].n_outputs
-    report = uncertain_operation_cost(
-        branches,
-        dist,
-        _config_thermo(config, "input", n_in, t_ref),
-        _config_thermo(config, "output", n_out, t_ref),
-        reference_temperature=t_ref,
-    )
-    payload = {
-        "branch_works": list(report.branch_works),
-        "mean_branch_work": report.mean_branch_work,
-        "restore_work": report.restore_work,
-        "cycle_total": report.cycle_total,
-        "mutual_information_nats": report.mutual_information_nats,
-        "mutual_information_bits": report.mutual_information_nats / np.log(2.0),
-        "excess": report.excess,
-        "factorizes": report.factorizes,
-    }
-    outdir = _output_dir(args, "cycle uncertain", [args.config])
-    (outdir / "uncertain.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    report = uncertain_operation_cost(**load_uncertain_config(args.config))
+    payload = dataclasses.asdict(report)
+    payload["mutual_information_bits"] = report.mutual_information_nats / np.log(2.0)
+    write_json(_output_dir(args, "cycle uncertain", [args.config]) / "uncertain.json", payload)
     print(f"excess = {report.excess!r}")
     return EXIT_OK
 
 
 def cmd_cycle_partial(args) -> int:
-    config = load_json(args.config)
-    op = parse_operation(_need(config, "operation", "config"))
-    t_ref = float(config.get("reference_temperature", 1.0))
-    report = partial_operation_cost(
-        _need(config, "joint_prior", "config"),
-        op,
-        _config_thermo(config, "input", op.n_inputs, t_ref),
-        _config_thermo(config, "output", op.n_outputs, t_ref),
-        reference_temperature=t_ref,
+    report = partial_operation_cost(**load_partial_config(args.config))
+    payload = dataclasses.asdict(report)
+    payload["conditional_mutual_information_bits"] = (
+        report.conditional_mutual_information_nats / np.log(2.0)
     )
-    payload = {
-        "forward_work": report.forward_work,
-        "restore_work": report.restore_work,
-        "cycle_total": report.cycle_total,
-        "conditional_mutual_information_nats": report.conditional_mutual_information_nats,
-        "conditional_mutual_information_bits": report.conditional_mutual_information_nats
-        / np.log(2.0),
-        "excess": report.excess,
-        "product_prior": report.product_prior,
-        "screens_off": report.screens_off,
-    }
-    outdir = _output_dir(args, "cycle partial", [args.config])
-    (outdir / "partial.json").write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    )
+    write_json(_output_dir(args, "cycle partial", [args.config]) / "partial.json", payload)
     print(f"excess = {report.excess!r}")
     return EXIT_OK
 
 
 def cmd_qbound(args) -> int:
-    config = _object(load_json(args.config), "config") if args.config else {}
-    block_sizes = tuple(
-        int(v) for v in str(config.get("system_blocks", args.blocks)).strip("[]").split(",")
-    )
+    config = load_qbound_config(args.config) if args.config else {}
+    if "system_blocks" not in config:
+        config["system_blocks"] = tuple(int(v) for v in args.blocks.split(","))
     setup = default_setup(
-        system_block_sizes=block_sizes,
-        env_dim=int(config.get("env_dim", args.env_dim)),
-        reference_temperature=float(config.get("reference_temperature", args.t_ref)),
+        system_block_sizes=config["system_blocks"],
+        env_dim=config.get("env_dim", args.env_dim),
+        reference_temperature=config.get("reference_temperature", args.t_ref),
         input_probs=config.get("input_probs"),
         target_output_probs=config.get("target_output_probs"),
     )
-    trials = int(config.get("trials", args.trials))
-    seed = int(config.get("seed", args.seed))
-    batch = run_trials(setup, trials, seed)
+    trials = config.get("trials", args.trials)
+    batch = run_trials(setup, trials, config.get("seed", args.seed))
     outdir = _output_dir(args, "qbound", [args.config] if args.config else [])
     write_trials_csv(batch, outdir / "trials.csv")
     print(f"trials = {trials}")
@@ -366,68 +298,48 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = []
 
-    p = sub.add_parser("classify", help="classify an operation and report entropies")
-    p.add_argument("scenario")
-    _common_flags(p)
-    p.set_defaults(func=cmd_classify)
+    def command(subparsers, name: str, func, help_text: str, *positional: str):
+        p = subparsers.add_parser(name, help=help_text)
+        for arg in positional:
+            p.add_argument(arg)
+        p.set_defaults(func=func)
+        commands.append(p)
+        return p
 
-    p = sub.add_parser("cost", help="per-transition and expected work/heat with bounds")
-    p.add_argument("scenario")
-    p.add_argument("--weights", help="comma-separated weights (default: optimal)")
-    _common_flags(p)
-    p.set_defaults(func=cmd_cost)
-
-    p = sub.add_parser("optimize", help="numeric weight optimisation cross-check")
-    p.add_argument("scenario")
-    _common_flags(p)
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("box-run", help="run the staged box implementation")
-    p.add_argument("scenario")
-    p.add_argument("--weights", help="comma-separated weights (default: optimal)")
-    _common_flags(p)
-    p.set_defaults(func=cmd_box_run)
+    weights_help = "comma-separated weights (default: optimal)"
+    command(sub, "classify", cmd_classify, "classify an operation and report entropies", "scenario")
+    p = command(sub, "cost", cmd_cost, "per-transition and expected work/heat with bounds", "scenario")
+    p.add_argument("--weights", help=weights_help)
+    command(sub, "optimize", cmd_optimize, "numeric weight optimisation cross-check", "scenario")
+    p = command(sub, "box-run", cmd_box_run, "run the staged box implementation", "scenario")
+    p.add_argument("--weights", help=weights_help)
 
     cycle = sub.add_parser("cycle", help="thermodynamic cycle analyses")
     cycle_sub = cycle.add_subparsers(dest="cycle_command", required=True)
-
-    p = cycle_sub.add_parser("rle-le", help="unset-then-reset box cycle")
+    p = command(cycle_sub, "rle-le", cmd_cycle_rle_le, "unset-then-reset box cycle")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--p-prime", type=float, default=None)
-    p.add_argument(
-        "--model", choices=("uniform", "adiabatic_equilibrium"), default="uniform"
-    )
+    p.add_argument("--model", choices=("uniform", "adiabatic_equilibrium"), default="uniform")
     p.add_argument("--temperature", type=float, default=1.0)
-    _common_flags(p)
-    p.set_defaults(func=cmd_cycle_rle_le)
-
-    p = cycle_sub.add_parser("build", help="embed an operation in a closed cycle")
-    p.add_argument("scenario")
-    p.add_argument("--weights", help="comma-separated weights (default: optimal)")
+    p = command(cycle_sub, "build", cmd_cycle_build, "embed an operation in a closed cycle",
+                "scenario")
+    p.add_argument("--weights", help=weights_help)
     p.add_argument("--middle-input", help="actual middle-stage input distribution")
-    _common_flags(p)
-    p.set_defaults(func=cmd_cycle_build)
+    command(cycle_sub, "uncertain", cmd_cycle_uncertain, "uncertain-operation cycle excess",
+            "config")
+    command(cycle_sub, "partial", cmd_cycle_partial, "partial-operation cycle excess", "config")
 
-    p = cycle_sub.add_parser("uncertain", help="uncertain-operation cycle excess")
-    p.add_argument("config")
-    _common_flags(p)
-    p.set_defaults(func=cmd_cycle_uncertain)
-
-    p = cycle_sub.add_parser("partial", help="partial-operation cycle excess")
-    p.add_argument("config")
-    _common_flags(p)
-    p.set_defaults(func=cmd_cycle_partial)
-
-    p = sub.add_parser("qbound", help="random-unitary sweep of the work bound")
+    p = command(sub, "qbound", cmd_qbound, "random-unitary sweep of the work bound")
     p.add_argument("--config", help="JSON trial configuration")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--blocks", default="2,2", help="system block sizes (default 2,2)")
     p.add_argument("--env-dim", type=int, default=8)
     p.add_argument("--t-ref", type=float, default=1.0)
-    _common_flags(p)
-    p.set_defaults(func=cmd_qbound)
 
+    for p in commands:  # last, so they follow each subcommand's own options in --help
+        _common_flags(p)
     return parser
 
 
@@ -436,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioParseError, json.JSONDecodeError, FileNotFoundError, KeyError) as exc:
+    except (ScenarioParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (LogicError, ThermoError, QuantumError, ValueError) as exc:

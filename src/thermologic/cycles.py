@@ -15,7 +15,9 @@ optimal implementation: weights tuned to the wrong input statistics,
 uncertainty about which operation acted, and operations that cannot see
 correlations with a bystander system.  Each source's excess cycle cost is
 a KL-divergence-shaped quantity, returned alongside the raw
-thermodynamic sums so the two routes can be compared.
+thermodynamic sums so the two routes can be compared.  The box cycle and
+the three sources work in natural units (k_B = 1), so ``kT`` is the
+temperature they are given.
 """
 
 from __future__ import annotations
@@ -163,7 +165,6 @@ def rle_le_cycle(
     p_prime: float | None = None,
     model: str = "uniform",
     temperature: float = 1.0,
-    units: UnitSystem = NATURAL_UNITS,
 ) -> BoxCycleReport:
     """Unset-then-reset box cycle: randomise to ``p``, erase assuming ``p_prime``.
 
@@ -183,7 +184,7 @@ def rle_le_cycle(
         raise DegenerateCycleError(f"unknown cycle model {model!r}")
     if not 0.0 < temperature < math.inf:  # NaN fails too
         raise DegenerateCycleError(f"temperature must be finite and positive, got {temperature!r}")
-    kt = units.k_B * temperature
+    kt = temperature
     q, q_prime = 1.0 - p, 1.0 - p_prime
 
     if model == "uniform":
@@ -366,7 +367,6 @@ def suboptimal_cycle_cost(
     weights,
     actual_input: DiscreteDistribution,
     reference_temperature: float = 1.0,
-    units: UnitSystem = NATURAL_UNITS,
 ) -> SuboptimalCycleCost:
     """Net work of a closed cycle whose middle stage was tuned to ``weights``.
 
@@ -393,7 +393,7 @@ def suboptimal_cycle_cost(
         )
     w_out = w @ op.matrix
     p_out = p_in @ op.matrix
-    kt = units.k_B * reference_temperature
+    kt = reference_temperature
     joint = p_in[:, None] * op.matrix
     rows, cols = np.nonzero(joint)
     ratio = p_in[rows] * w_out[cols] / (p_out[cols] * w[rows])
@@ -422,7 +422,6 @@ def uncertain_operation_cost(
     input_thermo: tuple[StateThermo, ...],
     output_thermo: tuple[StateThermo, ...],
     reference_temperature: float = 1.0,
-    units: UnitSystem = NATURAL_UNITS,
 ) -> UncertainOperationReport:
     """Cycle cost when it is uncertain which of several operations acted.
 
@@ -447,7 +446,7 @@ def uncertain_operation_cost(
     if len(input_thermo) != n_in or len(output_thermo) != n_out:
         raise CostError("thermo table arity mismatch")
     p_in = input_dist.probs
-    kt = units.k_B * reference_temperature
+    kt = reference_temperature
     free_in = state_arrays(input_thermo, kt).free_energy
     free_out = state_arrays(output_thermo, kt).free_energy
 
@@ -502,7 +501,6 @@ def partial_operation_cost(
     input_thermo: tuple[StateThermo, ...],
     output_thermo: tuple[StateThermo, ...],
     reference_temperature: float = 1.0,
-    units: UnitSystem = NATURAL_UNITS,
 ) -> PartialOperationReport:
     """Cycle cost when the operation sees only one half of a correlated pair.
 
@@ -524,7 +522,7 @@ def partial_operation_cost(
         raise CostError("joint prior arity does not match operation")
     if len(input_thermo) != op.n_inputs or len(output_thermo) != op.n_outputs:
         raise CostError("thermo table arity mismatch")
-    kt = units.k_B * reference_temperature
+    kt = reference_temperature
     m = op.matrix
     p_in = joint.sum(axis=1)
     p_bystander = joint.sum(axis=0)
@@ -566,7 +564,8 @@ class CycleSpec:
     """Open-emit-reset cycle around one operation, anchored at a standard state.
 
     The middle leg runs ``op`` implemented for ``weights``; the opening
-    and closing legs are derived from it by :func:`evaluate_cycle`.
+    and closing legs, and the standard state (energy ``k T_R / 2``, zero
+    entropy), are derived from it by :func:`evaluate_cycle`.
     """
 
     op: LogicalOperation
@@ -575,7 +574,6 @@ class CycleSpec:
     output_thermo: tuple[StateThermo, ...]
     reference_temperature: float
     units: UnitSystem
-    standard_state: StateThermo
 
 
 def build_reversible_cycle(
@@ -585,7 +583,6 @@ def build_reversible_cycle(
     output_thermo: tuple[StateThermo, ...],
     reference_temperature: float = 1.0,
     units: UnitSystem = NATURAL_UNITS,
-    standard_state: StateThermo | None = None,
 ) -> CycleSpec:
     """Embed an implemented operation in a closed three-leg cycle.
 
@@ -598,10 +595,6 @@ def build_reversible_cycle(
     w = np.asarray(weights, dtype=float)
     if w.size != op.n_inputs or not _is_distribution(w):
         raise CostError("weights must form a distribution over the operation inputs")
-    if standard_state is None:
-        standard_state = StateThermo(
-            0.5 * units.k_B * reference_temperature, 0.0, reference_temperature
-        )
     return CycleSpec(
         op=op,
         weights=w,
@@ -609,7 +602,6 @@ def build_reversible_cycle(
         output_thermo=tuple(output_thermo),
         reference_temperature=reference_temperature,
         units=units,
-        standard_state=standard_state,
     )
 
 
@@ -645,16 +637,18 @@ def evaluate_cycle(spec: CycleSpec, middle_input=None) -> CycleEvaluation:
     p_mid = np.asarray(middle_input, dtype=float) if middle_input is not None else spec.weights
     mid_dist = DiscreteDistribution(p_mid)
     standard = ("standard",)
+    t_ref = spec.reference_temperature
+    standard_state = (StateThermo(0.5 * spec.units.k_B * t_ref, 0.0, t_ref),)
     opener_op = LogicalOperation(
         p_mid[None, :], input_labels=standard, output_labels=spec.op.input_labels
     )
     closer_op = LogicalOperation(
         np.ones((spec.op.n_outputs, 1)), input_labels=spec.op.output_labels, output_labels=standard
     )
-    opener = leg(DiscreteDistribution([1.0]), opener_op, (spec.standard_state,), spec.input_thermo)
+    opener = leg(DiscreteDistribution([1.0]), opener_op, standard_state, spec.input_thermo)
     mid = leg(mid_dist, spec.op, spec.input_thermo, spec.output_thermo)
     out_dist = propagate(spec.op, mid_dist)
-    closer = leg(out_dist, closer_op, spec.output_thermo, (spec.standard_state,))
+    closer = leg(out_dist, closer_op, spec.output_thermo, standard_state)
     costs = (
         expected_cost(opener, make_weights(opener, [1.0])),
         expected_cost(mid, make_weights(mid, spec.weights)),

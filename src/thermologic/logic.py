@@ -119,11 +119,6 @@ class DiscreteDistribution:
     def __len__(self) -> int:
         return self.probs.size
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        """Indices of states with nonzero probability."""
-        return tuple(int(i) for i in np.flatnonzero(self.probs > 0.0))
-
     def pruned(self) -> tuple["DiscreteDistribution", tuple[int, ...]]:
         """Drop zero-probability states.
 

@@ -411,6 +411,8 @@ class TrialBatchResult:
 
 def run_trials(setup: TrialSetup, trials: int, seed: int) -> TrialBatchResult:
     """Sweep seeded Haar-random unitaries and count bound violations."""
+    if trials < 0:
+        raise SetupError(f"trial count must be non-negative, got {trials!r}")
     rng = np.random.default_rng(seed)
     dim = setup.system_h.dim * setup.env_h.dim
     results = []

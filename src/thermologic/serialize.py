@@ -1,6 +1,9 @@
-"""Scenario JSON parsing and report emission (CSV, TSV, JSON, manifests).
+"""Every input and output format of the package.
 
-Scenario files look like:
+This is the one module that reads or writes a file: the scenario JSON,
+the ``cycle uncertain``, ``cycle partial`` and ``qbound`` configs, the
+CSV, TSV and JSON reports, and the run manifest.  Scenario files look
+like:
 
     {
       "units": "natural",                       // or "si", or {"k_B":..,"hbar":..,"mass":..}
@@ -18,7 +21,12 @@ named assumption set and may be omitted.  All heat goes to the one
 reference bath, so each optional ``baths`` entry must have ``temperature``
 equal to ``reference_temperature``; any other temperature is rejected
 rather than ignored.  Heat deposited in several baths is combined into one
-effective bath with :func:`thermologic.thermo.aggregate_baths`.  Floats are
+effective bath with :func:`thermologic.thermo.aggregate_baths`.
+
+Every reader checks each value's JSON kind (a number is an int or float,
+never a bool; vectors and matrices are lists of numbers; labels are
+strings or numbers) and raises :class:`ScenarioParseError` on the wrong
+kind, leaving finite and range checks to the constructors.  Floats are
 emitted with ``repr`` so identical inputs produce byte-identical files.
 """
 
@@ -49,16 +57,21 @@ from .thermo import (
 
 __all__ = [
     "ScenarioParseError",
+    "parse_floats",
     "parse_operation",
     "parse_scenario",
     "load_json",
     "load_scenario",
+    "load_uncertain_config",
+    "load_partial_config",
+    "load_qbound_config",
     "format_float",
     "render_energy",
+    "energy_value",
     "cost_report_rows",
     "write_cost_csv",
     "cost_report_dict",
-    "write_cost_json",
+    "write_json",
     "write_ledger_csv",
     "write_widths_tsv",
     "write_trials_csv",
@@ -70,10 +83,42 @@ class ScenarioParseError(ValueError):
     pass
 
 
-def _object(value, context: str) -> dict:
-    if not isinstance(value, dict):
-        raise ScenarioParseError(f"{context} must be an object")
+def _kind(value, kinds, name: str, context: str):
+    """``value`` if it is one of the JSON ``kinds``; a bool is never a number."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise ScenarioParseError(f"{context} must be {name}, got {value!r}")
     return value
+
+
+def _object(value, context: str) -> dict:
+    return _kind(value, dict, "an object", context)
+
+
+def _list(value, context: str) -> list:
+    return _kind(value, list, "a list", context)
+
+
+def _number(value, context: str) -> float:
+    return float(_kind(value, (int, float), "a number", context))
+
+
+def _integer(value, context: str) -> int:
+    return _kind(value, int, "an integer", context)
+
+
+def _label(value, context: str) -> str:
+    return str(_kind(value, (str, int, float), "a string or a number", context))
+
+
+def _list_of(read):
+    """A reader of JSON lists whose entries all pass ``read``."""
+    return lambda value, context: tuple(read(v, context) for v in _list(value, context))
+
+
+_numbers = _list_of(_number)
+_integers = _list_of(_integer)
+_matrix = _list_of(_numbers)
+_labels = _list_of(_label)
 
 
 def _need(mapping: dict, key: str, context: str):
@@ -82,15 +127,22 @@ def _need(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _optional(mapping: dict, key: str, read, context: str):
+    """``read`` applied to ``mapping[key]``; ``None`` if the key is absent or null."""
+    value = mapping.get(key)
+    return None if value is None else read(value, f"{context} {key}")
+
+
+def parse_floats(text: str) -> list[float]:
+    """A comma-separated command-line list such as ``0.3,0.7``."""
+    return [float(v) for v in text.split(",")]
+
+
 def parse_operation(data) -> LogicalOperation:
-    inputs = _need(data, "inputs", "operation")
-    outputs = _need(data, "outputs", "operation")
-    rows = _need(data, "rows", "operation")
-    return LogicalOperation(
-        rows,
-        input_labels=tuple(str(s) for s in inputs),
-        output_labels=tuple(str(s) for s in outputs),
-    )
+    inputs = _labels(_need(data, "inputs", "operation"), "operation inputs")
+    outputs = _labels(_need(data, "outputs", "operation"), "operation outputs")
+    rows = _matrix(_need(data, "rows", "operation"), "operation rows")
+    return LogicalOperation(rows, input_labels=inputs, output_labels=outputs)
 
 
 def _parse_units(data) -> UnitSystem:
@@ -100,47 +152,37 @@ def _parse_units(data) -> UnitSystem:
         return SI_UNITS
     if isinstance(data, dict):
         return UnitSystem(
-            k_B=float(data.get("k_B", 1.0)),
-            hbar=float(data.get("hbar", 1.0)),
-            mass=float(data.get("mass", 1.0)),
+            **{key: _number(data.get(key, 1.0), f"units {key}") for key in ("k_B", "hbar", "mass")}
         )
     raise ScenarioParseError(f"unrecognised units {data!r}")
 
 
 def _parse_thermo(entries, count: int, context: str) -> tuple[StateThermo, ...]:
+    """A thermo table: one ``{"E": energy, "S": entropy, "T": temperature}`` per state."""
     if not isinstance(entries, list) or len(entries) != count:
         raise ScenarioParseError(f"{context} thermo table must list {count} states")
-    out = []
     where = f"{context} thermo entry"
-    for entry in entries:
-        out.append(
-            StateThermo(
-                energy=float(_need(entry, "E", where)),
-                entropy=float(_need(entry, "S", where)),
-                temperature=float(_need(entry, "T", where)),
-            )
-        )
-    return tuple(out)
+    return tuple(
+        StateThermo(*(_number(_need(entry, key, where), f"{where} {key}") for key in "EST"))
+        for entry in entries
+    )
 
 
 def parse_scenario(data: dict) -> Scenario:
-    if not isinstance(data, dict):
-        raise ScenarioParseError("scenario must be a JSON object")
-    units = _parse_units(data.get("units"))
-    t_ref = float(_need(data, "reference_temperature", "scenario"))
+    units = _parse_units(_object(data, "scenario").get("units"))
+    t_ref = _number(_need(data, "reference_temperature", "scenario"), "reference_temperature")
     op = parse_operation(_need(data, "operation", "scenario"))
     input_block = _need(data, "input", "scenario")
-    probs = _need(input_block, "probs", "input")
-    labels = input_block.get("labels")
-    if labels is not None and tuple(str(s) for s in labels) != op.input_labels:
-        raise ScenarioParseError("input labels disagree with operation inputs")
-    dist = DiscreteDistribution(probs)
+    dist = DiscreteDistribution(_numbers(_need(input_block, "probs", "input"), "input probs"))
     output_block = _object(data.get("output", {}), "output")
-    out_labels = output_block.get("labels")
-    if out_labels is not None and tuple(str(s) for s in out_labels) != op.output_labels:
-        raise ScenarioParseError("output labels disagree with operation outputs")
-    for bath in data.get("baths", []):
-        temperature = float(_need(bath, "temperature", "bath"))
+    for side, block, want in (
+        ("input", input_block, op.input_labels),
+        ("output", output_block, op.output_labels),
+    ):
+        if _optional(block, "labels", _labels, side) not in (None, want):
+            raise ScenarioParseError(f"{side} labels disagree with operation {side}s")
+    for bath in _list(data.get("baths", []), "baths"):
+        temperature = _number(_need(bath, "temperature", "bath"), "bath temperature")
         if temperature != t_ref:
             raise ThermoError(
                 f"bath temperature {temperature!r} differs from reference_temperature "
@@ -157,17 +199,15 @@ def parse_scenario(data: dict) -> Scenario:
             op=op,
             reference_temperature=t_ref,
             units=units,
-            energy_offset=model.get("E_R"),
-            entropy_offset=float(model.get("S_R", 0.0)),
-            equilibrium_constant=model.get("C_A"),
-            adiabatic_constant=model.get("C_B", model.get("C_C")),
-            state_energy=model.get("E_x"),
-            input_temperatures=tuple(model["input_temperatures"])
-            if "input_temperatures" in model
-            else None,
-            output_temperatures=tuple(model["output_temperatures"])
-            if "output_temperatures" in model
-            else None,
+            energy_offset=_optional(model, "E_R", _number, "model"),
+            entropy_offset=_number(model.get("S_R", 0.0), "model S_R"),
+            equilibrium_constant=_optional(model, "C_A", _number, "model"),
+            adiabatic_constant=_optional(
+                model, "C_B" if "C_B" in model else "C_C", _number, "model"
+            ),
+            state_energy=_optional(model, "E_x", _number, "model"),
+            input_temperatures=_optional(model, "input_temperatures", _numbers, "model"),
+            output_temperatures=_optional(model, "output_temperatures", _numbers, "model"),
         )
         return make_model(kind, skeleton)
 
@@ -206,6 +246,66 @@ def load_scenario(path) -> Scenario:
     return parse_scenario(load_json(path))
 
 
+def _config_thermo(config: dict, op: LogicalOperation) -> dict:
+    """A cycle config's state tables and reference temperature; uniform states by default."""
+    t_ref = _number(config.get("reference_temperature", 1.0), "reference_temperature")
+    tables = {"reference_temperature": t_ref}
+    for side, count in (("input", op.n_inputs), ("output", op.n_outputs)):
+        entries = config.get(f"{side}_thermo")
+        tables[f"{side}_thermo"] = (
+            (StateThermo(0.5 * t_ref, 0.0, t_ref),) * count
+            if entries is None
+            else _parse_thermo(entries, count, side)
+        )
+    return tables
+
+
+def load_uncertain_config(path) -> dict:
+    """Keyword arguments of :func:`thermologic.cycles.uncertain_operation_cost`."""
+    config = _object(load_json(path), "config")
+    branches = [
+        (
+            parse_operation(_need(b, "operation", "branch")),
+            _number(_need(b, "probability", "branch"), "branch probability"),
+        )
+        for b in _list(_need(config, "branches", "config"), "branches")
+    ]
+    if not branches:
+        raise ScenarioParseError("branches must list at least one branch")
+    probs = _numbers(_need(_need(config, "input", "config"), "probs", "input"), "input probs")
+    return {
+        "branches": branches,
+        "input_dist": DiscreteDistribution(probs),
+        **_config_thermo(config, branches[0][0]),
+    }
+
+
+def load_partial_config(path) -> dict:
+    """Keyword arguments of :func:`thermologic.cycles.partial_operation_cost`."""
+    config = _object(load_json(path), "config")
+    op = parse_operation(_need(config, "operation", "config"))
+    return {
+        "joint_prior": _matrix(_need(config, "joint_prior", "config"), "joint_prior"),
+        "op": op,
+        **_config_thermo(config, op),
+    }
+
+
+def load_qbound_config(path) -> dict:
+    """The keys a ``qbound --config`` file sets, each checked for its kind.
+
+    A key that is absent or null is left out, so the matching flag applies.
+    """
+    config = _object(load_json(path), "config")
+    kinds = {
+        "trials": _integer, "env_dim": _integer, "seed": _integer, "system_blocks": _integers,
+        "reference_temperature": _number, "input_probs": _numbers, "target_output_probs": _numbers,
+    }
+    return {
+        key: read(config[key], key) for key, read in kinds.items() if config.get(key) is not None
+    }
+
+
 def format_float(value: float) -> str:
     return repr(float(value))
 
@@ -217,8 +317,25 @@ def render_energy(value, divisor: float) -> str:
     return format_float(value / divisor)
 
 
-def _energy_value(value, divisor: float):
+def energy_value(value, divisor: float):
+    """Energy JSON value: the string ``INF`` or the value in the report unit."""
     return "INF" if is_infinite(value) else value / divisor
+
+
+def _write_csv(path, rows) -> None:
+    with open(path, "w", newline="") as handle:
+        csv.writer(handle).writerows(rows)
+
+
+def _json_text(payload) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def write_json(path, payload) -> str:
+    """Write ``payload`` as a JSON report and return the text written."""
+    text = _json_text(payload)
+    Path(path).write_text(text)
+    return text
 
 
 def cost_report_rows(report: CostReport, scenario: Scenario, divisor: float):
@@ -246,16 +363,14 @@ def cost_report_rows(report: CostReport, scenario: Scenario, divisor: float):
 
 
 def write_cost_csv(report: CostReport, scenario: Scenario, path, divisor: float):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerows(cost_report_rows(report, scenario, divisor))
+    _write_csv(path, cost_report_rows(report, scenario, divisor))
 
 
 def cost_report_dict(report: CostReport, scenario: Scenario, divisor: float, unit: str) -> dict:
     return {
         "energy_unit": unit,
-        "expected_work": _energy_value(report.expected_work, divisor),
-        "expected_heat": _energy_value(report.expected_heat, divisor),
+        "expected_work": energy_value(report.expected_work, divisor),
+        "expected_heat": energy_value(report.expected_heat, divisor),
         "mean_energy_change": report.mean_energy_change / divisor,
         "entropy_change_k": report.entropy_change,
         "state_entropy_change_k": report.state_entropy_change,
@@ -269,19 +384,12 @@ def cost_report_dict(report: CostReport, scenario: Scenario, divisor: float, uni
                 "input": scenario.op.input_labels[tr.input_index],
                 "output": scenario.op.output_labels[tr.output_index],
                 "joint_probability": tr.joint_probability,
-                "work": _energy_value(tr.work, divisor),
-                "heat": _energy_value(tr.heat, divisor),
+                "work": energy_value(tr.work, divisor),
+                "heat": energy_value(tr.heat, divisor),
             }
             for tr in (report.transitions or ())
         ],
     }
-
-
-def write_cost_json(report: CostReport, scenario: Scenario, path, divisor: float, unit: str):
-    Path(path).write_text(
-        json.dumps(cost_report_dict(report, scenario, divisor, unit), indent=2, sort_keys=True)
-        + "\n"
-    )
 
 
 def _branch_label(scenario: Scenario, input_index, output_index) -> str:
@@ -297,24 +405,20 @@ def _branch_label(scenario: Scenario, input_index, output_index) -> str:
 
 
 def write_ledger_csv(ledger: ProtocolLedger, scenario: Scenario, path, divisor: float):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            ("step", "branch", "width", "energy", "entropy_k", "work", "heat", "temperature")
+    header = ("step", "branch", "width", "energy", "entropy_k", "work", "heat", "temperature")
+    rows = (
+        (
+            row.step,
+            _branch_label(scenario, row.input_index, row.output_index),
+            *map(
+                format_float,
+                (row.width, row.energy / divisor, row.entropy, row.work / divisor,
+                 row.heat / divisor, row.temperature),
+            ),
         )
-        for row in ledger.rows:
-            writer.writerow(
-                (
-                    row.step,
-                    _branch_label(scenario, row.input_index, row.output_index),
-                    format_float(row.width),
-                    format_float(row.energy / divisor),
-                    format_float(row.entropy),
-                    format_float(row.work / divisor),
-                    format_float(row.heat / divisor),
-                    format_float(row.temperature),
-                )
-            )
+        for row in ledger.rows
+    )
+    _write_csv(path, [header, *rows])
 
 
 def write_widths_tsv(ledger: ProtocolLedger, scenario: Scenario, path):
@@ -327,31 +431,20 @@ def write_widths_tsv(ledger: ProtocolLedger, scenario: Scenario, path):
 
 
 def write_trials_csv(batch, path):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(
-            (
-                "trial",
-                "work",
-                "bound",
-                "slack",
-                "subadditivity_slack",
-                "relative_entropy",
-                "respects_operation",
-            )
+    header = ("trial", "work", "bound", "slack", "subadditivity_slack", "relative_entropy",
+              "respects_operation")
+    rows = (
+        (
+            r.index,
+            *map(
+                format_float,
+                (r.work, r.bound, r.slack, r.subadditivity_slack, r.environment_relative_entropy),
+            ),
+            "" if r.respects_operation is None else str(r.respects_operation).lower(),
         )
-        for r in batch.results:
-            writer.writerow(
-                (
-                    r.index,
-                    format_float(r.work),
-                    format_float(r.bound),
-                    format_float(r.slack),
-                    format_float(r.subadditivity_slack),
-                    format_float(r.environment_relative_entropy),
-                    "" if r.respects_operation is None else str(r.respects_operation).lower(),
-                )
-            )
+        for r in batch.results
+    )
+    _write_csv(path, [header, *rows])
 
 
 def _sha256(path) -> str:
@@ -378,5 +471,5 @@ def write_manifest(outdir, command: str, config: dict, input_paths, seed) -> Pat
         },
     }
     path = outdir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json_text(manifest))
     return path

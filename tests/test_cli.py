@@ -51,6 +51,25 @@ def write(tmp_path, name, payload):
     return str(path)
 
 
+def replaced(payload, path, value):
+    """A deep copy of ``payload`` with the entry at ``path`` (keys and indices) set to ``value``."""
+    copy = json.loads(json.dumps(payload))
+    *parents, last = path
+    target = copy
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    return copy
+
+
+ADIABATIC_SCENARIO = dict(
+    RTZ_SCENARIO,
+    operation=dict(RTZ_SCENARIO["operation"], rows=[[0.7, 0.3], [0.2, 0.8]]),
+    model={"kind": "adiabatic", "input_temperatures": [1.0, 1.5]},
+)
+QBOUND_CONFIG = {"trials": 3, "env_dim": 4, "seed": 2}
+
+
 class TestScenarioParsing:
     def test_model_scenario(self, tmp_path):
         sc = load_scenario(write(tmp_path, "s.json", RTZ_SCENARIO))
@@ -210,8 +229,10 @@ class TestExitCodes:
             (["cycle", "rle-le", "--p", "0.5", "--temperature", "0"], None, 3),
             (["cycle", "build", "--middle-input", "0.5,x"], RTZ_SCENARIO, 3),
             (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branches=[{"probability": 1.0}]), 2),
-            (["cycle", "partial"], dict(PARTIAL_CONFIG, joint_prior="x"), 3),
-            (["qbound", "--config"], {"env_dim": "x"}, 3),
+            (["cycle", "partial"], dict(PARTIAL_CONFIG, joint_prior="x"), 2),
+            (["qbound", "--config"], {"env_dim": "x"}, 2),
+            (["qbound", "--trials", "-5"], None, 3),
+            (["qbound", "--config"], {"trials": -5}, 3),
         ],
         ids=[
             "classify",
@@ -223,6 +244,8 @@ class TestExitCodes:
             "cycle-uncertain",
             "cycle-partial",
             "qbound",
+            "qbound-negative-trials-flag",
+            "qbound-negative-trials-config",
         ],
     )
     def test_rejected_run_writes_nothing(self, tmp_path, capsys, command, payload, code):
@@ -248,6 +271,79 @@ class TestExitCodes:
         path.write_text('{"trials": 2, "reference_temperature": Infinity}')
         assert main(["qbound", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "command, payload, path, value",
+        [
+            (["cost"], EXPLICIT_SCENARIO, ("reference_temperature",), [1]),
+            (["cost"], EXPLICIT_SCENARIO, ("reference_temperature",), "1"),
+            (["cost"], RTZ_SCENARIO, ("model", "S_R"), [1]),
+            (["cost"], RTZ_SCENARIO, ("model", "E_R"), "0.5"),
+            (["cost"], EXPLICIT_SCENARIO, ("input", "thermo", 0, "E"), [1]),
+            (["cost"], EXPLICIT_SCENARIO, ("baths",), 5),
+            (["cost"], EXPLICIT_SCENARIO, ("baths", 0, "temperature"), {}),
+            (["cost"], EXPLICIT_SCENARIO, ("units", "k_B"), [1]),
+            (["cost"], EXPLICIT_SCENARIO, ("input", "labels"), 5),
+            (["cost"], EXPLICIT_SCENARIO, ("operation", "inputs"), 5),
+            (["cost"], EXPLICIT_SCENARIO, ("operation", "rows", 0, 0), "1"),
+            (["cost"], ADIABATIC_SCENARIO, ("model", "input_temperatures"), 5),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG, ("branches", 0, "probability"), [1]),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG, ("reference_temperature",), [1]),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG, ("branches",), []),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG, ("branches",), 5),
+            (["cycle", "partial"], PARTIAL_CONFIG, ("reference_temperature",), {}),
+            (["qbound", "--config"], QBOUND_CONFIG, ("trials",), [1]),
+            (["qbound", "--config"], QBOUND_CONFIG, ("trials",), 2.7),
+            (["qbound", "--config"], QBOUND_CONFIG, ("trials",), True),
+            (["qbound", "--config"], QBOUND_CONFIG, ("reference_temperature",), [1]),
+            (["qbound", "--config"], QBOUND_CONFIG, ("env_dim",), "4"),
+            (["qbound", "--config"], QBOUND_CONFIG, ("system_blocks",), "2,2"),
+        ],
+        ids=[
+            "cost-reference_temperature-list",
+            "cost-reference_temperature-string",
+            "cost-S_R",
+            "cost-E_R",
+            "cost-thermo-E",
+            "cost-baths",
+            "cost-bath-temperature",
+            "cost-units-k_B",
+            "cost-labels",
+            "cost-operation-inputs",
+            "cost-operation-rows",
+            "cost-input_temperatures",
+            "uncertain-probability",
+            "uncertain-reference_temperature",
+            "uncertain-branches-empty",
+            "uncertain-branches-number",
+            "partial-reference_temperature",
+            "qbound-trials-list",
+            "qbound-trials-float",
+            "qbound-trials-bool",
+            "qbound-reference_temperature",
+            "qbound-env_dim",
+            "qbound-system_blocks",
+        ],
+    )
+    def test_value_of_the_wrong_kind_exits_2(self, tmp_path, capsys, command, payload, path, value):
+        # The same input with the right kind runs, so the wrong kind is the only fault.
+        good = write(tmp_path, "good.json", payload)
+        assert main([*command, good, "--out", str(tmp_path / "good")]) == 0
+        bad = write(tmp_path, "bad.json", replaced(payload, path, value))
+        out = tmp_path / "o"
+        assert main([*command, bad, "--out", str(out)]) == 2
+        assert "parse error" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_program_error_is_not_a_parse_error(self, tmp_path, monkeypatch):
+        # A KeyError from a bug keeps its traceback instead of passing as bad input.
+        def broken(op):
+            raise KeyError("bug")
+
+        monkeypatch.setattr("thermologic.cli.classify_op", broken)
+        path = write(tmp_path, "s.json", RTZ_SCENARIO)
+        with pytest.raises(KeyError, match="bug"):
+            main(["classify", path, "--out", str(tmp_path / "o")])
+
 
 class TestCostCommand:
     def test_reports_and_files(self, tmp_path, capsys):
@@ -272,14 +368,6 @@ class TestCostCommand:
         assert "INF" in csv_text
         assert "expected_work = INF" in capsys.readouterr().out
 
-    def test_byte_identical_reruns(self, tmp_path, capsys):
-        path = write(tmp_path, "s.json", RTZ_SCENARIO)
-        out1, out2 = tmp_path / "o1", tmp_path / "o2"
-        assert main(["cost", path, "--seed", "3", "--out", str(out1)]) == 0
-        assert main(["cost", path, "--seed", "3", "--out", str(out2)]) == 0
-        for name in ("report.csv", "report.json"):
-            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
-
     def test_equilibrium_bound_is_zero(self, tmp_path, capsys):
         payload = json.loads(json.dumps(RTZ_SCENARIO))
         payload["operation"] = {
@@ -291,6 +379,47 @@ class TestCostCommand:
         path = write(tmp_path, "s.json", payload)
         assert main(["cost", path, "--out", str(tmp_path / "o")]) == 0
         assert "work_bound = 0.000000 kT_R" in capsys.readouterr().out
+
+
+class TestReruns:
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            (["classify"], RTZ_SCENARIO),
+            (["cost"], RTZ_SCENARIO),
+            (["optimize"], RTZ_SCENARIO),
+            (["box-run"], RTZ_SCENARIO),
+            (["cycle", "rle-le", "--p", "0.3", "--p-prime", "0.6"], None),
+            (["cycle", "build", "--middle-input", "0.9,0.1"], RTZ_SCENARIO),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG),
+            (["cycle", "partial"], PARTIAL_CONFIG),
+            (["qbound", "--trials", "3", "--env-dim", "4"], None),
+            (["qbound", "--config"], QBOUND_CONFIG),
+        ],
+        ids=[
+            "classify",
+            "cost",
+            "optimize",
+            "box-run",
+            "cycle-rle-le",
+            "cycle-build",
+            "cycle-uncertain",
+            "cycle-partial",
+            "qbound-flags",
+            "qbound-config",
+        ],
+    )
+    def test_byte_identical_reruns(self, tmp_path, capsys, command, payload):
+        inputs = [] if payload is None else [write(tmp_path, "in.json", payload)]
+        outs = [tmp_path / "o1", tmp_path / "o2"]
+        for out in outs:
+            assert main([*command, *inputs, "--seed", "3", "--out", str(out)]) == 0
+        # manifest.json records --out, so it is the one file that differs.
+        files = [{f.name: f.read_bytes() for f in out.iterdir()} for out in outs]
+        for run in files:
+            assert "manifest.json" in run and len(run) > 1
+            del run["manifest.json"]
+        assert files[0] == files[1]
 
 
 class TestOtherCommands:

@@ -374,7 +374,7 @@ def test_mixture_free_energy_routes_agree(seed):
     the mixture free-energy difference through their own code path.
     """
     sc = random_scenario(np.random.default_rng(seed), max_states=6)
-    thermo = (sc.input_thermo, sc.output_thermo, sc.reference_temperature, sc.units)
+    thermo = (sc.input_thermo, sc.output_thermo, sc.reference_temperature)
     bound = glp_bounds(sc).work_bound
     works = [
         expected_cost(sc, optimal_weights(sc)).expected_work,
