@@ -29,10 +29,14 @@ removal and rearrangement cost nothing on average.  Summed along a
 trajectory the stages reproduce the closed-form transition costs of
 :mod:`thermologic.costs`; :func:`reconcile` checks exactly that.
 
-Closed-form high-temperature well properties are the primary path; the
-truncated exact partition sums remain available in
-:func:`squarewell_props` as a validity oracle, and branches whose wells
-leave the high-temperature regime are flagged on the ledger.
+Each well is treated as a square well in the high-temperature regime, so the
+energy a row records at steps 1-8 is ``k T / 2`` at that row's
+temperature; step 9 records the output state's own energy.  One pass
+over the finished rows checks that regime at each row's width and
+temperature for steps 1-4 and 6-8, and the ledger warns for each well
+outside it.  Steps 5 and 9 hold the wells of steps 4 and 8 unchanged, so
+they are not checked again.  :func:`squarewell_props` gives the exact
+level sums, with no truncation at any width, as a validity oracle.
 """
 
 from __future__ import annotations
@@ -47,7 +51,8 @@ from .costs import WeightVector, expected_cost, is_infinite
 from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 
 HIGH_TEMPERATURE_MARGIN = 10.0
-SUM_TRUNCATION = 1e-16
+DUAL_TERMS = 5  # b <= 1: the first term left out, e^{-36 pi^2 / b}, is below e^{-355}
+DIRECT_TERMS = 40  # b > 1: the first term left out, e^{-1680 b}, is below e^{-1680}
 RECONCILE_TOL = 1e-9  # reconcile: trajectory and expected totals against the closed forms
 RECONCILE_STEP_TOL = 1e-12  # reconcile: each row against its recomputation
 
@@ -59,7 +64,6 @@ __all__ = [
     "zero_entropy_width",
     "width_for_entropy",
     "entropy_for_width",
-    "Partition",
     "BoxLayout",
     "LedgerRow",
     "ProtocolLedger",
@@ -123,7 +127,7 @@ class SquareWell:
 
 @dataclass(frozen=True)
 class WellProperties:
-    """Exact (truncated-sum) and high-temperature equilibrium properties."""
+    """Exact and high-temperature equilibrium properties."""
 
     energy: float
     entropy: float
@@ -132,68 +136,54 @@ class WellProperties:
     high_temperature_ok: bool
 
 
+def _level_sums(b: float) -> tuple[float, float]:
+    """Mean energy (units of kT) and entropy (units of k) of levels ``b n^2``, n >= 1.
+
+    Small ``b`` uses Jacobi's imaginary transformation of theta_3 (Poisson
+    summation; DLMF chapter 20): with ``q_k = e^{-pi^2 k^2 / b}`` and
+    ``x = sqrt(b / pi)``, ``Z = (theta / x - 1) / 2`` where
+    ``theta = 1 + 2 sum_k q_k``, and the mean energy ``-b d(ln Z)/db`` is
+    ``(theta - 4 pi^2 / b sum_k k^2 q_k) / (2 (theta - x))``.  Large ``b``
+    sums the levels directly, relative to the ground state, so that no
+    weight underflows and the entropy of a nearly frozen well is not a
+    difference of two close numbers.  Both series are exact to rounding.
+    """
+    if b <= 1.0:
+        k = np.arange(1, DUAL_TERMS + 1, dtype=float)
+        q = np.exp(-math.pi**2 * k**2 / b)
+        x = math.sqrt(b / math.pi)
+        theta = 1.0 + 2.0 * math.fsum(q.tolist())
+        curvature = theta - 4.0 * math.pi**2 * math.fsum((k**2 * q).tolist()) / b
+        energy = curvature / (2.0 * (theta - x))
+        return energy, energy + math.log(0.5 * (theta / x - 1.0))
+    excess = np.arange(1, DIRECT_TERMS + 1, dtype=float) ** 2 - 1.0  # n^2 - 1
+    shifted = np.exp(-b * excess)
+    z_shifted = math.fsum(shifted.tolist())  # Z e^{b}
+    excess_energy = b * math.fsum((excess * shifted).tolist()) / z_shifted
+    return b + excess_energy, excess_energy + math.log(z_shifted)
+
+
 def squarewell_props(
     width: float, temperature: float, units: UnitSystem = NATURAL_UNITS
 ) -> WellProperties:
     """Equilibrium mean energy and entropy of a square well.
 
-    The exact values come from the level sums, truncated once a term
-    drops below ``SUM_TRUNCATION`` of the running totals; the
+    The exact values sum the levels ``E_n = n^2 E_1`` in constant time at
+    every width (:func:`_level_sums`); nothing is truncated.  The
     high-temperature forms are ``k T / 2`` and ``k ln(width / d0)`` with
     ``d0`` the zero-entropy width.  The validity flag marks whether the
     high-temperature regime applies at all.
     """
     well = SquareWell(width, temperature, units)
     k = units.k_B
-    e1 = well.ground_energy
-    beta_e1 = e1 / (k * temperature)
-    z_total = 0.0
-    e_total = 0.0  # sum of E_n * exp(-E_n / kT)
-    n = 0
-    block = 1024
-    while True:
-        levels = np.arange(n + 1, n + block + 1, dtype=float)
-        exponents = beta_e1 * levels**2
-        weights = np.exp(-np.clip(exponents, None, 745.0))
-        z_block = float(weights.sum())
-        e_block = float((e1 * levels**2 * weights).sum())
-        z_total += z_block
-        e_total += e_block
-        n += block
-        last = float(weights[-1])
-        if z_total > 0.0 and last < SUM_TRUNCATION * z_total and exponents[-1] > 1.0:
-            break
-        if n > 50_000_000:  # pathological parameters; sums have long converged otherwise
-            break
-    mean_energy = e_total / z_total
-    entropy = mean_energy / (k * temperature) + math.log(z_total)
+    energy_kt, entropy = _level_sums(well.ground_energy / (k * temperature))
     return WellProperties(
-        energy=mean_energy,
+        energy=k * temperature * energy_kt,
         entropy=entropy,
         energy_high_t=0.5 * k * temperature,
         entropy_high_t=entropy_for_width(width, temperature, units),
         high_temperature_ok=well.high_temperature_ok,
     )
-
-
-@dataclass(frozen=True)
-class Partition:
-    """One box segment: which branch occupies it and how wide it is."""
-
-    input_index: int | None
-    output_index: int | None
-    width: float
-
-
-@dataclass(frozen=True)
-class BoxLayout:
-    """Ordered partitions of the box at one stage; removed partitions absent."""
-
-    partitions: tuple[Partition, ...]
-
-    @property
-    def total_width(self) -> float:
-        return math.fsum(p.width for p in self.partitions)
 
 
 @dataclass(frozen=True)
@@ -209,6 +199,21 @@ class LedgerRow:
     temperature: float
     work: float
     heat: float
+
+
+@dataclass(frozen=True)
+class BoxLayout:
+    """The box at one stage: that stage's ledger rows, in box order.
+
+    Each row is one partition, read through its ``input_index``,
+    ``output_index`` and ``width``; removed partitions are absent.
+    """
+
+    partitions: tuple[LedgerRow, ...]
+
+    @property
+    def total_width(self) -> float:
+        return math.fsum(p.width for p in self.partitions)
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,186 +300,85 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
         )
 
     rows: list[LedgerRow] = []
-    warnings: set[str] = set()
 
-    def check_regime(step: int, width: float, temperature: float, branch: str):
-        if width > 0.0 and not _high_temperature_ok(width, temperature, units):
-            warnings.add(
-                f"step {step}: high-temperature approximation unreliable for {branch} "
-                f"(width {width:.6g}, T {temperature:.6g})"
-            )
+    def add(step, i, j, width, temperature, entropy, work=0.0, heat=0.0, energy=None):
+        if energy is None:  # a square well in the high-temperature regime
+            energy = 0.5 * k * temperature
+        rows.append(LedgerRow(step, i, j, width, energy, entropy, temperature, work, heat))
 
-    n_in = scenario.op.n_inputs
-    n_out = scenario.op.n_outputs
-    d1 = np.zeros(n_in)
-    d2 = np.zeros(n_in)
-    for i in range(n_in):
-        st = scenario.input_thermo[i]
-        d1[i] = width_for_entropy(st.entropy, st.temperature, units)
-        d2[i] = width_for_entropy(st.entropy, t_ref, units)
-        label = f"input {scenario.op.input_labels[i]}"
-        check_regime(1, d1[i], st.temperature, label)
-        check_regime(2, d2[i], t_ref, label)
-        rows.append(
-            LedgerRow(
-                step=1,
-                input_index=i,
-                output_index=None,
-                width=d1[i],
-                energy=0.5 * k * st.temperature,
-                entropy=st.entropy,
-                temperature=st.temperature,
-                work=0.5 * k * st.temperature - st.energy,
-                heat=0.0,
-            )
-        )
-        rows.append(
-            LedgerRow(
-                step=2,
-                input_index=i,
-                output_index=None,
-                width=d2[i],
-                energy=0.5 * k * t_ref,
-                entropy=st.entropy,
-                temperature=t_ref,
-                work=0.5 * k * (t_ref - st.temperature),
-                heat=0.0,
-            )
-        )
+    d2 = []
+    for i, st in enumerate(scenario.input_thermo):
+        d1 = width_for_entropy(st.entropy, st.temperature, units)
+        d2.append(width_for_entropy(st.entropy, t_ref, units))
+        add(1, i, None, d1, st.temperature, st.entropy, work=0.5 * k * st.temperature - st.energy)
+        add(2, i, None, d2[i], t_ref, st.entropy, work=0.5 * k * (t_ref - st.temperature))
 
-    total_width = math.fsum(d2.tolist())
-    d3 = w_in * total_width
-    for i in range(n_in):
-        if w_in[i] == 0.0:
-            continue  # never occupied; its partition is compressed away
-        iso = k * t_ref * math.log(d2[i] / d3[i])
-        check_regime(3, d3[i], t_ref, f"input {scenario.op.input_labels[i]}")
-        rows.append(
-            LedgerRow(
-                step=3,
-                input_index=i,
-                output_index=None,
-                width=d3[i],
-                energy=0.5 * k * t_ref,
-                entropy=entropy_for_width(d3[i], t_ref, units),
-                temperature=t_ref,
-                work=iso,
-                heat=iso,
-            )
-        )
+    total_width = math.fsum(d2)
+    live = np.flatnonzero(w_in).tolist()  # a zero-weight input is compressed away
+    for i in live:
+        d3 = w_in[i] * total_width
+        iso = k * t_ref * math.log(d2[i] / d3)
+        add(3, i, None, d3, t_ref, entropy_for_width(d3, t_ref, units), iso, iso)
 
-    for i in range(n_in):
-        if w_in[i] == 0.0:
-            continue
-        for j in range(n_out):
-            if matrix[i, j] == 0.0:
-                continue
+    for i in live:
+        for j in np.flatnonzero(matrix[i]).tolist():
             width = matrix[i, j] * w_in[i] * total_width
             entropy = entropy_for_width(width, t_ref, units)
-            check_regime(
-                4,
-                width,
-                t_ref,
-                f"branch {scenario.op.input_labels[i]}->{scenario.op.output_labels[j]}",
-            )
-            for step in (4, 5):
-                rows.append(
-                    LedgerRow(
-                        step=step,
-                        input_index=i,
-                        output_index=j,
-                        width=width,
-                        energy=0.5 * k * t_ref,
-                        entropy=entropy,
-                        temperature=t_ref,
-                        work=0.0,
-                        heat=0.0,
-                    )
-                )
+            add(4, i, j, width, t_ref, entropy)
+            add(5, i, j, width, t_ref, entropy)
 
-    d6 = w_out * total_width
-    d7 = np.zeros(n_out)
-    d8 = np.zeros(n_out)
-    for j in range(n_out):
-        if w_out[j] == 0.0:
-            continue  # unreachable output; no partition exists for it
+    for j in np.flatnonzero(w_out).tolist():  # an unreachable output has no partition
         st = scenario.output_thermo[j]
-        d7[j] = width_for_entropy(st.entropy, t_ref, units)
-        d8[j] = d7[j] * math.sqrt(t_ref / st.temperature)
-        label = f"output {scenario.op.output_labels[j]}"
-        check_regime(6, d6[j], t_ref, label)
-        check_regime(7, d7[j], t_ref, label)
-        check_regime(8, d8[j], st.temperature, label)
-        rows.append(
-            LedgerRow(
-                step=6,
-                input_index=None,
-                output_index=j,
-                width=d6[j],
-                energy=0.5 * k * t_ref,
-                entropy=entropy_for_width(d6[j], t_ref, units),
-                temperature=t_ref,
-                work=0.0,
-                heat=0.0,
-            )
-        )
-        iso = k * t_ref * math.log(d6[j] / d7[j])
-        rows.append(
-            LedgerRow(
-                step=7,
-                input_index=None,
-                output_index=j,
-                width=d7[j],
-                energy=0.5 * k * t_ref,
-                entropy=st.entropy,
-                temperature=t_ref,
-                work=iso,
-                heat=iso,
-            )
-        )
-        rows.append(
-            LedgerRow(
-                step=8,
-                input_index=None,
-                output_index=j,
-                width=d8[j],
-                energy=0.5 * k * st.temperature,
-                entropy=st.entropy,
-                temperature=st.temperature,
-                work=0.5 * k * (st.temperature - t_ref),
-                heat=0.0,
-            )
-        )
-        rows.append(
-            LedgerRow(
-                step=9,
-                input_index=None,
-                output_index=j,
-                width=d8[j],
-                energy=st.energy,
-                entropy=st.entropy,
-                temperature=st.temperature,
-                work=st.energy - 0.5 * k * st.temperature,
-                heat=0.0,
-            )
-        )
+        d6 = w_out[j] * total_width
+        d7 = width_for_entropy(st.entropy, t_ref, units)
+        d8 = d7 * math.sqrt(t_ref / st.temperature)
+        iso = k * t_ref * math.log(d6 / d7)
+        add(6, None, j, d6, t_ref, entropy_for_width(d6, t_ref, units))
+        add(7, None, j, d7, t_ref, st.entropy, iso, iso)
+        add(8, None, j, d8, st.temperature, st.entropy, work=0.5 * k * (st.temperature - t_ref))
+        add(9, None, j, d8, st.temperature, st.entropy,
+            work=st.energy - 0.5 * k * st.temperature, energy=st.energy)
 
-    return ProtocolLedger(
-        rows=tuple(rows), layouts=_layouts(rows), warnings=tuple(sorted(warnings))
-    )
+    return ProtocolLedger(tuple(rows), _layouts(rows), _regime_warnings(rows, scenario))
+
+
+def _regime_warnings(rows: list[LedgerRow], scenario: Scenario) -> tuple[str, ...]:
+    """One warning per well outside the high-temperature regime, sorted.
+
+    Steps 5 and 9 hold the wells of steps 4 and 8 unchanged, so they are
+    not checked again.
+    """
+    inputs, outputs = scenario.op.input_labels, scenario.op.output_labels
+    warnings = set()
+    for row in rows:
+        if row.step in (5, 9) or not row.width > 0.0:
+            continue
+        if _high_temperature_ok(row.width, row.temperature, scenario.units):
+            continue
+        if row.output_index is None:
+            branch = f"input {inputs[row.input_index]}"
+        elif row.input_index is None:
+            branch = f"output {outputs[row.output_index]}"
+        else:
+            branch = f"branch {inputs[row.input_index]}->{outputs[row.output_index]}"
+        warnings.add(
+            f"step {row.step}: high-temperature approximation unreliable for {branch} "
+            f"(width {row.width:.6g}, T {row.temperature:.6g})"
+        )
+    return tuple(sorted(warnings))
 
 
 def _layouts(rows: list[LedgerRow]) -> tuple[tuple[int, BoxLayout], ...]:
-    """Box layout after each of stages 1-8, read off that stage's rows.
+    """Box layout after each of stages 1-8: that stage's own rows.
 
     Stage 5 brings equal outputs together, so it is ordered by (output, input).
     """
-    partitions: dict[int, list[Partition]] = {step: [] for step in range(1, 9)}
+    stages: dict[int, list[LedgerRow]] = {step: [] for step in range(1, 9)}
     for row in rows:
-        if row.step in partitions:
-            partitions[row.step].append(Partition(row.input_index, row.output_index, row.width))
-    partitions[5].sort(key=lambda p: (p.output_index, p.input_index))
-    return tuple((step, BoxLayout(tuple(parts))) for step, parts in partitions.items())
+        if row.step in stages:
+            stages[row.step].append(row)
+    stages[5].sort(key=lambda r: (r.output_index, r.input_index))
+    return tuple((step, BoxLayout(tuple(stage))) for step, stage in stages.items())
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,6 @@ class BoxCycleReport:
     model: str
     p: float
     p_prime: float
-    temperature: float
     stages: tuple[CycleStage, ...]
     net_work: float
     net_heat: float
@@ -226,7 +225,6 @@ def rle_le_cycle(
         model=model,
         p=p,
         p_prime=p_prime,
-        temperature=temperature,
         stages=stages,
         net_work=net_work,
         net_heat=net_heat,

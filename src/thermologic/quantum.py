@@ -251,6 +251,11 @@ def mixture_entropy_terms(probs, block_states) -> float:
     return total
 
 
+def _check_joint_dim(system_dim: int, env_dim: int) -> None:
+    if system_dim * env_dim > MAX_JOINT_DIM:
+        raise SetupError(f"joint dimension exceeds cap {MAX_JOINT_DIM}")
+
+
 @dataclass(frozen=True, eq=False)
 class TrialSetup:
     """Fixed data shared by every trial in a sweep."""
@@ -278,8 +283,7 @@ class TrialSetup:
             raise SetupError("blocks overlap")
         if not _positive_finite(self.reference_temperature):
             raise SetupError("reference temperature must be finite and positive")
-        if self.system_h.dim * self.env_h.dim > MAX_JOINT_DIM:
-            raise SetupError(f"joint dimension exceeds cap {MAX_JOINT_DIM}")
+        _check_joint_dim(self.system_h.dim, self.env_h.dim)
         if self.target_output_probs is not None:
             t = np.asarray(self.target_output_probs, dtype=float)
             if t.size != len(self.blocks):
@@ -300,8 +304,15 @@ def default_setup(
     input_probs=None,
     target_output_probs=None,
 ) -> TrialSetup:
-    """Deterministic small setup: fixed non-degenerate spectra, canonical blocks."""
+    """Deterministic small setup: fixed non-degenerate spectra, canonical blocks.
+
+    The block sizes and the joint dimension are checked before any
+    spectrum or state is built.
+    """
+    if any(size < 1 for size in system_block_sizes):
+        raise SetupError("block outside system dimension")
     dim = sum(system_block_sizes)
+    _check_joint_dim(dim, env_dim)
     system_h = HamiltonianSpec(np.linspace(0.0, 1.3, dim))
     env_h = HamiltonianSpec(np.linspace(0.0, 2.1, env_dim))
     blocks = []

@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -99,7 +100,11 @@ def _list(value, context: str) -> list:
 
 
 def _number(value, context: str) -> float:
-    return float(_kind(value, (int, float), "a number", context))
+    value = _kind(value, (int, float), "a number", context)
+    try:
+        return float(value)
+    except OverflowError:  # an integer beyond the float range reads as 1e400 does
+        return math.inf if value > 0 else -math.inf
 
 
 def _integer(value, context: str) -> int:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_scenario, random_thermo
 from thermologic.boxprotocol import (
@@ -73,6 +75,56 @@ class TestSquareWell:
         assert zero_entropy_width(2.0) == pytest.approx(
             math.sqrt(math.pi / (4.0 * math.e)), abs=1e-15
         )
+
+
+def level_spacing(width, temperature):
+    """``b = E_1 / kT`` in natural units, as :func:`squarewell_props` computes it."""
+    return SquareWell(width, temperature).ground_energy / temperature
+
+
+def direct_level_sums(width, temperature):
+    """Mean energy and entropy summed level by level (natural units), or None past 1e5 levels.
+
+    Weights are taken relative to the ground state, e^{-b (n^2 - 1)}, so that
+    none underflows; levels stop once b (n^2 - 1) exceeds 800.
+    """
+    b = level_spacing(width, temperature)
+    if 800.0 / b > 1e10:
+        return None
+    n2 = np.arange(1, math.isqrt(int(800.0 / b)) + 3, dtype=float) ** 2
+    weights = np.exp(-b * (n2 - 1.0))
+    z = math.fsum(weights.tolist())
+    excess = b * math.fsum(((n2 - 1.0) * weights).tolist()) / z
+    return temperature * (b + excess), excess + math.log(z)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_width=st.floats(-1.0, 12.0), log_temperature=st.floats(-2.0, 2.0))
+def test_squarewell_sums_are_exact_at_every_width(log_width, log_temperature):
+    width, temperature = 10.0**log_width, 10.0**log_temperature
+    props = squarewell_props(width, temperature)
+    direct = direct_level_sums(width, temperature)
+    if direct is not None:
+        assert props.energy == pytest.approx(direct[0], rel=1e-14)
+        assert props.entropy == pytest.approx(direct[1], rel=1e-14, abs=1e-15)
+
+    # continuous between adjacent widths on either side of b = 1, where the
+    # dual series hands over to the direct sum
+    upper = math.pi / math.sqrt(8.0 * temperature)
+    while level_spacing(upper, temperature) > 1.0:
+        upper = math.nextafter(upper, math.inf)
+    lower = math.nextafter(upper, 0.0)
+    if level_spacing(lower, temperature) > 1.0:
+        dual, summed = squarewell_props(upper, temperature), squarewell_props(lower, temperature)
+        assert dual.energy == pytest.approx(summed.energy, rel=1e-14)
+        assert dual.entropy == pytest.approx(summed.entropy, rel=1e-14)
+
+    # high-temperature asymptote: E = (kT/2)(1 + x) and S = S_high - x/2, x = sqrt(b / pi)
+    b = level_spacing(width, temperature)
+    if b <= 1e-2:
+        x = math.sqrt(b / math.pi)
+        assert abs(2.0 * props.energy / temperature - (1.0 + x)) <= 2.0 * x * x + 1e-15
+        assert abs(props.entropy - (props.entropy_high_t - x / 2.0)) <= x * x + 1e-13
 
 
 class TestRunProtocol:
@@ -200,6 +252,18 @@ class TestBookkeeping:
                 assert got == want
         # the last case's dead input 0 is compressed away at stage 3
         assert 0 not in {p.input_index for p in ledger.layout(3).partitions}
+
+    def test_steps_5_and_9_keep_the_wells_of_steps_4_and_8(self):
+        # The regime check skips steps 5 and 9 because they repeat these wells.
+        for sc, weights in self.cases():
+            ledger = run_protocol(sc, weights)
+            for later, earlier in ((5, 4), (9, 8)):
+                wells = [
+                    {(r.input_index, r.output_index): (r.width, r.temperature)
+                     for r in ledger.rows_for(step)}
+                    for step in (later, earlier)
+                ]
+                assert wells[0] == wells[1]
 
     def test_totals_ignore_row_order(self):
         rng = np.random.default_rng(20)

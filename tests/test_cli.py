@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -233,6 +234,9 @@ class TestExitCodes:
             (["qbound", "--config"], {"env_dim": "x"}, 2),
             (["qbound", "--trials", "-5"], None, 3),
             (["qbound", "--config"], {"trials": -5}, 3),
+            # an integer too large for a float reads as infinity, as 1e400 does
+            (["qbound", "--config"], {"trials": 1, "reference_temperature": 10**400}, 3),
+            (["cost"], replaced(EXPLICIT_SCENARIO, ("input", "thermo", 0, "E"), 10**400), 3),
         ],
         ids=[
             "classify",
@@ -246,6 +250,8 @@ class TestExitCodes:
             "qbound",
             "qbound-negative-trials-flag",
             "qbound-negative-trials-config",
+            "qbound-huge-integer",
+            "cost-huge-integer",
         ],
     )
     def test_rejected_run_writes_nothing(self, tmp_path, capsys, command, payload, code):
@@ -420,6 +426,71 @@ class TestReruns:
             assert "manifest.json" in run and len(run) > 1
             del run["manifest.json"]
         assert files[0] == files[1]
+
+
+README_SCENARIO = dict(RTZ_SCENARIO, baths=[{"temperature": 1.0}])
+# Non-natural units; some of its wells are outside the high-temperature
+# regime and some are not, and its branch a->y is absent.
+WARNED_SCENARIO = {
+    "units": {"k_B": 2.0, "hbar": 0.5, "mass": 1.5},
+    "reference_temperature": 1.5,
+    "input": {
+        "labels": ["a", "b", "c"],
+        "probs": [0.2, 0.3, 0.5],
+        "thermo": [
+            {"E": 0.1, "S": 0.2, "T": 2.0},
+            {"E": 0.3, "S": 2.5, "T": 1.5},
+            {"E": -0.2, "S": 3.0, "T": 0.7},
+        ],
+    },
+    "operation": {
+        "inputs": ["a", "b", "c"],
+        "outputs": ["x", "y"],
+        "rows": [[1.0, 0.0], [0.25, 0.75], [0.5, 0.5]],
+    },
+    "output": {
+        "labels": ["x", "y"],
+        "thermo": [{"E": 0.0, "S": 0.4, "T": 2.0}, {"E": 0.5, "S": 2.8, "T": 1.2}],
+    },
+}
+
+
+class TestPinnedBytes:
+    """SHA-256 of ``box-run``'s files and streams: any changed byte is a change of behaviour."""
+
+    @pytest.mark.parametrize(
+        "payload, flags, pinned",
+        [
+            (
+                README_SCENARIO,
+                [],
+                {
+                    "ledger.csv": "7f062802b4b67288eba0a6e1bcb48c8f1ae1d5cb40f72a6694e23ed91392ee23",
+                    "widths.tsv": "d6608d8c016975065a7689582116bd7efd09ba1221efde86ea3af6797d1ce535",
+                    "stdout": "6e0a3974e0fc58dd1cfffa106451b270dea68ecc47a6c72007138f3289b67bb1",
+                    "stderr": "b51e8d6598e93f528d404e0fde3707389c615d3794dc024254cf407fce267fb0",
+                },
+            ),
+            (
+                WARNED_SCENARIO,
+                ["--si"],
+                {
+                    "ledger.csv": "9db755bd2be255ebcf7295ae5b5c15d240bda754cd7d7a7082d84ac45bd8bfdc",
+                    "widths.tsv": "27b7f95df91b37bd1f6b1baed25da291c3a03447abee75c0cde9f3bc4f074341",
+                    "stdout": "c8f28d7797fc5293b3cae77ba633e615011768de4f6d87cd775a4c33050af2e5",
+                    "stderr": "125930cfe4df19e84dbfdfd5e0b4e6eeeaa251006b9612b40d1bdf75ce0daf35",
+                },
+            ),
+        ],
+        ids=["readme", "warned-si"],
+    )
+    def test_box_run_bytes_are_pinned(self, tmp_path, capsys, payload, flags, pinned):
+        out = tmp_path / "o"
+        assert main(["box-run", write(tmp_path, "s.json", payload), *flags, "--out", str(out)]) == 0
+        streams = capsys.readouterr()
+        got = {name: (out / name).read_bytes() for name in ("ledger.csv", "widths.tsv")}
+        got.update(stdout=streams.out.encode(), stderr=streams.err.encode())
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == pinned
 
 
 class TestOtherCommands:

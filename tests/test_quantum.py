@@ -197,6 +197,19 @@ class TestMixtureIdentity:
                 reference_temperature=1.0,
             )
 
+    @pytest.mark.parametrize(
+        "blocks, env_dim, message",
+        [((40, 40), 1, "exceeds cap"), ((2, 2), 17, "exceeds cap"), ((0, 2), 4, "block outside")],
+    )
+    def test_default_setup_checks_dimensions_before_building(
+        self, monkeypatch, blocks, env_dim, message
+    ):
+        built = []
+        monkeypatch.setattr("thermologic.quantum.gibbs_state", lambda *args: built.append(args))
+        with pytest.raises(SetupError, match=message):
+            default_setup(blocks, env_dim, 1.0)
+        assert built == []
+
 
 class TestVerifyBound:
     def test_identity_unitary_has_zero_slack(self):
