@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ __all__ = [
     "make_weights",
     "optimal_weights",
     "TransitionCost",
+    "TransitionColumns",
     "CostReport",
     "transition_cost",
     "expected_cost",
@@ -156,6 +159,21 @@ class TransitionCost:
     heat: object
 
 
+class TransitionColumns(NamedTuple):
+    """Realisable transitions in row-major order, one read-only array per field.
+
+    ``finite`` is false where the input carries zero weight; ``work`` and
+    ``heat`` mean nothing there.
+    """
+
+    inputs: np.ndarray
+    outputs: np.ndarray
+    joint: np.ndarray
+    work: np.ndarray
+    heat: np.ndarray
+    finite: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class CostReport:
     """Per-transition costs, their expectations, and the attainable bounds.
@@ -163,8 +181,9 @@ class CostReport:
     Entropy-like fields are in units of k_B; energies are in scenario
     energy units.  ``entropy_change`` is the full mixture change and
     decomposes as ``state_entropy_change + shannon_change_bits * ln 2``.
-    Expectation fields are ``None`` in bounds-only reports and the
-    infinite-cost sentinel when a zero weight covers a live input.
+    Expectation fields and ``columns`` are ``None`` in bounds-only
+    reports; expectations are the infinite-cost sentinel when a zero
+    weight covers a live input.
     """
 
     mean_energy_change: float
@@ -175,9 +194,19 @@ class CostReport:
     heat_bound: float
     bath_entropy_bound: float
     nibdf_bound: float
-    transitions: tuple[TransitionCost, ...] | None = None
+    columns: TransitionColumns | None = None
     expected_work: object = None
     expected_heat: object = None
+
+    @cached_property
+    def transitions(self) -> tuple[TransitionCost, ...] | None:
+        """One :class:`TransitionCost` per row of ``columns``, built on first access."""
+        if self.columns is None:
+            return None
+        inputs, outputs, joint, work, heat, finite = (c.tolist() for c in self.columns)
+        works = [w if f else INFINITE_COST for w, f in zip(work, finite)]
+        heats = [h if f else INFINITE_COST for h, f in zip(heat, finite)]
+        return tuple(map(TransitionCost, inputs, outputs, joint, works, heats))
 
 
 def _bounds(scenario: Scenario):
@@ -266,11 +295,9 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
     """Full cost report for a scenario implemented with the given weights."""
     rows, cols, finite, work, heat = _priced_transitions(scenario, weights)
     joint = scenario.input_dist.probs[rows] * scenario.op.matrix[rows, cols]
-    works = [w if f else INFINITE_COST for w, f in zip(work.tolist(), finite.tolist())]
-    heats = [h if f else INFINITE_COST for h, f in zip(heat.tolist(), finite.tolist())]
-    transitions = tuple(
-        map(TransitionCost, rows.tolist(), cols.tolist(), joint.tolist(), works, heats)
-    )
+    columns = TransitionColumns(rows, cols, joint, work, heat, finite)
+    for column in columns:
+        column.setflags(write=False)
     if (~finite & (joint > 0.0)).any():
         expected_work = expected_heat = INFINITE_COST
     else:
@@ -278,7 +305,7 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
         expected_heat = math.fsum((joint * heat)[finite].tolist())
     return CostReport(
         *_bounds(scenario),
-        transitions=transitions,
+        columns=columns,
         expected_work=expected_work,
         expected_heat=expected_heat,
     )

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -65,6 +67,7 @@ __all__ = [
     "BoxCycleReport",
     "rle_le_cycle",
     "TransitionEntropy",
+    "EntropyColumns",
     "EntropyLedger",
     "entropy_ledgers",
     "ReverseOperationReport",
@@ -242,11 +245,24 @@ class TransitionEntropy:
     attains_bound: bool
 
 
+class EntropyColumns(NamedTuple):
+    """Live realisable transitions in row-major order, one read-only array per field.
+
+    ``conditional`` is the transition's conditional probability, whose
+    log is the lower bound on its ``value``.
+    """
+
+    inputs: np.ndarray
+    outputs: np.ndarray
+    value: np.ndarray
+    conditional: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class EntropyLedger:
     """The three entropy ledgers for one implemented operation (units of k)."""
 
-    individual: tuple[TransitionEntropy, ...]
+    columns: EntropyColumns
     average: float
     gibbs: float
     individual_flags_irreversible: bool
@@ -254,6 +270,15 @@ class EntropyLedger:
     average_flags_irreversible: bool
     average_decreases: bool
     gibbs_flags_irreversible: bool
+
+    @cached_property
+    def individual(self) -> tuple[TransitionEntropy, ...]:
+        """One :class:`TransitionEntropy` per row of ``columns``, built on first access."""
+        inputs, outputs, values, conditional = self.columns
+        bounds = _logs(conditional)
+        attains = np.abs(values - bounds) <= LEDGER_TOL
+        fields = (inputs, outputs, values, bounds, attains)
+        return tuple(map(TransitionEntropy, *(c.tolist() for c in fields)))
 
 
 def entropy_ledgers(scenario: Scenario, weights: WeightVector) -> EntropyLedger:
@@ -269,26 +294,22 @@ def entropy_ledgers(scenario: Scenario, weights: WeightVector) -> EntropyLedger:
         raise CostError("entropy ledgers need finite costs; some live input has zero weight")
     kt = scenario.kT
     report = expected_cost(scenario, weights)
-    occupied = (scenario.input_dist.probs != 0.0).tolist()
-    live = [tr for tr in report.transitions if occupied[tr.input_index]]
-    rows = np.array([tr.input_index for tr in live], dtype=int)
-    cols = np.array([tr.output_index for tr in live], dtype=int)
-    heat = np.array([tr.heat for tr in live], dtype=float)
+    priced = report.columns
+    live = scenario.input_dist.probs[priced.inputs] != 0.0
+    rows, cols = priced.inputs[live], priced.outputs[live]
     s_in, s_out = scenario.input_arrays.entropy, scenario.output_arrays.entropy
-    values = (s_out[cols] - s_in[rows] + heat / kt).tolist()
-    bounds = [math.log(m) for m in scenario.op.matrix[rows, cols].tolist()]
-    entries = [
-        TransitionEntropy(i, j, value, bound, abs(value - bound) <= LEDGER_TOL)
-        for i, j, value, bound in zip(rows.tolist(), cols.tolist(), values, bounds)
-    ]
+    values = s_out[cols] - s_in[rows] + priced.heat[live] / kt
+    columns = EntropyColumns(rows, cols, values, scenario.op.matrix[rows, cols])
+    for column in columns:
+        column.setflags(write=False)
     average = report.state_entropy_change + report.expected_heat / kt
     gibbs = report.entropy_change + report.expected_heat / kt
     return EntropyLedger(
-        individual=tuple(entries),
+        columns=columns,
         average=average,
         gibbs=gibbs,
-        individual_flags_irreversible=any(v > LEDGER_TOL for v in values),
-        individual_decreases=any(v < -LEDGER_TOL for v in values),
+        individual_flags_irreversible=bool((values > LEDGER_TOL).any()),
+        individual_decreases=bool((values < -LEDGER_TOL).any()),
         average_flags_irreversible=average > LEDGER_TOL,
         average_decreases=average < -LEDGER_TOL,
         gibbs_flags_irreversible=gibbs > LEDGER_TOL,

@@ -258,7 +258,7 @@ def bayes_invert(op: LogicalOperation, dist: DiscreteDistribution) -> LogicalOpe
 
 def _logs(values: np.ndarray) -> np.ndarray:
     """Elementwise :func:`math.log`; ``np.log`` can differ from it in the last bit."""
-    return np.array([math.log(v) for v in values.tolist()], dtype=float)
+    return np.fromiter(map(math.log, values.tolist()), dtype=float, count=values.size)
 
 
 def _entropy_nats(probs: np.ndarray) -> float:

@@ -26,7 +26,8 @@ effective bath with :func:`thermologic.thermo.aggregate_baths`.
 Every reader checks each value's JSON kind (a number is an int or float,
 never a bool; vectors and matrices are lists of numbers; labels are
 strings or numbers) and raises :class:`ScenarioParseError` on the wrong
-kind, leaving finite and range checks to the constructors.  Floats are
+kind or on a top-level key it does not read, leaving finite and range
+checks to the constructors.  Floats are
 emitted with ``repr`` so identical inputs produce byte-identical files.
 """
 
@@ -93,6 +94,17 @@ def _kind(value, kinds, name: str, context: str):
 
 def _object(value, context: str) -> dict:
     return _kind(value, dict, "an object", context)
+
+
+def _known(value, keys, context: str) -> dict:
+    """The JSON object ``value``, which may hold no key outside ``keys``.
+
+    A misspelt key would otherwise be ignored and its default used.
+    """
+    unknown = sorted(set(_object(value, context)) - set(keys))
+    if unknown:
+        raise ScenarioParseError(f"unknown keys in {context}: {', '.join(map(repr, unknown))}")
+    return value
 
 
 def _list(value, context: str) -> list:
@@ -174,7 +186,8 @@ def _parse_thermo(entries, count: int, context: str) -> tuple[StateThermo, ...]:
 
 
 def parse_scenario(data: dict) -> Scenario:
-    units = _parse_units(_object(data, "scenario").get("units"))
+    keys = ("units", "reference_temperature", "baths", "input", "operation", "output", "model")
+    units = _parse_units(_known(data, keys, "scenario").get("units"))
     t_ref = _number(_need(data, "reference_temperature", "scenario"), "reference_temperature")
     op = parse_operation(_need(data, "operation", "scenario"))
     input_block = _need(data, "input", "scenario")
@@ -267,7 +280,8 @@ def _config_thermo(config: dict, op: LogicalOperation) -> dict:
 
 def load_uncertain_config(path) -> dict:
     """Keyword arguments of :func:`thermologic.cycles.uncertain_operation_cost`."""
-    config = _object(load_json(path), "config")
+    keys = ("branches", "input", "reference_temperature", "input_thermo", "output_thermo")
+    config = _known(load_json(path), keys, "config")
     branches = [
         (
             parse_operation(_need(b, "operation", "branch")),
@@ -287,7 +301,8 @@ def load_uncertain_config(path) -> dict:
 
 def load_partial_config(path) -> dict:
     """Keyword arguments of :func:`thermologic.cycles.partial_operation_cost`."""
-    config = _object(load_json(path), "config")
+    keys = ("operation", "joint_prior", "reference_temperature", "input_thermo", "output_thermo")
+    config = _known(load_json(path), keys, "config")
     op = parse_operation(_need(config, "operation", "config"))
     return {
         "joint_prior": _matrix(_need(config, "joint_prior", "config"), "joint_prior"),
@@ -301,11 +316,11 @@ def load_qbound_config(path) -> dict:
 
     A key that is absent or null is left out, so the matching flag applies.
     """
-    config = _object(load_json(path), "config")
     kinds = {
         "trials": _integer, "env_dim": _integer, "seed": _integer, "system_blocks": _integers,
         "reference_temperature": _number, "input_probs": _numbers, "target_output_probs": _numbers,
     }
+    config = _known(load_json(path), kinds, "config")
     return {
         key: read(config[key], key) for key, read in kinds.items() if config.get(key) is not None
     }

@@ -237,6 +237,8 @@ class TestExitCodes:
             # an integer too large for a float reads as infinity, as 1e400 does
             (["qbound", "--config"], {"trials": 1, "reference_temperature": 10**400}, 3),
             (["cost"], replaced(EXPLICIT_SCENARIO, ("input", "thermo", 0, "E"), 10**400), 3),
+            (["qbound", "--config"], dict(QBOUND_CONFIG, trails=5), 2),
+            (["cost"], dict(RTZ_SCENARIO, modle={"kind": "uniform"}), 2),
         ],
         ids=[
             "classify",
@@ -252,6 +254,8 @@ class TestExitCodes:
             "qbound-negative-trials-config",
             "qbound-huge-integer",
             "cost-huge-integer",
+            "qbound-unknown-key",
+            "cost-unknown-key",
         ],
     )
     def test_rejected_run_writes_nothing(self, tmp_path, capsys, command, payload, code):
@@ -259,6 +263,26 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([*command, *inputs, "--out", str(out)]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            (["cost"], dict(RTZ_SCENARIO, modle={"kind": "uniform"}), "modle"),
+            (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branch=[]), "branch"),
+            (["cycle", "partial"], dict(PARTIAL_CONFIG, reference_temp=2.0), "reference_temp"),
+            (["qbound", "--config"], dict(QBOUND_CONFIG, trails=5), "trails"),
+        ],
+        ids=["scenario", "uncertain", "partial", "qbound"],
+    )
+    def test_unknown_top_level_key_exits_2(self, tmp_path, capsys, command, payload, key):
+        # Each reader is first run without the misspelt key.
+        for data, code in (({k: v for k, v in payload.items() if k != key}, 0), (payload, 2)):
+            out = tmp_path / f"o{code}"
+            assert main([*command, write(tmp_path, "in.json", data), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert f"unknown keys in {'scenario' if command == ['cost'] else 'config'}: {key!r}" in (
+            capsys.readouterr().err
+        )
 
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize(
@@ -455,8 +479,83 @@ WARNED_SCENARIO = {
 }
 
 
+# Three inputs in non-natural units; run with --weights 0.4,0,0.6 its live
+# input b has zero weight, so its rows and the expectations are INF.
+ZERO_WEIGHT_SCENARIO = {
+    "units": {"k_B": 2.0, "hbar": 0.5, "mass": 1.5},
+    "reference_temperature": 1.5,
+    "input": {
+        "labels": ["a", "b", "c"],
+        "probs": [0.2, 0.3, 0.5],
+        "thermo": [
+            {"E": 0.1, "S": 0.2, "T": 2.0},
+            {"E": 0.3, "S": 2.5, "T": 1.5},
+            {"E": -0.2, "S": 3.0, "T": 0.7},
+        ],
+    },
+    "operation": {
+        "inputs": ["a", "b", "c"],
+        "outputs": ["x", "y", "z"],
+        "rows": [[0.5, 0.5, 0.0], [0.0, 0.25, 0.75], [0.2, 0.3, 0.5]],
+    },
+    "output": {
+        "labels": ["x", "y", "z"],
+        "thermo": [
+            {"E": 0.0, "S": 0.4, "T": 2.0},
+            {"E": 0.5, "S": 2.8, "T": 1.2},
+            {"E": -0.1, "S": 1.1, "T": 1.5},
+        ],
+    },
+}
+
+
 class TestPinnedBytes:
-    """SHA-256 of ``box-run``'s files and streams: any changed byte is a change of behaviour."""
+    """SHA-256 of the files and streams of ``cost`` and ``box-run``.
+
+    Any changed byte is a change of behaviour.
+    """
+
+    @pytest.mark.parametrize(
+        "payload, flags, pinned",
+        [
+            (
+                README_SCENARIO,
+                [],
+                {
+                    "report.csv": "059272951d759553bfcf7379f195d4d301714dbe4f7c009eb5f1fe5333984c9a",
+                    "report.json": "426840739f9714d7aaa86035758b6e8b14c9a258478695293ca7ae35bb0fbe6b",
+                    "stdout": "b809074777c1c0f534e33175c9d530075b5e4744a59f50b04214a6a0deba0fd5",
+                },
+            ),
+            (
+                ZERO_WEIGHT_SCENARIO,
+                ["--weights", "0.4,0,0.6"],
+                {
+                    "report.csv": "b6419f787c20b8e5e8e8f95ac4d69d06883877797e8e47a57aef76b0608eb757",
+                    "report.json": "e59ea51de0428638b8d0558c285218c4c3545b8b026394abdda5039266d08298",
+                    "stdout": "e5cb5239d8ce95a3b3fbca1dcac660746d19f7c48c29b95318049f2038be488e",
+                },
+            ),
+            (
+                ZERO_WEIGHT_SCENARIO,
+                ["--weights", "0.4,0,0.6", "--si"],
+                {
+                    "report.csv": "e294ae273a407c8123e38e3ed6fddc715803bc3ecd7389a1ab016ac8e8ea786e",
+                    "report.json": "e684c2ca2e680bd801da978acd0dee9a79ea346e6435f46aa217aeba9dba0a42",
+                    "stdout": "cb8afa6c32e99c65d01b82f1deb98969b130bcba07937e20ec6781b0985e5717",
+                },
+            ),
+        ],
+        ids=["readme", "zero-weight", "zero-weight-si"],
+    )
+    def test_cost_bytes_are_pinned(self, tmp_path, capsys, payload, flags, pinned):
+        out = tmp_path / "o"
+        assert main(["cost", write(tmp_path, "s.json", payload), *flags, "--out", str(out)]) == 0
+        streams = capsys.readouterr()
+        assert streams.err == ""
+        got = {name: (out / name).read_bytes() for name in ("report.csv", "report.json")}
+        got.update(stdout=streams.out.encode())
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == pinned
 
     @pytest.mark.parametrize(
         "payload, flags, pinned",

@@ -25,7 +25,12 @@ from thermologic.costs import (
     optimal_weights,
     transition_cost,
 )
-from thermologic.cycles import entropy_ledgers, partial_operation_cost, uncertain_operation_cost
+from thermologic.cycles import (
+    LEDGER_TOL,
+    entropy_ledgers,
+    partial_operation_cost,
+    uncertain_operation_cost,
+)
 from thermologic.logic import DiscreteDistribution, LogicalOperation, identity_op, rtz, ufz
 from thermologic.thermo import ModelSkeleton, Scenario, make_model, validate
 
@@ -361,6 +366,44 @@ def test_shared_pricing_is_exact(seed, structure, dead_input, zero_live_weight):
         if sc.input_dist.probs[tr.input_index] != 0.0
     ]
     assert [(e.input_index, e.output_index, e.value) for e in ledger.individual] == expected
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), zero_weight=st.booleans())
+def test_row_views_match_the_scalar_path(seed, zero_weight):
+    """The rows built on first access agree with the scalar path and with the columns.
+
+    A zero weight on a live input gives ``INF`` rows and no entropy ledger.
+    """
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng, max_states=6)
+    raw = rng.dirichlet(np.ones(sc.op.n_inputs))
+    if zero_weight:
+        raw[rng.integers(sc.op.n_inputs)] = 0.0
+    w = make_weights(sc, raw / raw.sum())
+    report = expected_cost(sc, w)
+    assert all(not column.flags.writeable for column in report.columns)
+    assert report.transitions is report.transitions
+    p, m = sc.input_dist.probs, sc.op.matrix
+    for tr in report.transitions:
+        i, j = tr.input_index, tr.output_index
+        assert (tr.work, tr.heat) == transition_cost(sc, w, i, j)
+        assert tr.joint_probability == p[i] * m[i, j]
+    if w.flagged_infinite:
+        return
+    ledger = entropy_ledgers(sc, w)
+    columns = ledger.columns
+    assert all(not column.flags.writeable for column in columns)
+    assert [(e.input_index, e.output_index, e.value) for e in ledger.individual] == list(
+        zip(columns.inputs.tolist(), columns.outputs.tolist(), columns.value.tolist())
+    )
+    for entry, conditional in zip(ledger.individual, columns.conditional.tolist()):
+        assert conditional == m[entry.input_index, entry.output_index]
+        assert entry.lower_bound == math.log(conditional)
+        assert entry.attains_bound == (abs(entry.value - entry.lower_bound) <= LEDGER_TOL)
+    values = columns.value.tolist()
+    assert ledger.individual_flags_irreversible == any(v > LEDGER_TOL for v in values)
+    assert ledger.individual_decreases == any(v < -LEDGER_TOL for v in values)
 
 
 @settings(max_examples=60, deadline=None)
