@@ -11,6 +11,10 @@ final environment state against the canonical one is non-negative.  This
 module computes all three inequalities explicitly per trial so a failure
 pinpoints which link broke.
 
+A sweep changes only the unitary from trial to trial, so everything the
+unitary does not touch is built once per sweep and cached, read-only, on
+its :class:`TrialSetup`.
+
 Everything here is in natural units (k_B = 1): temperatures are energies,
 and entropies are in nats.  Every Hamiltonian is diagonal in the
 computational basis, so canonical states are diagonal too.
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,13 +147,20 @@ def vn_entropy(rho: DensityMatrix | np.ndarray) -> float:
     return _entropy_from_eigs(eigs)
 
 
+def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
+    """Real part of tr(a b): a mean energy when ``a`` is a Hamiltonian and ``b`` a state."""
+    return float(np.real(np.trace(a @ b)))
+
+
 def relative_entropy(rho: np.ndarray, sigma_log: np.ndarray) -> float:
     """tr rho (ln rho - ln sigma) given ln(sigma) as a matrix."""
     rho = np.asarray(rho, dtype=complex)
-    eigs = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
-    term = -_entropy_from_eigs(eigs)
-    cross = float(np.real(np.trace(rho @ sigma_log)))
-    return term - cross
+    return _relative_entropy(rho, vn_entropy(rho), sigma_log)
+
+
+def _relative_entropy(rho: np.ndarray, entropy: float, sigma_log: np.ndarray) -> float:
+    """:func:`relative_entropy` given the entropy of ``rho``, so its spectrum is taken once."""
+    return -entropy - _trace_product(rho, sigma_log)
 
 
 def _log_gibbs(hamiltonian: HamiltonianSpec, temperature: float) -> np.ndarray:
@@ -258,7 +270,15 @@ def _check_joint_dim(system_dim: int, env_dim: int) -> None:
 
 @dataclass(frozen=True, eq=False)
 class TrialSetup:
-    """Fixed data shared by every trial in a sweep."""
+    """Fixed data shared by every trial in a sweep.
+
+    What every trial reads and no unitary changes (the initial states,
+    the Hamiltonian matrices, the initial energies and system entropy,
+    and the log of the environment's canonical state) is a cached
+    property: built on first use, once per setup, and read-only.  The
+    input arrays are stored as read-only copies, so the cache cannot go
+    stale.
+    """
 
     system_h: HamiltonianSpec
     env_h: HamiltonianSpec
@@ -273,6 +293,8 @@ class TrialSetup:
         if not (probs >= 0.0).all() or abs(float(probs.sum()) - 1.0) > 1e-9:  # NaN fails too
             raise SetupError("input probabilities must form a distribution")
         object.__setattr__(self, "input_probs", _frozen(probs.copy()))
+        states = tuple(_frozen(np.array(state, dtype=complex)) for state in self.input_states)
+        object.__setattr__(self, "input_states", states)
         dim = self.system_h.dim
         covered = []
         for start, size in self.blocks:
@@ -290,11 +312,46 @@ class TrialSetup:
                 raise SetupError("target output probabilities must match block count")
             object.__setattr__(self, "target_output_probs", _frozen(t.copy()))
 
-    @property
+    @cached_property
     def initial_system(self) -> DensityMatrix:
         return block_mixture(
             self.blocks, self.input_probs, self.input_states, self.system_h.dim
         )
+
+    @cached_property
+    def initial_environment(self) -> DensityMatrix:
+        return gibbs_state(self.env_h, self.reference_temperature)
+
+    @cached_property
+    def initial_joint(self) -> np.ndarray:
+        """The uncorrelated joint state: system tensor environment."""
+        return _frozen(np.kron(self.initial_system.matrix, self.initial_environment.matrix))
+
+    @cached_property
+    def system_hamiltonian(self) -> np.ndarray:
+        return _frozen(self.system_h.matrix())
+
+    @cached_property
+    def env_hamiltonian(self) -> np.ndarray:
+        return _frozen(self.env_h.matrix())
+
+    @cached_property
+    def initial_energies(self) -> tuple[float, float]:
+        """Mean energies of the initial system and environment."""
+        return (
+            _trace_product(self.system_hamiltonian, self.initial_system.matrix),
+            _trace_product(self.env_hamiltonian, self.initial_environment.matrix),
+        )
+
+    @cached_property
+    def initial_entropy(self) -> float:
+        """Entropy of the initial system."""
+        return vn_entropy(self.initial_system)
+
+    @cached_property
+    def env_log_gibbs(self) -> np.ndarray:
+        """ln of the environment's canonical state, as a matrix."""
+        return _frozen(_log_gibbs(self.env_h, self.reference_temperature))
 
 
 def default_setup(
@@ -350,35 +407,33 @@ class TrialResult:
 
 
 def verify_bound(setup: TrialSetup, unitary: np.ndarray, index: int = 0) -> TrialResult:
-    """Evaluate one unitary against the work bound and its two lemmas."""
+    """Evaluate one unitary against the work bound and its two lemmas.
+
+    What does not depend on the unitary is read from the setup's cached
+    properties, so a sweep builds it once.
+    """
     ds = setup.system_h.dim
     de = setup.env_h.dim
     if unitary.shape != (ds * de, ds * de):
         raise SetupError("unitary dimension does not match setup")
     t_ref = setup.reference_temperature
-    rho_sys = setup.initial_system.matrix
-    rho_env = gibbs_state(setup.env_h, t_ref).matrix
-    rho = np.kron(rho_sys, rho_env)
-    rho_final = unitary @ rho @ unitary.conj().T
+    rho_final = unitary @ setup.initial_joint @ unitary.conj().T
 
     sys_final = partial_trace(rho_final, (ds, de), keep=0)
     env_final = partial_trace(rho_final, (ds, de), keep=1)
 
-    h_sys = setup.system_h.matrix()
-    h_env = setup.env_h.matrix()
-    e_sys_0 = float(np.real(np.trace(h_sys @ rho_sys)))
-    e_sys_1 = float(np.real(np.trace(h_sys @ sys_final)))
-    e_env_0 = float(np.real(np.trace(h_env @ rho_env)))
-    e_env_1 = float(np.real(np.trace(h_env @ env_final)))
+    e_sys_0, e_env_0 = setup.initial_energies
+    e_sys_1 = _trace_product(setup.system_hamiltonian, sys_final)
+    e_env_1 = _trace_product(setup.env_hamiltonian, env_final)
     work = (e_sys_1 - e_sys_0) + (e_env_1 - e_env_0)
 
-    s_initial = vn_entropy(rho_sys)
     s_final = vn_entropy(sys_final)
-    bound = (e_sys_1 - e_sys_0) - t_ref * (s_final - s_initial)
+    bound = (e_sys_1 - e_sys_0) - t_ref * (s_final - setup.initial_entropy)
 
     joint_entropy = vn_entropy(rho_final)
-    subadd = s_final + vn_entropy(env_final) - joint_entropy
-    rel_ent = relative_entropy(env_final, _log_gibbs(setup.env_h, t_ref))
+    s_env = vn_entropy(env_final)
+    subadd = s_final + s_env - joint_entropy
+    rel_ent = _relative_entropy(env_final, s_env, setup.env_log_gibbs)
 
     weights = np.array(
         [

@@ -26,8 +26,8 @@ effective bath with :func:`thermologic.thermo.aggregate_baths`.
 Every reader checks each value's JSON kind (a number is an int or float,
 never a bool; vectors and matrices are lists of numbers; labels are
 strings or numbers) and raises :class:`ScenarioParseError` on the wrong
-kind or on a top-level key it does not read, leaving finite and range
-checks to the constructors.  Floats are
+kind or on a key it does not read, at the top level or in any nested
+object, leaving finite and range checks to the constructors.  Floats are
 emitted with ``repr`` so identical inputs produce byte-identical files.
 """
 
@@ -156,6 +156,7 @@ def parse_floats(text: str) -> list[float]:
 
 
 def parse_operation(data) -> LogicalOperation:
+    _known(data, ("inputs", "outputs", "rows"), "operation")
     inputs = _labels(_need(data, "inputs", "operation"), "operation inputs")
     outputs = _labels(_need(data, "outputs", "operation"), "operation outputs")
     rows = _matrix(_need(data, "rows", "operation"), "operation rows")
@@ -168,6 +169,7 @@ def _parse_units(data) -> UnitSystem:
     if data == "si":
         return SI_UNITS
     if isinstance(data, dict):
+        _known(data, ("k_B", "hbar", "mass"), "units")
         return UnitSystem(
             **{key: _number(data.get(key, 1.0), f"units {key}") for key in ("k_B", "hbar", "mass")}
         )
@@ -181,8 +183,13 @@ def _parse_thermo(entries, count: int, context: str) -> tuple[StateThermo, ...]:
     where = f"{context} thermo entry"
     return tuple(
         StateThermo(*(_number(_need(entry, key, where), f"{where} {key}") for key in "EST"))
-        for entry in entries
+        for entry in (_known(e, "EST", where) for e in entries)
     )
+
+
+_MODEL_KEYS = (
+    "kind", "E_R", "S_R", "C_A", "C_B", "C_C", "E_x", "input_temperatures", "output_temperatures",
+)
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -190,9 +197,9 @@ def parse_scenario(data: dict) -> Scenario:
     units = _parse_units(_known(data, keys, "scenario").get("units"))
     t_ref = _number(_need(data, "reference_temperature", "scenario"), "reference_temperature")
     op = parse_operation(_need(data, "operation", "scenario"))
-    input_block = _need(data, "input", "scenario")
+    input_block = _known(_need(data, "input", "scenario"), ("labels", "probs", "thermo"), "input")
     dist = DiscreteDistribution(_numbers(_need(input_block, "probs", "input"), "input probs"))
-    output_block = _object(data.get("output", {}), "output")
+    output_block = _known(data.get("output", {}), ("labels", "thermo"), "output")
     for side, block, want in (
         ("input", input_block, op.input_labels),
         ("output", output_block, op.output_labels),
@@ -200,6 +207,7 @@ def parse_scenario(data: dict) -> Scenario:
         if _optional(block, "labels", _labels, side) not in (None, want):
             raise ScenarioParseError(f"{side} labels disagree with operation {side}s")
     for bath in _list(data.get("baths", []), "baths"):
+        bath = _known(bath, ("temperature",), "bath")
         temperature = _number(_need(bath, "temperature", "bath"), "bath temperature")
         if temperature != t_ref:
             raise ThermoError(
@@ -211,7 +219,7 @@ def parse_scenario(data: dict) -> Scenario:
     if model is not None:
         if isinstance(model, str):
             model = {"kind": model}
-        kind = _need(model, "kind", "model")
+        kind = _need(_known(model, _MODEL_KEYS, "model"), "kind", "model")
         skeleton = ModelSkeleton(
             input_dist=dist,
             op=op,
@@ -282,16 +290,17 @@ def load_uncertain_config(path) -> dict:
     """Keyword arguments of :func:`thermologic.cycles.uncertain_operation_cost`."""
     keys = ("branches", "input", "reference_temperature", "input_thermo", "output_thermo")
     config = _known(load_json(path), keys, "config")
-    branches = [
-        (
+    branches = []
+    for b in _list(_need(config, "branches", "config"), "branches"):
+        _known(b, ("operation", "probability"), "branch")
+        branches.append((
             parse_operation(_need(b, "operation", "branch")),
             _number(_need(b, "probability", "branch"), "branch probability"),
-        )
-        for b in _list(_need(config, "branches", "config"), "branches")
-    ]
+        ))
     if not branches:
         raise ScenarioParseError("branches must list at least one branch")
-    probs = _numbers(_need(_need(config, "input", "config"), "probs", "input"), "input probs")
+    input_block = _known(_need(config, "input", "config"), ("probs",), "input")
+    probs = _numbers(_need(input_block, "probs", "input"), "input probs")
     return {
         "branches": branches,
         "input_dist": DiscreteDistribution(probs),

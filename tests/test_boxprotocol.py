@@ -370,3 +370,29 @@ class TestReconcile:
         assert not report.ok
         assert report.messages[0].startswith("row count")
         assert "trajectory 0 -> 0 is not realised in this ledger" in report.messages
+
+    def test_zero_weight_on_a_live_input_raises(self):
+        sc = random_scenario(np.random.default_rng(19))
+        ledger = run_protocol(sc, optimal_weights(sc))
+        w = np.ones(sc.op.n_inputs)
+        w[0] = 0.0
+        with pytest.raises(ProtocolAbortError, match="zero weight"):
+            reconcile(ledger, sc, make_weights(sc, w / w.sum()))
+
+    def test_unbounded_trajectory_of_a_ledger_built_with_other_weights(self):
+        # Zero weight on an input of probability zero is allowed, and prices
+        # that input's transitions as unbounded; a ledger that still routes it
+        # cannot be compared there.
+        rng = np.random.default_rng(20)
+        sc = Scenario(
+            input_dist=DiscreteDistribution([0.0, 0.4, 0.6]),
+            op=LogicalOperation(rng.dirichlet(np.ones(2), size=3)),
+            input_thermo=random_thermo(rng, 3),
+            output_thermo=random_thermo(rng, 2),
+            reference_temperature=1.1,
+        )
+        ledger = run_protocol(sc, make_weights(sc, [0.2, 0.4, 0.4]))
+        report = reconcile(ledger, sc, make_weights(sc, [0.0, 0.5, 0.5]))
+        assert not report.ok
+        assert "trajectory (0, 0) has unbounded closed-form cost" in report.messages
+        assert "trajectory (0, 1) has unbounded closed-form cost" in report.messages

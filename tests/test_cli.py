@@ -284,6 +284,42 @@ class TestExitCodes:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize(
+        "command, payload, where, context",
+        [
+            (["cost"], RTZ_SCENARIO, ("model",), "model"),
+            (["cost"], EXPLICIT_SCENARIO, ("input",), "input"),
+            (["cost"], EXPLICIT_SCENARIO, ("output",), "output"),
+            (["cost"], EXPLICIT_SCENARIO, ("operation",), "operation"),
+            (["cost"], EXPLICIT_SCENARIO, ("output", "thermo", 0), "output thermo entry"),
+            (["cost"], EXPLICIT_SCENARIO, ("baths", 0), "bath"),
+            (["cost"], EXPLICIT_SCENARIO, ("units",), "units"),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG, ("branches", 0), "branch"),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG, ("branches", 0, "operation"), "operation"),
+            (["cycle", "uncertain"], UNCERTAIN_CONFIG, ("input",), "input"),
+            (["cycle", "partial"], PARTIAL_CONFIG, ("operation",), "operation"),
+            (
+                ["cycle", "partial"],
+                dict(PARTIAL_CONFIG, input_thermo=[{"E": 0.5, "S": 0.0, "T": 1.0}] * 2),
+                ("input_thermo", 1),
+                "input thermo entry",
+            ),
+        ],
+        ids=[
+            "model", "input", "output", "operation", "thermo-entry", "bath", "units",
+            "uncertain-branch", "uncertain-branch-operation", "uncertain-input",
+            "partial-operation", "partial-thermo-entry",
+        ],
+    )
+    def test_unknown_nested_key_exits_2(self, tmp_path, capsys, command, payload, where, context):
+        # A misspelt "E_r" in a model used to leave E_R at its default, with exit 0.
+        # Each reader is first run without the extra key.
+        for data, code in ((payload, 0), (replaced(payload, (*where, "E_r"), 5.0), 2)):
+            out = tmp_path / f"o{code}"
+            assert main([*command, write(tmp_path, "in.json", data), "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        assert f"unknown keys in {context}: 'E_r'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     @pytest.mark.parametrize(
         "command",

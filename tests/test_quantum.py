@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from thermologic import quantum
 from thermologic.quantum import (
     DensityMatrix,
     HamiltonianSpec,
@@ -264,3 +265,139 @@ class TestVerifyBound:
         batch2 = run_trials(setup, 40, seed=5)
         assert batch1.total_violations == 0
         assert [r.slack for r in batch1.results] == [r.slack for r in batch2.results]
+
+
+def _entropy_per_trial(m) -> float:
+    eigs = np.clip(np.linalg.eigvalsh(np.asarray(m, dtype=complex)), 0.0, None)
+    kept = eigs[eigs > 1e-300]
+    return float(-(kept * np.log(kept)).sum())
+
+
+def _verify_per_trial(setup, unitary, index):
+    """verify_bound as it was before the setup's invariants were cached.
+
+    Every value that does not depend on the unitary is rebuilt here on
+    each call, and the final environment is diagonalised twice.
+    """
+    ds, de = setup.system_h.dim, setup.env_h.dim
+    t_ref = setup.reference_temperature
+    rho_sys = block_mixture(setup.blocks, setup.input_probs, setup.input_states, ds).matrix
+    rho_env = gibbs_state(setup.env_h, t_ref).matrix
+    rho_final = unitary @ np.kron(rho_sys, rho_env) @ unitary.conj().T
+    sys_final = partial_trace(rho_final, (ds, de), keep=0)
+    env_final = partial_trace(rho_final, (ds, de), keep=1)
+    h_sys, h_env = setup.system_h.matrix(), setup.env_h.matrix()
+    e_sys_0 = float(np.real(np.trace(h_sys @ rho_sys)))
+    e_sys_1 = float(np.real(np.trace(h_sys @ sys_final)))
+    e_env_0 = float(np.real(np.trace(h_env @ rho_env)))
+    e_env_1 = float(np.real(np.trace(h_env @ env_final)))
+    work = (e_sys_1 - e_sys_0) + (e_env_1 - e_env_0)
+    s_final = _entropy_per_trial(sys_final)
+    bound = (e_sys_1 - e_sys_0) - t_ref * (s_final - _entropy_per_trial(rho_sys))
+    subadd = s_final + _entropy_per_trial(env_final) - _entropy_per_trial(rho_final)
+    exponents = -(setup.env_h.energies - setup.env_h.energies.min()) / t_ref
+    log_gibbs = np.diag(exponents - math.log(float(np.exp(exponents).sum()))).astype(complex)
+    rel_ent = -_entropy_per_trial(env_final) - float(np.real(np.trace(env_final @ log_gibbs)))
+    weights = [float(np.real(np.trace(sys_final[s : s + n, s : s + n]))) for s, n in setup.blocks]
+    respects = None
+    if setup.target_output_probs is not None:
+        respects = bool(np.max(np.abs(np.array(weights) - setup.target_output_probs)) <= 0.05)
+    return (index, work, bound, work - bound, subadd, rel_ent, weights, respects)
+
+
+def _non_diagonal_setup() -> TrialSetup:
+    rng = np.random.default_rng(12)
+    states = []
+    for size in (2, 3):
+        z = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+        m = z @ z.conj().T
+        states.append(m / np.trace(m).real)
+    return TrialSetup(
+        system_h=HamiltonianSpec(np.array([0.0, 0.4, 0.5, 1.1, 1.6])),
+        env_h=HamiltonianSpec(np.linspace(0.0, 1.7, 4)),
+        blocks=((0, 2), (2, 3)),
+        input_probs=np.array([0.35, 0.65]),
+        input_states=tuple(states),
+        reference_temperature=0.8,
+        target_output_probs=np.array([0.5, 0.5]),
+    )
+
+
+SWEEP_SETUPS = {
+    "targeted": lambda: default_setup((1, 3), 8, 0.7, [0.3, 0.7], [0.4, 0.6]),
+    "untargeted": lambda: default_setup((2, 2, 2), 4, 1.3, [0.2, 0.5, 0.3]),
+    "non-diagonal blocks": _non_diagonal_setup,
+}
+
+
+class TestCachedSetup:
+    @pytest.mark.parametrize("make", SWEEP_SETUPS.values(), ids=SWEEP_SETUPS.keys())
+    def test_sweep_equals_the_per_trial_path(self, make):
+        setup = make()
+        batch = run_trials(setup, 25, seed=8)
+        rng = np.random.default_rng(8)
+        dim = setup.system_h.dim * setup.env_h.dim
+        expected = [_verify_per_trial(make(), haar_unitary(dim, rng), k) for k in range(25)]
+        got = [
+            (r.index, r.work, r.bound, r.slack, r.subadditivity_slack,
+             r.environment_relative_entropy, r.output_block_weights.tolist(), r.respects_operation)
+            for r in batch.results
+        ]
+        assert got == expected
+        assert batch.bound_violations == sum(e[3] < -1e-9 for e in expected)
+        assert batch.subadditivity_violations == sum(e[4] < -1e-9 for e in expected)
+        assert batch.relative_entropy_violations == sum(e[5] < -1e-9 for e in expected)
+        assert batch.respecting_trials == sum(bool(e[7]) for e in expected)
+
+    def test_invariants_are_built_once_per_setup(self, monkeypatch):
+        setups = [default_setup((2, 2), 4, 1.0, [0.6, 0.4]) for _ in range(2)]
+        calls = []
+        for name in ("gibbs_state", "block_mixture"):
+            original = getattr(quantum, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(quantum, name, counted)
+        counts = []
+        for setup, trials in zip(setups, (1, 50)):
+            calls.clear()
+            run_trials(setup, trials, seed=2)
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == ["block_mixture", "gibbs_state"]
+
+    def test_cached_arrays_are_read_only(self):
+        setup = _non_diagonal_setup()
+        verify_bound(setup, np.eye(20, dtype=complex))
+        arrays = [
+            *setup.input_states,
+            setup.input_probs,
+            setup.target_output_probs,
+            setup.initial_system.matrix,
+            setup.initial_environment.matrix,
+            setup.initial_joint,
+            setup.system_hamiltonian,
+            setup.env_hamiltonian,
+            setup.env_log_gibbs,
+        ]
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 1.0
+
+    def test_input_states_are_copied(self):
+        state = np.eye(2, dtype=complex) / 2.0
+        setup = TrialSetup(
+            system_h=HamiltonianSpec(np.array([0.0, 1.0])),
+            env_h=HamiltonianSpec(np.array([0.0, 0.5])),
+            blocks=((0, 2),),
+            input_probs=np.array([1.0]),
+            input_states=(state,),
+            reference_temperature=1.0,
+        )
+        unitary = haar_unitary(4, np.random.default_rng(0))
+        first = verify_bound(setup, unitary)
+        state[:] = np.diag([1.0, 0.0])
+        again = verify_bound(setup, unitary)
+        assert (again.work, again.slack) == (first.work, first.slack)
+        assert setup.initial_system.matrix[1, 1] == 0.5
