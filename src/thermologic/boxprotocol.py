@@ -31,12 +31,15 @@ trajectory the stages reproduce the closed-form transition costs of
 
 Each well is treated as a square well in the high-temperature regime, so the
 energy a row records at steps 1-8 is ``k T / 2`` at that row's
-temperature; step 9 records the output state's own energy.  One pass
-over the finished rows checks that regime at each row's width and
-temperature for steps 1-4 and 6-8, and the ledger warns for each well
-outside it.  Steps 5 and 9 hold the wells of steps 4 and 8 unchanged, so
-they are not checked again.  :func:`squarewell_props` gives the exact
-level sums, with no truncation at any width, as a validity oracle.
+temperature; step 9 records the output state's own energy.  The ledger
+stores its rows as columns (:class:`LedgerColumns`), built stage by stage
+with array expressions in the scalar order of operations; ``rows`` and
+``layouts`` are views of them, and ``ProtocolLedger(rows, layouts,
+warnings)`` is the one constructor from rows.  One array test checks the
+regime at the wells of steps 1-4 and 6-8 (steps 5 and 9 hold the wells of
+steps 4 and 8), and the ledger warns for each well outside it.
+:func:`squarewell_props` gives the exact level sums, with no truncation
+at any width, as a validity oracle.
 """
 
 from __future__ import annotations
@@ -44,10 +47,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .costs import WeightVector, expected_cost
+from .logic import _frozen_array, _logs
 from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 
 HIGH_TEMPERATURE_MARGIN = 10.0
@@ -66,6 +71,7 @@ __all__ = [
     "entropy_for_width",
     "BoxLayout",
     "LedgerRow",
+    "LedgerColumns",
     "ProtocolLedger",
     "run_protocol",
     "ReconcileReport",
@@ -201,6 +207,26 @@ class LedgerRow:
     heat: float
 
 
+class LedgerColumns(NamedTuple):
+    """A ledger's rows, one read-only array per field; a missing index is -1."""
+
+    step: np.ndarray
+    input: np.ndarray
+    output: np.ndarray
+    width: np.ndarray
+    energy: np.ndarray
+    entropy: np.ndarray
+    temperature: np.ndarray
+    work: np.ndarray
+    heat: np.ndarray
+
+
+def _columns(table) -> LedgerColumns:
+    """Columns of an ``(n, 9)`` table of row fields in :class:`LedgerRow` order."""
+    table = np.reshape(table, (-1, 9)).T
+    return LedgerColumns(*_frozen_array(table[:3], int), *_frozen_array(table[3:]))
+
+
 @dataclass(frozen=True)
 class BoxLayout:
     """The box at one stage: that stage's ledger rows, in box order.
@@ -216,116 +242,187 @@ class BoxLayout:
         return math.fsum(p.width for p in self.partitions)
 
 
-@dataclass(frozen=True, eq=False)
-class ProtocolLedger:
-    """Rows of one run, grouped into trajectory legs once, on first use.
+def _unrealised(input_index, output_index) -> KeyError:
+    return KeyError(f"trajectory {input_index} -> {output_index} is not realised in this ledger")
 
-    Trajectory ``i -> j`` joins input ``i`` (steps 1-3), branch ``(i, j)``
-    (steps 4-5) and output ``j`` (steps 6-9, no input index).
+
+class ProtocolLedger:
+    """The rows of one run, stored as :class:`LedgerColumns`.
+
+    ``ProtocolLedger(rows, layouts, warnings)`` is the one constructor: it
+    keeps what it is given and derives the columns from the rows, so a
+    tampered row reaches every check.  :func:`run_protocol` stores only
+    columns, and ``rows``, ``layouts`` and ``warnings`` are views of them
+    built on first access.  Trajectory ``i -> j`` joins input ``i`` (steps
+    1-3), branch ``(i, j)`` (steps 4-5) and output ``j`` (steps 6-9, no
+    input index); the totals of all trajectories are computed at once.
     """
 
-    rows: tuple[LedgerRow, ...]
-    layouts: tuple[tuple[int, BoxLayout], ...]
-    warnings: tuple[str, ...]
+    def __init__(self, rows, layouts, warnings):
+        self.__dict__.update(rows=tuple(rows), layouts=tuple(layouts), warnings=tuple(warnings))
+        self.columns = _columns([[-1 if v is None else v for v in vars(r).values()] for r in rows])
+
+    @classmethod
+    def _of_columns(cls, columns: LedgerColumns, scenario: Scenario) -> ProtocolLedger:
+        ledger = cls.__new__(cls)
+        ledger.columns, ledger._scenario = columns, scenario
+        return ledger
 
     @cached_property
-    def _legs(self) -> tuple[dict, dict, dict]:
-        inputs, branches, outputs = {}, {}, {}
-        for row in self.rows:
-            if row.step <= 3:
-                inputs.setdefault(row.input_index, []).append(row)
-            elif row.step <= 5:
-                branches.setdefault((row.input_index, row.output_index), []).append(row)
-            elif row.input_index is None:
-                outputs.setdefault(row.output_index, []).append(row)
-        return inputs, branches, outputs
+    def rows(self) -> tuple[LedgerRow, ...]:
+        return tuple(
+            LedgerRow(step, None if i < 0 else i, None if j < 0 else j, *values)
+            for step, i, j, *values in zip(*(column.tolist() for column in self.columns))
+        )
 
-    def rows_for(self, step: int) -> tuple[LedgerRow, ...]:
-        return tuple(r for r in self.rows if r.step == step)
+    @cached_property
+    def layouts(self) -> tuple[tuple[int, BoxLayout], ...]:
+        """Stages 1-8 with their own rows; stage 5 by (output, input), equal outputs together."""
+        stages = {step: [r for r in self.rows if r.step == step] for step in range(1, 9)}
+        stages[5].sort(key=lambda r: (r.output_index, r.input_index))
+        return tuple((step, BoxLayout(tuple(stage))) for step, stage in stages.items())
+
+    @cached_property
+    def warnings(self) -> tuple[str, ...]:
+        """One warning per well outside the high-temperature regime, sorted.
+
+        Steps 5 and 9 hold the wells of steps 4 and 8 unchanged, so they are
+        not checked again.
+        """
+        c, op = self.columns, self._scenario.op
+        checked = np.flatnonzero((c.step != 5) & (c.step != 9) & (c.width > 0.0))
+        ok = _high_temperature_ok(c.width[checked], c.temperature[checked], self._scenario.units)
+        flagged = [column[checked[~ok]].tolist() for column in c[:4] + (c.temperature,)]
+        warnings = set()
+        for step, i, j, width, temperature in zip(*flagged):
+            if j < 0:
+                branch = f"input {op.input_labels[i]}"
+            elif i < 0:
+                branch = f"output {op.output_labels[j]}"
+            else:
+                branch = f"branch {op.input_labels[i]}->{op.output_labels[j]}"
+            warnings.add(
+                f"step {step}: high-temperature approximation unreliable for {branch} "
+                f"(width {width:.6g}, T {temperature:.6g})"
+            )
+        return tuple(sorted(warnings))
 
     def layout(self, step: int) -> BoxLayout:
         return dict(self.layouts)[step]
 
-    def branch_rows(self, input_index: int, output_index: int) -> tuple[LedgerRow, ...]:
-        inputs, branches, outputs = self._legs
-        return (
-            *inputs.get(input_index, ()),
-            *branches.get((input_index, output_index), ()),
-            *outputs.get(output_index, ()),
+    @cached_property
+    def _totals(self) -> tuple[np.ndarray, ...]:
+        """``(inputs, outputs, rows, work, heat)`` of every branch of steps 4-5, sorted.
+
+        ``rows`` counts the rows of the three legs, nine in a realised
+        trajectory.  Each total is the :func:`math.fsum` of those rows (and
+        of zeros padding short legs): correctly rounded in any row order.
+        """
+        c = self.columns
+        # Each row's leg as the digits (leg, input + 1, output + 1) in base ``span``: leg 0 is
+        # an input's (steps 1-3), 1 a branch's (4-5), 2 an output's (6-9) and 3 no leg.
+        leg = (c.step > 3).astype(int) + (c.step > 5) + ((c.step > 5) & (c.input >= 0))
+        span = int(max(c.input.max(initial=0), c.output.max(initial=0))) + 2
+        key = (leg * span + np.where(leg == 2, 0, c.input + 1)) * span
+        key += np.where(leg == 0, 0, c.output + 1)
+        order = np.argsort(key)
+        key = key[order]
+        keys = np.append(key[np.diff(key, prepend=-1) != 0], 4 * span**2)  # last: a missing leg
+        group = np.searchsorted(keys, key)
+        counts = np.bincount(group, minlength=keys.size)
+        # One line of row numbers per leg, padded with the number of a zero appended to a column.
+        table = np.full((keys.size, counts.max(initial=0)), key.size)
+        table[group, np.arange(key.size) - np.searchsorted(key, key)] = order
+        branches = np.flatnonzero(keys // span**2 == 1)
+        inputs, outputs = keys[branches] // span % span - 1, keys[branches] % span - 1
+        lines = [branches]
+        for wanted in ((inputs + 1) * span, 2 * span**2 + outputs + 1):
+            n = np.searchsorted(keys, wanted)
+            lines.append(np.where(keys[n] == wanted, n, keys.size - 1))
+        index = np.concatenate([table[line] for line in lines], axis=1)
+        index = index[:, (index < key.size).any(axis=0)]
+        work, heat = (  # one list per column of the index, so no list per trajectory
+            np.fromiter(map(math.fsum, zip(*np.append(values, 0.0)[index.T].tolist())), float)
+            for values in (c.work, c.heat)
         )
+        return inputs, outputs, sum(counts[line] for line in lines), work, heat
+
+    def _realised(self) -> tuple[np.ndarray, ...]:
+        """``(inputs, outputs, work, heat)``; KeyError if a trajectory lacks nine rows."""
+        inputs, outputs, counts, work, heat = self._totals
+        short = np.flatnonzero(counts != 9)
+        if short.size:
+            raise _unrealised(inputs[short[0]], outputs[short[0]])
+        return inputs, outputs, work, heat
+
+    def branch_rows(self, input_index: int, output_index: int) -> tuple[LedgerRow, ...]:
+        c = self.columns
+        leg = (c.step > 3) + (c.step > 5).astype(int)
+        ours = np.choose(leg, (c.input == input_index, c.input == input_index, c.input < 0))
+        order = np.flatnonzero(ours & ((leg == 0) | (c.output == output_index)))
+        return tuple(self.rows[n] for n in order[np.argsort(leg[order], kind="stable")].tolist())
 
     def branch_total(self, input_index: int, output_index: int) -> tuple[float, float]:
         """Total (work, heat) along the trajectory input -> output."""
-        rows = self.branch_rows(input_index, output_index)
-        if len(rows) != 9:
-            raise KeyError(
-                f"trajectory {input_index} -> {output_index} is not realised in this ledger"
-            )
-        return (
-            math.fsum(r.work for r in rows),
-            math.fsum(r.heat for r in rows),
-        )
+        inputs, outputs, counts, work, heat = self._totals
+        n = np.flatnonzero((inputs == input_index) & (outputs == output_index) & (counts == 9))
+        if not n.size:
+            raise _unrealised(input_index, output_index)
+        return float(work[n[0]]), float(heat[n[0]])
 
     def trajectory_totals(self) -> dict[tuple[int, int], tuple[float, float]]:
-        return {pair: self.branch_total(*pair) for pair in sorted(self._legs[1])}
+        inputs, outputs, work, heat = (a.tolist() for a in self._realised())
+        return dict(zip(zip(inputs, outputs), zip(work, heat)))
 
     def expected_totals(self, scenario: Scenario) -> tuple[float, float]:
         """Expectation of the trajectory totals over the joint distribution."""
-        p_in = scenario.input_dist.probs
-        matrix = scenario.op.matrix
-        work_terms = []
-        heat_terms = []
-        for (i, j), (work, heat) in self.trajectory_totals().items():
-            joint = p_in[i] * matrix[i, j]
-            work_terms.append(joint * work)
-            heat_terms.append(joint * heat)
-        return math.fsum(work_terms), math.fsum(heat_terms)
+        inputs, outputs, work, heat = self._realised()
+        joint = scenario.input_dist.probs[inputs] * scenario.op.matrix[inputs, outputs]
+        return math.fsum((joint * work).tolist()), math.fsum((joint * heat).tolist())
 
 
 def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
     """Drive the nine-stage implementation and record the full ledger."""
-    w_in = weights.weights
-    w_out = weights.output_weights
-    p_in = scenario.input_dist.probs
-    matrix = scenario.op.matrix
-    units = scenario.units
+    w_in, w_out, matrix = weights.weights, weights.output_weights, scenario.op.matrix
+    units, t_ref = scenario.units, scenario.reference_temperature
     k = units.k_B
-    t_ref = scenario.reference_temperature
 
-    blocked = np.flatnonzero((w_in == 0.0) & (p_in > 0.0))
+    blocked = np.flatnonzero((w_in == 0.0) & (scenario.input_dist.probs > 0.0))
     if blocked.size:
         labels = ", ".join(scenario.op.input_labels[i] for i in blocked)
         raise ProtocolAbortError(
             f"cannot compress inputs with zero weight that may be occupied: {labels}"
         )
 
-    rows: list[LedgerRow] = []
+    fields: list[float] = []  # of the rows of steps 1-3 and 6-9, in turn; an absent index is -1
 
     def add(step, i, j, width, temperature, entropy, work=0.0, heat=0.0, energy=None):
         if energy is None:  # a square well in the high-temperature regime
             energy = 0.5 * k * temperature
-        rows.append(LedgerRow(step, i, j, width, energy, entropy, temperature, work, heat))
+        fields.extend((step, i, j, width, energy, entropy, temperature, work, heat))
 
     d2 = []
     for i, st in enumerate(scenario.input_thermo):
         d1 = width_for_entropy(st.entropy, st.temperature, units)
         d2.append(width_for_entropy(st.entropy, t_ref, units))
-        add(1, i, None, d1, st.temperature, st.entropy, work=0.5 * k * st.temperature - st.energy)
-        add(2, i, None, d2[i], t_ref, st.entropy, work=0.5 * k * (t_ref - st.temperature))
+        add(1, i, -1, d1, st.temperature, st.entropy, work=0.5 * k * st.temperature - st.energy)
+        add(2, i, -1, d2[i], t_ref, st.entropy, work=0.5 * k * (t_ref - st.temperature))
 
     total_width = math.fsum(d2)
-    live = np.flatnonzero(w_in).tolist()  # a zero-weight input is compressed away
-    for i in live:
+    for i in np.flatnonzero(w_in).tolist():  # a zero-weight input is compressed away
         d3 = w_in[i] * total_width
         iso = k * t_ref * math.log(d2[i] / d3)
-        add(3, i, None, d3, t_ref, entropy_for_width(d3, t_ref, units), iso, iso)
+        add(3, i, -1, d3, t_ref, entropy_for_width(d3, t_ref, units), iso, iso)
 
-    for i in live:
-        for j in np.flatnonzero(matrix[i]).tolist():
-            width = matrix[i, j] * w_in[i] * total_width
-            entropy = entropy_for_width(width, t_ref, units)
-            add(4, i, j, width, t_ref, entropy)
-            add(5, i, j, width, t_ref, entropy)
+    # Steps 4 and 5: a pair of rows per branch of a live input, in row-major order.
+    ii, jj = np.nonzero(matrix * (w_in != 0.0)[:, None])
+    width = matrix[ii, jj] * w_in[ii] * total_width
+    branches = np.zeros((2 * ii.size, 9))
+    branches[:, [0, 4, 6]] = (4.0, 0.5 * k * t_ref, t_ref)
+    branches[1::2, 0] = 5.0
+    entropy = _logs(width / zero_entropy_width(t_ref, units))
+    branches[:, [1, 2, 3, 5]] = np.repeat(np.column_stack((ii, jj, width, entropy)), 2, axis=0)
+    split = len(fields) // 9
 
     for j in np.flatnonzero(w_out).tolist():  # an unreachable output has no partition
         st = scenario.output_thermo[j]
@@ -333,52 +430,14 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
         d7 = width_for_entropy(st.entropy, t_ref, units)
         d8 = d7 * math.sqrt(t_ref / st.temperature)
         iso = k * t_ref * math.log(d6 / d7)
-        add(6, None, j, d6, t_ref, entropy_for_width(d6, t_ref, units))
-        add(7, None, j, d7, t_ref, st.entropy, iso, iso)
-        add(8, None, j, d8, st.temperature, st.entropy, work=0.5 * k * (st.temperature - t_ref))
-        add(9, None, j, d8, st.temperature, st.entropy,
+        add(6, -1, j, d6, t_ref, entropy_for_width(d6, t_ref, units))
+        add(7, -1, j, d7, t_ref, st.entropy, iso, iso)
+        add(8, -1, j, d8, st.temperature, st.entropy, work=0.5 * k * (st.temperature - t_ref))
+        add(9, -1, j, d8, st.temperature, st.entropy,
             work=st.energy - 0.5 * k * st.temperature, energy=st.energy)
 
-    return ProtocolLedger(tuple(rows), _layouts(rows), _regime_warnings(rows, scenario))
-
-
-def _regime_warnings(rows: list[LedgerRow], scenario: Scenario) -> tuple[str, ...]:
-    """One warning per well outside the high-temperature regime, sorted.
-
-    Steps 5 and 9 hold the wells of steps 4 and 8 unchanged, so they are
-    not checked again.
-    """
-    inputs, outputs = scenario.op.input_labels, scenario.op.output_labels
-    warnings = set()
-    for row in rows:
-        if row.step in (5, 9) or not row.width > 0.0:
-            continue
-        if _high_temperature_ok(row.width, row.temperature, scenario.units):
-            continue
-        if row.output_index is None:
-            branch = f"input {inputs[row.input_index]}"
-        elif row.input_index is None:
-            branch = f"output {outputs[row.output_index]}"
-        else:
-            branch = f"branch {inputs[row.input_index]}->{outputs[row.output_index]}"
-        warnings.add(
-            f"step {row.step}: high-temperature approximation unreliable for {branch} "
-            f"(width {row.width:.6g}, T {row.temperature:.6g})"
-        )
-    return tuple(sorted(warnings))
-
-
-def _layouts(rows: list[LedgerRow]) -> tuple[tuple[int, BoxLayout], ...]:
-    """Box layout after each of stages 1-8: that stage's own rows.
-
-    Stage 5 brings equal outputs together, so it is ordered by (output, input).
-    """
-    stages: dict[int, list[LedgerRow]] = {step: [] for step in range(1, 9)}
-    for row in rows:
-        if row.step in stages:
-            stages[row.step].append(row)
-    stages[5].sort(key=lambda r: (r.output_index, r.input_index))
-    return tuple((step, BoxLayout(tuple(stage))) for step, stage in stages.items())
+    table = np.insert(np.reshape(fields, (-1, 9)), split, branches, axis=0)
+    return ProtocolLedger._of_columns(_columns(table), scenario)
 
 
 @dataclass(frozen=True)
@@ -398,9 +457,10 @@ def reconcile(
     """Check a ledger against an independent recomputation and the closed forms.
 
     A fresh ledger is rebuilt from the scenario and weights and compared
-    row by row (catching injected or corrupted stages), then trajectory
-    totals are compared against the expected-cost report's per-transition
-    closed forms and the expectation against its expected work and heat.
+    column by column, and the first row that differs is located (catching
+    injected or corrupted stages).  Then the trajectory totals are compared
+    against the expected-cost report's per-transition closed forms and the
+    expectation against its expected work and heat.
 
     Weights that put zero on an input the scenario may occupy raise
     :class:`ProtocolAbortError` from the recomputation, so the expected
@@ -412,73 +472,58 @@ def reconcile(
     messages: list[str] = []
     first_divergence = None
 
-    fresh = run_protocol(scenario, weights)
-    if len(fresh.rows) != len(ledger.rows):
-        messages.append(
-            f"row count {len(ledger.rows)} differs from recomputation {len(fresh.rows)}"
-        )
+    got, want = ledger.columns, run_protocol(scenario, weights).columns
+    if got.step.size != want.step.size:
+        messages.append(f"row count {got.step.size} differs from recomputation {want.step.size}")
     else:
-        for got, want in zip(ledger.rows, fresh.rows):
-            key = (want.step, want.input_index, want.output_index)
-            if (got.step, got.input_index, got.output_index) != key:
-                messages.append(f"row ordering diverges at step {want.step}")
-                first_divergence = key
-                break
-            if not (  # NaN fails too
-                abs(got.work - want.work) <= RECONCILE_STEP_TOL
-                and abs(got.heat - want.heat) <= RECONCILE_STEP_TOL
-                and abs(got.width - want.width) <= RECONCILE_STEP_TOL
-            ):
-                messages.append(
-                    f"step {key[0]} branch ({key[1]}, {key[2]}) diverges from recomputation"
-                )
-                first_divergence = key
-                break
+        moved = (got.step != want.step) | (got.input != want.input) | (got.output != want.output)
+        close = [  # NaN is not close
+            abs(getattr(got, field) - getattr(want, field)) <= RECONCILE_STEP_TOL
+            for field in ("work", "heat", "width")
+        ]
+        diverged = np.flatnonzero(moved | ~(close[0] & close[1] & close[2]))
+        if diverged.size:
+            step, i, j = (int(column[diverged[0]]) for column in want[:3])
+            first_divergence = (step, None if i < 0 else i, None if j < 0 else j)
+            messages.append(
+                f"row ordering diverges at step {step}" if moved[diverged[0]] else
+                "step {} branch ({}, {}) diverges from recomputation".format(*first_divergence)
+            )
 
     report = expected_cost(scenario, weights)
-    inputs, outputs, _, closed_work, closed_heat, finite = (c.tolist() for c in report.columns)
-    position = {pair: n for n, pair in enumerate(zip(inputs, outputs))}
     try:
-        totals = ledger.trajectory_totals()
+        inputs, outputs, work, heat = ledger._realised()
         got_work, got_heat = ledger.expected_totals(scenario)
     except KeyError as exc:  # a trajectory misses or repeats a row
         messages.append(exc.args[0])
         return ReconcileReport(
             False, math.inf, math.inf, math.inf, math.inf, first_divergence, tuple(messages)
         )
-    work_residuals = [0.0]
-    heat_residuals = [0.0]
-    for (i, j), (work, heat) in totals.items():
-        n = position.get((i, j))
-        if n is None:
+    closed = report.columns
+    position = np.full(scenario.op.matrix.shape, -1)
+    position[closed.inputs, closed.outputs] = np.arange(closed.inputs.size)
+    n = position[inputs, outputs]
+    unrealised, unbounded = n < 0, ~closed.finite[n] & (n >= 0)
+    for t in np.flatnonzero(unrealised | unbounded).tolist():
+        i, j = inputs[t], outputs[t]
+        if unrealised[t]:
             messages.append(f"trajectory ({i}, {j}) is not a realisable transition")
-            continue
-        if not finite[n]:
+        else:
             messages.append(f"trajectory ({i}, {j}) has unbounded closed-form cost")
-            continue
-        work_residuals.append(abs(work - closed_work[n]))
-        heat_residuals.append(abs(heat - closed_heat[n]))
+    compared = ~(unrealised | unbounded)
     # np.max keeps a NaN residual, which the builtin max would drop.
-    max_work = float(np.max(work_residuals))
-    max_heat = float(np.max(heat_residuals))
+    max_work, max_heat = (
+        float(np.max(abs(total[compared] - closed_total[n[compared]]), initial=0.0))
+        for total, closed_total in ((work, closed.work), (heat, closed.heat))
+    )
     if not (max_work <= RECONCILE_TOL and max_heat <= RECONCILE_TOL):
         messages.append(
             f"trajectory totals mismatch closed forms: work {max_work:.3e}, heat {max_heat:.3e}"
         )
 
-    expected_work_mismatch = abs(got_work - report.expected_work)
-    expected_heat_mismatch = abs(got_heat - report.expected_heat)
-    if not (  # NaN fails too
-        expected_work_mismatch <= RECONCILE_TOL and expected_heat_mismatch <= RECONCILE_TOL
-    ):
+    expected = (abs(got_work - report.expected_work), abs(got_heat - report.expected_heat))
+    if not (expected[0] <= RECONCILE_TOL and expected[1] <= RECONCILE_TOL):  # NaN fails too
         messages.append("expected totals mismatch the cost report")
-
     return ReconcileReport(
-        ok=not messages,
-        max_work_mismatch=max_work,
-        max_heat_mismatch=max_heat,
-        expected_work_mismatch=expected_work_mismatch,
-        expected_heat_mismatch=expected_heat_mismatch,
-        first_divergent_step=first_divergence,
-        messages=tuple(messages),
+        not messages, max_work, max_heat, *expected, first_divergence, tuple(messages)
     )

@@ -36,6 +36,7 @@ MAX_JOINT_DIM = 64
 RANK_TOL = 1e-12  # canonicalize: eigenvalues at or below this are off the support
 MARGINAL_TOL = 0.05  # verify_bound: output block weights within this respect the operation
 SLACK_TOL = 1e-9  # run_trials: a slack or lemma term below minus this is a violation
+MAX_TRIALS = 100_000  # run_trials: every result is kept, so a larger count is rejected
 
 __all__ = [
     "QuantumError",
@@ -303,6 +304,10 @@ class TrialSetup:
             covered.extend(range(start, start + size))
         if len(set(covered)) != len(covered):
             raise SetupError("blocks overlap")
+        if not len(self.blocks) == probs.size == len(states):
+            raise SetupError("blocks, probabilities and states must align")
+        if any(state.shape != (size, size) for (_, size), state in zip(self.blocks, states)):
+            raise SetupError("block state shape does not match its block")
         if not _positive_finite(self.reference_temperature):
             raise SetupError("reference temperature must be finite and positive")
         _check_joint_dim(self.system_h.dim, self.env_h.dim)
@@ -476,9 +481,12 @@ class TrialBatchResult:
 
 
 def run_trials(setup: TrialSetup, trials: int, seed: int) -> TrialBatchResult:
-    """Sweep seeded Haar-random unitaries and count bound violations."""
-    if trials < 0:
-        raise SetupError(f"trial count must be non-negative, got {trials!r}")
+    """Sweep seeded Haar-random unitaries and count bound violations.
+
+    Every result is kept, so ``trials`` may be at most :data:`MAX_TRIALS`.
+    """
+    if not 0 <= trials <= MAX_TRIALS:
+        raise SetupError(f"trial count must be between 0 and {MAX_TRIALS}, got {trials!r}")
     rng = np.random.default_rng(seed)
     dim = setup.system_h.dim * setup.env_h.dim
     results = []

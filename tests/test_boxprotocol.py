@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_scenario, random_thermo
+from helpers import random_distribution, random_operation, random_scenario, random_thermo
 from thermologic.boxprotocol import (
+    LedgerRow,
     ProtocolAbortError,
     ProtocolLedger,
+    ReconcileReport,
     SquareWell,
     entropy_for_width,
     reconcile,
@@ -20,7 +22,7 @@ from thermologic.boxprotocol import (
 )
 from thermologic.costs import expected_cost, make_weights, optimal_weights, transition_cost
 from thermologic.logic import DiscreteDistribution, LogicalOperation, identity_op, rtz
-from thermologic.thermo import ModelSkeleton, Scenario, make_model
+from thermologic.thermo import ModelSkeleton, Scenario, UnitSystem, make_model
 
 LN2 = math.log(2.0)
 
@@ -206,9 +208,9 @@ class TestBookkeeping:
     def test_boundary_entropies_hit_targets(self):
         sc = self.scenario(13)
         ledger = run_protocol(sc, optimal_weights(sc))
-        for row in ledger.rows_for(2):
+        for row in [r for r in ledger.rows if r.step == 2]:
             assert row.entropy == sc.input_thermo[row.input_index].entropy
-        for row in ledger.rows_for(7):
+        for row in [r for r in ledger.rows if r.step == 7]:
             assert row.entropy == sc.output_thermo[row.output_index].entropy
 
     def test_subpartition_widths_encode_branch_probabilities(self):
@@ -216,7 +218,7 @@ class TestBookkeeping:
         weights = optimal_weights(sc)
         ledger = run_protocol(sc, weights)
         length = ledger.layout(2).total_width
-        for row in ledger.rows_for(4):
+        for row in [r for r in ledger.rows if r.step == 4]:
             expected = (
                 sc.op.matrix[row.input_index, row.output_index]
                 * weights.weights[row.input_index]
@@ -242,7 +244,9 @@ class TestBookkeeping:
             ledger = run_protocol(sc, weights)
             assert [step for step, _ in ledger.layouts] == list(range(1, 9))
             for step in range(1, 9):
-                want = [(r.input_index, r.output_index, r.width) for r in ledger.rows_for(step)]
+                want = [
+                    (r.input_index, r.output_index, r.width) for r in ledger.rows if r.step == step
+                ]
                 if step == 5:  # equal outputs brought together
                     want.sort(key=lambda p: (p[1], p[0]))
                 got = [
@@ -260,7 +264,7 @@ class TestBookkeeping:
             for later, earlier in ((5, 4), (9, 8)):
                 wells = [
                     {(r.input_index, r.output_index): (r.width, r.temperature)
-                     for r in ledger.rows_for(step)}
+                     for r in ledger.rows if r.step == step}
                     for step in (later, earlier)
                 ]
                 assert wells[0] == wells[1]
@@ -278,17 +282,17 @@ class TestBookkeeping:
         sc = self.scenario(15)
         ledger = run_protocol(sc, optimal_weights(sc))
         k = sc.units.k_B
-        for row in ledger.rows_for(2):
+        for row in [r for r in ledger.rows if r.step == 2]:
             before = 0.5 * k * sc.input_thermo[row.input_index].temperature
             assert row.work == pytest.approx(row.energy - before, abs=1e-12)
             assert row.heat == 0.0
-        for row in ledger.rows_for(3) + ledger.rows_for(7):
+        for row in [r for r in ledger.rows if r.step in (3, 7)]:
             assert row.work == row.heat  # isothermal: all work goes to the bath
-        for row in ledger.rows_for(8):
+        for row in [r for r in ledger.rows if r.step == 8]:
             before = 0.5 * k * sc.reference_temperature
             assert row.work == pytest.approx(row.energy - before, abs=1e-12)
             assert row.heat == 0.0
-        for row in ledger.rows_for(9):
+        for row in [r for r in ledger.rows if r.step == 9]:
             st = sc.output_thermo[row.output_index]
             assert row.work == pytest.approx(st.energy - 0.5 * k * st.temperature, abs=1e-12)
             assert row.heat == 0.0
@@ -396,3 +400,218 @@ class TestReconcile:
         assert not report.ok
         assert "trajectory (0, 0) has unbounded closed-form cost" in report.messages
         assert "trajectory (0, 1) has unbounded closed-form cost" in report.messages
+
+
+def reference_ledger(sc, weights):
+    """The nine-stage rules evaluated row by row in scalar floats, and the regime warnings."""
+    units, t_ref = sc.units, sc.reference_temperature
+    k, w_in, w_out, m = units.k_B, weights.weights, weights.output_weights, sc.op.matrix
+    rows = []
+
+    def add(step, i, j, width, temperature, entropy, work=0.0, heat=0.0, energy=None):
+        energy = 0.5 * k * temperature if energy is None else energy
+        rows.append(LedgerRow(step, i, j, width, energy, entropy, temperature, work, heat))
+
+    d2 = [width_for_entropy(st.entropy, t_ref, units) for st in sc.input_thermo]
+    for i, st in enumerate(sc.input_thermo):
+        d1 = width_for_entropy(st.entropy, st.temperature, units)
+        add(1, i, None, d1, st.temperature, st.entropy, 0.5 * k * st.temperature - st.energy)
+        add(2, i, None, d2[i], t_ref, st.entropy, 0.5 * k * (t_ref - st.temperature))
+    total = math.fsum(d2)
+    live = [i for i in range(len(d2)) if w_in[i] != 0.0]
+    for i in live:
+        d3 = float(w_in[i]) * total
+        iso = k * t_ref * math.log(d2[i] / d3)
+        add(3, i, None, d3, t_ref, entropy_for_width(d3, t_ref, units), iso, iso)
+    for i in live:
+        for j in range(m.shape[1]):
+            if m[i, j] != 0.0:
+                width = float(m[i, j]) * float(w_in[i]) * total
+                for step in (4, 5):
+                    add(step, i, j, width, t_ref, entropy_for_width(width, t_ref, units))
+    for j, st in enumerate(sc.output_thermo):
+        if w_out[j] == 0.0:
+            continue
+        d6 = float(w_out[j]) * total
+        d7 = width_for_entropy(st.entropy, t_ref, units)
+        d8 = d7 * math.sqrt(t_ref / st.temperature)
+        iso = k * t_ref * math.log(d6 / d7)
+        add(6, None, j, d6, t_ref, entropy_for_width(d6, t_ref, units))
+        add(7, None, j, d7, t_ref, st.entropy, iso, iso)
+        add(8, None, j, d8, st.temperature, st.entropy, 0.5 * k * (st.temperature - t_ref))
+        add(9, None, j, d8, st.temperature, st.entropy, st.energy - 0.5 * k * st.temperature,
+            energy=st.energy)
+
+    def label(r):
+        i, j = r.input_index, r.output_index
+        if j is None:
+            return f"input {sc.op.input_labels[i]}"
+        if i is None:
+            return f"output {sc.op.output_labels[j]}"
+        return f"branch {sc.op.input_labels[i]}->{sc.op.output_labels[j]}"
+
+    warnings = {
+        f"step {r.step}: high-temperature approximation unreliable for {label(r)} "
+        f"(width {r.width:.6g}, T {r.temperature:.6g})"
+        for r in rows
+        if r.step not in (5, 9) and not SquareWell(r.width, r.temperature, units).high_temperature_ok
+    }
+    return rows, tuple(sorted(warnings))
+
+
+def structured_operation(rng, n_in, n_out, kind):
+    if kind == "permutation":
+        return LogicalOperation(np.eye(n_in)[rng.permutation(n_in)])
+    matrix = np.zeros((n_in, n_out))
+    if kind == "reset":
+        matrix[:, int(rng.integers(n_out))] = 1.0
+        return LogicalOperation(matrix)
+    matrix = rng.dirichlet(np.ones(n_out), size=n_in)
+    if kind == "sparse":
+        matrix *= rng.random((n_in, n_out)) < 0.4
+        matrix[np.arange(n_in), rng.integers(n_out, size=n_in)] += 0.5  # no empty row
+    return LogicalOperation(matrix / matrix.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    dead_input=st.sampled_from(["none", "dead", "dead, zero weight"]),
+    log_hbar=st.floats(-1.5, 1.5),
+)
+def test_columns_match_the_scalar_rules(seed, kind, shape, dead_input, log_hbar):
+    rng = np.random.default_rng(seed)
+    n_in, n_out = shape
+    if kind == "permutation":
+        n_out = n_in
+    probs = rng.dirichlet(np.ones(n_in))
+    weights = rng.dirichlet(np.ones(n_in))
+    if dead_input != "none" and n_in > 1:
+        probs[0] = 0.0
+        if dead_input == "dead, zero weight":
+            weights[0] = 0.0
+    sc = Scenario(
+        input_dist=DiscreteDistribution(probs / probs.sum()),
+        op=structured_operation(rng, n_in, n_out, kind),
+        input_thermo=random_thermo(rng, n_in),
+        output_thermo=random_thermo(rng, n_out),
+        reference_temperature=float(rng.uniform(0.5, 2.0)),
+        # a large hbar widens the zero-entropy width, so more wells leave the regime
+        units=UnitSystem(hbar=10.0**log_hbar),
+    )
+    w = make_weights(sc, weights / weights.sum())
+    ledger = run_protocol(sc, w)
+    rows, warnings = reference_ledger(sc, w)
+    assert ledger.rows == tuple(rows)
+    assert ledger.warnings == warnings
+    assert all(not column.flags.writeable for column in ledger.columns)
+    trajectories = {}
+    for i, j in zip(*np.nonzero(sc.op.matrix * (w.weights != 0.0)[:, None])):
+        legs = [r for r in rows if (r.step <= 3 and r.input_index == i)
+                or (r.step in (4, 5) and (r.input_index, r.output_index) == (i, j))
+                or (r.step > 5 and r.output_index == j)]
+        assert len(legs) == 9
+        trajectories[int(i), int(j)] = (math.fsum(r.work for r in legs),
+                                        math.fsum(r.heat for r in legs))
+    assert ledger.trajectory_totals() == trajectories
+    assert reconcile(ledger, sc, w).ok
+
+
+def pinned_scenarios():
+    """The README reset at w = P, and one 6x6 scenario at random weights."""
+    reset = uniform_scenario(rtz(), [0.5, 0.5])
+    yield "reset", reset, optimal_weights(reset)
+    rng = np.random.default_rng(66)
+    six = Scenario(random_distribution(rng, 6), random_operation(rng, 6, 6),
+                   random_thermo(rng, 6), random_thermo(rng, 6), 1.3)
+    yield "6x6", six, make_weights(six, rng.dirichlet(np.ones(6)))
+
+
+def tampered(rows, how):
+    rows = list(rows)
+    k = next(n for n, r in enumerate(rows) if r.step == 7)
+    if how == "shift":
+        rows[k] = dataclasses.replace(rows[k], work=rows[k].work + 1e-6, heat=rows[k].heat + 1e-6)
+    elif how == "nan":
+        rows[k] = dataclasses.replace(rows[k], work=math.nan)
+    elif how == "drop":
+        del rows[k]
+    elif how == "repeat":
+        rows.append(rows[-1])
+    elif how == "swap":
+        a = next(n for n, r in enumerate(rows) if r.step == 4)
+        rows[a], rows[k] = rows[k], rows[a]
+    return rows
+
+
+nan, inf = math.nan, math.inf
+DIVERGED_7 = "step 7 branch (None, 0) diverges from recomputation"
+# Reports of the row-by-row reconcile that preceded the columnar one, on the same inputs.
+PINNED_REPORTS = {
+    ("reset", "none"): ReconcileReport(True, 0.0, 0.0, 0.0, 0.0, None, ()),
+    ("reset", "shift"): ReconcileReport(
+        False, 1.0000000000287557e-06, 1.0000000000287557e-06, 1.0000000000287557e-06,
+        1.0000000000287557e-06, (7, None, 0),
+        (DIVERGED_7, "trajectory totals mismatch closed forms: work 1.000e-06, heat 1.000e-06",
+         "expected totals mismatch the cost report"),
+    ),
+    ("reset", "nan"): ReconcileReport(
+        False, nan, 0.0, nan, 0.0, (7, None, 0),
+        (DIVERGED_7, "trajectory totals mismatch closed forms: work nan, heat 0.000e+00",
+         "expected totals mismatch the cost report"),
+    ),
+    ("reset", "drop"): ReconcileReport(
+        False, inf, inf, inf, inf, None,
+        ("row count 13 differs from recomputation 14",
+         "trajectory 0 -> 0 is not realised in this ledger"),
+    ),
+    ("reset", "repeat"): ReconcileReport(
+        False, inf, inf, inf, inf, None,
+        ("row count 15 differs from recomputation 14",
+         "trajectory 0 -> 0 is not realised in this ledger"),
+    ),
+    ("reset", "swap"): ReconcileReport(
+        False, 0.0, 0.0, 0.0, 0.0, (4, 0, 0), ("row ordering diverges at step 4",)
+    ),
+    ("6x6", "none"): ReconcileReport(
+        True, 5.551115123125783e-16, 4.440892098500626e-16, 1.1102230246251565e-16,
+        5.551115123125783e-17, None, (),
+    ),
+    ("6x6", "shift"): ReconcileReport(
+        False, 1.000000000139778e-06, 1.0000000002508003e-06, 2.355970522005535e-07,
+        2.355970523115758e-07, (7, None, 0),
+        (DIVERGED_7, "trajectory totals mismatch closed forms: work 1.000e-06, heat 1.000e-06",
+         "expected totals mismatch the cost report"),
+    ),
+    ("6x6", "nan"): ReconcileReport(
+        False, nan, 4.440892098500626e-16, nan, 5.551115123125783e-17, (7, None, 0),
+        (DIVERGED_7, "trajectory totals mismatch closed forms: work nan, heat 4.441e-16",
+         "expected totals mismatch the cost report"),
+    ),
+    ("6x6", "drop"): ReconcileReport(
+        False, inf, inf, inf, inf, None,
+        ("row count 113 differs from recomputation 114",
+         "trajectory 0 -> 0 is not realised in this ledger"),
+    ),
+    ("6x6", "repeat"): ReconcileReport(
+        False, inf, inf, inf, inf, None,
+        ("row count 115 differs from recomputation 114",
+         "trajectory 0 -> 5 is not realised in this ledger"),
+    ),
+    ("6x6", "swap"): ReconcileReport(
+        False, 5.551115123125783e-16, 4.440892098500626e-16, 1.1102230246251565e-16,
+        5.551115123125783e-17, (4, 0, 0), ("row ordering diverges at step 4",),
+    ),
+}
+
+
+@pytest.mark.parametrize("how", ["none", "shift", "nan", "drop", "repeat", "swap"])
+def test_reconcile_reports_are_pinned(how):
+    for name, sc, weights in pinned_scenarios():
+        ledger = run_protocol(sc, weights)
+        if how != "none":
+            ledger = ProtocolLedger(tuple(tampered(ledger.rows, how)), ledger.layouts, ledger.warnings)
+        # repr compares every float bit for bit, and NaN equal to NaN
+        assert repr(reconcile(ledger, sc, weights)) == repr(PINNED_REPORTS[name, how])

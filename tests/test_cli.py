@@ -5,6 +5,7 @@ import math
 import pytest
 
 from thermologic.cli import main
+from thermologic.quantum import MAX_TRIALS
 from thermologic.serialize import ScenarioParseError, load_scenario, parse_scenario
 from thermologic.thermo import ThermoError
 
@@ -234,6 +235,9 @@ class TestExitCodes:
             (["qbound", "--config"], {"env_dim": "x"}, 2),
             (["qbound", "--trials", "-5"], None, 3),
             (["qbound", "--config"], {"trials": -5}, 3),
+            # above quantum.MAX_TRIALS; run_trials would otherwise loop until memory ran out
+            (["qbound", "--config"], {"trials": 10**400}, 3),
+            (["qbound", "--trials", str(MAX_TRIALS + 1)], None, 3),
             # an integer too large for a float reads as infinity, as 1e400 does
             (["qbound", "--config"], {"trials": 1, "reference_temperature": 10**400}, 3),
             (["cost"], replaced(EXPLICIT_SCENARIO, ("input", "thermo", 0, "E"), 10**400), 3),
@@ -252,6 +256,8 @@ class TestExitCodes:
             "qbound",
             "qbound-negative-trials-flag",
             "qbound-negative-trials-config",
+            "qbound-trials-above-cap-config",
+            "qbound-trials-above-cap-flag",
             "qbound-huge-integer",
             "cost-huge-integer",
             "qbound-unknown-key",

@@ -5,6 +5,7 @@ import pytest
 
 from thermologic import quantum
 from thermologic.quantum import (
+    MAX_TRIALS,
     DensityMatrix,
     HamiltonianSpec,
     QuantumError,
@@ -199,6 +200,28 @@ class TestMixtureIdentity:
             )
 
     @pytest.mark.parametrize(
+        "states, message",
+        [
+            ((np.eye(3) / 3.0,), "shape does not match"),
+            ((np.eye(2)[:, :1],), "shape does not match"),
+            ((np.eye(2) / 2.0, np.eye(2) / 2.0), "must align"),
+        ],
+        ids=["3x3-for-2-states", "not-square", "two-states-for-one-block"],
+    )
+    def test_block_states_are_checked_when_the_setup_is_built(self, states, message):
+        # A wrong state used to construct, give an empty batch for zero trials
+        # and raise only on the first trial.
+        with pytest.raises(SetupError, match=message):
+            TrialSetup(
+                system_h=HamiltonianSpec(np.zeros(2)),
+                env_h=HamiltonianSpec(np.zeros(2)),
+                blocks=((0, 2),),
+                input_probs=np.array([1.0]),
+                input_states=states,
+                reference_temperature=1.0,
+            )
+
+    @pytest.mark.parametrize(
         "blocks, env_dim, message",
         [((40, 40), 1, "exceeds cap"), ((2, 2), 17, "exceeds cap"), ((0, 2), 4, "block outside")],
     )
@@ -265,6 +288,15 @@ class TestVerifyBound:
         batch2 = run_trials(setup, 40, seed=5)
         assert batch1.total_violations == 0
         assert [r.slack for r in batch1.results] == [r.slack for r in batch2.results]
+
+
+def test_trial_count_is_capped():
+    setup = default_setup((1, 1), 2, 1.0)
+    assert MAX_TRIALS >= 100 * 500  # far above the command line's default of 500
+    assert len(run_trials(setup, 3, seed=1).results) == 3
+    for trials in (-1, MAX_TRIALS + 1, 10**400):
+        with pytest.raises(SetupError, match="trial count"):
+            run_trials(setup, trials, seed=1)
 
 
 def _entropy_per_trial(m) -> float:
