@@ -32,14 +32,11 @@ trajectory the stages reproduce the closed-form transition costs of
 Each well is treated as a square well in the high-temperature regime, so the
 energy a row records at steps 1-8 is ``k T / 2`` at that row's
 temperature; step 9 records the output state's own energy.  The ledger
-stores its rows as columns (:class:`LedgerColumns`), built stage by stage
-with array expressions in the scalar order of operations; ``rows`` and
-``layouts`` are views of them, and ``ProtocolLedger(rows, layouts,
-warnings)`` is the one constructor from rows.  One array test checks the
-regime at the wells of steps 1-4 and 6-8 (steps 5 and 9 hold the wells of
-steps 4 and 8), and the ledger warns for each well outside it.
-:func:`squarewell_props` gives the exact level sums, with no truncation
-at any width, as a validity oracle.
+stores its rows as columns (:class:`LedgerColumns`), built with array
+expressions in the scalar order of operations, and warns for each well of
+steps 1-4 and 6-8 outside that regime (steps 5 and 9 keep the wells of
+steps 4 and 8).  :func:`squarewell_props` gives the exact level sums, with
+no truncation at any width, as a validity oracle.
 """
 
 from __future__ import annotations
@@ -242,20 +239,15 @@ class BoxLayout:
         return math.fsum(p.width for p in self.partitions)
 
 
-def _unrealised(input_index, output_index) -> KeyError:
-    return KeyError(f"trajectory {input_index} -> {output_index} is not realised in this ledger")
-
-
 class ProtocolLedger:
     """The rows of one run, stored as :class:`LedgerColumns`.
 
     ``ProtocolLedger(rows, layouts, warnings)`` is the one constructor: it
     keeps what it is given and derives the columns from the rows, so a
-    tampered row reaches every check.  :func:`run_protocol` stores only
-    columns, and ``rows``, ``layouts`` and ``warnings`` are views of them
-    built on first access.  Trajectory ``i -> j`` joins input ``i`` (steps
-    1-3), branch ``(i, j)`` (steps 4-5) and output ``j`` (steps 6-9, no
-    input index); the totals of all trajectories are computed at once.
+    tampered row reaches every check.  :func:`run_protocol` stores columns
+    only; ``rows``, ``layouts`` and ``warnings`` are views built on first
+    access.  Trajectory ``i -> j`` joins input ``i`` (steps 1-3), branch
+    ``(i, j)`` (steps 4-5) and output ``j`` (steps 6-9, no input index).
     """
 
     def __init__(self, rows, layouts, warnings):
@@ -284,11 +276,7 @@ class ProtocolLedger:
 
     @cached_property
     def warnings(self) -> tuple[str, ...]:
-        """One warning per well outside the high-temperature regime, sorted.
-
-        Steps 5 and 9 hold the wells of steps 4 and 8 unchanged, so they are
-        not checked again.
-        """
+        """One warning per well outside the high-temperature regime, sorted."""
         c, op = self.columns, self._scenario.op
         checked = np.flatnonzero((c.step != 5) & (c.step != 9) & (c.width > 0.0))
         ok = _high_temperature_ok(c.width[checked], c.temperature[checked], self._scenario.units)
@@ -311,83 +299,61 @@ class ProtocolLedger:
         return dict(self.layouts)[step]
 
     @cached_property
-    def _totals(self) -> tuple[np.ndarray, ...]:
-        """``(inputs, outputs, rows, work, heat)`` of every branch of steps 4-5, sorted.
-
-        ``rows`` counts the rows of the three legs, nine in a realised
-        trajectory.  Each total is the :func:`math.fsum` of those rows (and
-        of zeros padding short legs): correctly rounded in any row order.
-        """
-        c = self.columns
-        # Each row's leg as the digits (leg, input + 1, output + 1) in base ``span``: leg 0 is
-        # an input's (steps 1-3), 1 a branch's (4-5), 2 an output's (6-9) and 3 no leg.
-        leg = (c.step > 3).astype(int) + (c.step > 5) + ((c.step > 5) & (c.input >= 0))
-        span = int(max(c.input.max(initial=0), c.output.max(initial=0))) + 2
-        key = (leg * span + np.where(leg == 2, 0, c.input + 1)) * span
-        key += np.where(leg == 0, 0, c.output + 1)
-        order = np.argsort(key)
-        key = key[order]
-        keys = np.append(key[np.diff(key, prepend=-1) != 0], 4 * span**2)  # last: a missing leg
-        group = np.searchsorted(keys, key)
-        counts = np.bincount(group, minlength=keys.size)
-        # One line of row numbers per leg, padded with the number of a zero appended to a column.
-        table = np.full((keys.size, counts.max(initial=0)), key.size)
-        table[group, np.arange(key.size) - np.searchsorted(key, key)] = order
-        branches = np.flatnonzero(keys // span**2 == 1)
-        inputs, outputs = keys[branches] // span % span - 1, keys[branches] % span - 1
-        lines = [branches]
-        for wanted in ((inputs + 1) * span, 2 * span**2 + outputs + 1):
-            n = np.searchsorted(keys, wanted)
-            lines.append(np.where(keys[n] == wanted, n, keys.size - 1))
-        index = np.concatenate([table[line] for line in lines], axis=1)
-        index = index[:, (index < key.size).any(axis=0)]
-        work, heat = (  # one list per column of the index, so no list per trajectory
-            np.fromiter(map(math.fsum, zip(*np.append(values, 0.0)[index.T].tolist())), float)
-            for values in (c.work, c.heat)
-        )
-        return inputs, outputs, sum(counts[line] for line in lines), work, heat
-
-    def _realised(self) -> tuple[np.ndarray, ...]:
-        """``(inputs, outputs, work, heat)``; KeyError if a trajectory lacks nine rows."""
-        inputs, outputs, counts, work, heat = self._totals
-        short = np.flatnonzero(counts != 9)
-        if short.size:
-            raise _unrealised(inputs[short[0]], outputs[short[0]])
-        return inputs, outputs, work, heat
+    def _legs(self) -> tuple[dict, dict, dict]:
+        inputs, branches, outputs = {}, {}, {}
+        for row in self.rows:
+            if row.step <= 3:
+                inputs.setdefault(row.input_index, []).append(row)
+            elif row.step <= 5:
+                branches.setdefault((row.input_index, row.output_index), []).append(row)
+            elif row.input_index is None:
+                outputs.setdefault(row.output_index, []).append(row)
+        return inputs, branches, outputs
 
     def branch_rows(self, input_index: int, output_index: int) -> tuple[LedgerRow, ...]:
-        c = self.columns
-        leg = (c.step > 3) + (c.step > 5).astype(int)
-        ours = np.choose(leg, (c.input == input_index, c.input == input_index, c.input < 0))
-        order = np.flatnonzero(ours & ((leg == 0) | (c.output == output_index)))
-        return tuple(self.rows[n] for n in order[np.argsort(leg[order], kind="stable")].tolist())
+        inputs, branches, outputs = self._legs
+        return (
+            *inputs.get(input_index, ()),
+            *branches.get((input_index, output_index), ()),
+            *outputs.get(output_index, ()),
+        )
 
     def branch_total(self, input_index: int, output_index: int) -> tuple[float, float]:
         """Total (work, heat) along the trajectory input -> output."""
-        inputs, outputs, counts, work, heat = self._totals
-        n = np.flatnonzero((inputs == input_index) & (outputs == output_index) & (counts == 9))
-        if not n.size:
-            raise _unrealised(input_index, output_index)
-        return float(work[n[0]]), float(heat[n[0]])
+        rows = self.branch_rows(input_index, output_index)
+        if len(rows) != 9:
+            raise KeyError(
+                f"trajectory {input_index} -> {output_index} is not realised in this ledger"
+            )
+        return math.fsum([r.work for r in rows]), math.fsum([r.heat for r in rows])
 
     def trajectory_totals(self) -> dict[tuple[int, int], tuple[float, float]]:
-        inputs, outputs, work, heat = (a.tolist() for a in self._realised())
-        return dict(zip(zip(inputs, outputs), zip(work, heat)))
+        return {pair: self.branch_total(*pair) for pair in sorted(self._legs[1])}
 
     def expected_totals(self, scenario: Scenario) -> tuple[float, float]:
         """Expectation of the trajectory totals over the joint distribution."""
-        inputs, outputs, work, heat = self._realised()
-        joint = scenario.input_dist.probs[inputs] * scenario.op.matrix[inputs, outputs]
-        return math.fsum((joint * work).tolist()), math.fsum((joint * heat).tolist())
+        p_in = scenario.input_dist.probs
+        matrix = scenario.op.matrix
+        work_terms = []
+        heat_terms = []
+        for (i, j), (work, heat) in self.trajectory_totals().items():
+            joint = p_in[i] * matrix[i, j]
+            work_terms.append(joint * work)
+            heat_terms.append(joint * heat)
+        return math.fsum(work_terms), math.fsum(heat_terms)
 
 
 def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
     """Drive the nine-stage implementation and record the full ledger."""
-    w_in, w_out, matrix = weights.weights, weights.output_weights, scenario.op.matrix
-    units, t_ref = scenario.units, scenario.reference_temperature
+    w_in = weights.weights
+    w_out = weights.output_weights
+    p_in = scenario.input_dist.probs
+    matrix = scenario.op.matrix
+    units = scenario.units
     k = units.k_B
+    t_ref = scenario.reference_temperature
 
-    blocked = np.flatnonzero((w_in == 0.0) & (scenario.input_dist.probs > 0.0))
+    blocked = np.flatnonzero((w_in == 0.0) & (p_in > 0.0))
     if blocked.size:
         labels = ", ".join(scenario.op.input_labels[i] for i in blocked)
         raise ProtocolAbortError(
@@ -491,39 +457,49 @@ def reconcile(
             )
 
     report = expected_cost(scenario, weights)
+    inputs, outputs, _, closed_work, closed_heat, finite = (c.tolist() for c in report.columns)
+    position = {pair: n for n, pair in enumerate(zip(inputs, outputs))}
     try:
-        inputs, outputs, work, heat = ledger._realised()
+        totals = ledger.trajectory_totals()
         got_work, got_heat = ledger.expected_totals(scenario)
     except KeyError as exc:  # a trajectory misses or repeats a row
         messages.append(exc.args[0])
         return ReconcileReport(
             False, math.inf, math.inf, math.inf, math.inf, first_divergence, tuple(messages)
         )
-    closed = report.columns
-    position = np.full(scenario.op.matrix.shape, -1)
-    position[closed.inputs, closed.outputs] = np.arange(closed.inputs.size)
-    n = position[inputs, outputs]
-    unrealised, unbounded = n < 0, ~closed.finite[n] & (n >= 0)
-    for t in np.flatnonzero(unrealised | unbounded).tolist():
-        i, j = inputs[t], outputs[t]
-        if unrealised[t]:
+    work_residuals = [0.0]
+    heat_residuals = [0.0]
+    for (i, j), (work, heat) in totals.items():
+        n = position.get((i, j))
+        if n is None:
             messages.append(f"trajectory ({i}, {j}) is not a realisable transition")
-        else:
+            continue
+        if not finite[n]:
             messages.append(f"trajectory ({i}, {j}) has unbounded closed-form cost")
-    compared = ~(unrealised | unbounded)
+            continue
+        work_residuals.append(abs(work - closed_work[n]))
+        heat_residuals.append(abs(heat - closed_heat[n]))
     # np.max keeps a NaN residual, which the builtin max would drop.
-    max_work, max_heat = (
-        float(np.max(abs(total[compared] - closed_total[n[compared]]), initial=0.0))
-        for total, closed_total in ((work, closed.work), (heat, closed.heat))
-    )
+    max_work = float(np.max(work_residuals))
+    max_heat = float(np.max(heat_residuals))
     if not (max_work <= RECONCILE_TOL and max_heat <= RECONCILE_TOL):
         messages.append(
             f"trajectory totals mismatch closed forms: work {max_work:.3e}, heat {max_heat:.3e}"
         )
 
-    expected = (abs(got_work - report.expected_work), abs(got_heat - report.expected_heat))
-    if not (expected[0] <= RECONCILE_TOL and expected[1] <= RECONCILE_TOL):  # NaN fails too
+    expected_work_mismatch = abs(got_work - report.expected_work)
+    expected_heat_mismatch = abs(got_heat - report.expected_heat)
+    if not (  # NaN fails too
+        expected_work_mismatch <= RECONCILE_TOL and expected_heat_mismatch <= RECONCILE_TOL
+    ):
         messages.append("expected totals mismatch the cost report")
+
     return ReconcileReport(
-        not messages, max_work, max_heat, *expected, first_divergence, tuple(messages)
+        ok=not messages,
+        max_work_mismatch=max_work,
+        max_heat_mismatch=max_heat,
+        expected_work_mismatch=expected_work_mismatch,
+        expected_heat_mismatch=expected_heat_mismatch,
+        first_divergent_step=first_divergence,
+        messages=tuple(messages),
     )

@@ -277,8 +277,9 @@ class TrialSetup:
     the Hamiltonian matrices, the initial energies and system entropy,
     and the log of the environment's canonical state) is a cached
     property: built on first use, once per setup, and read-only.  The
-    input arrays are stored as read-only copies, so the cache cannot go
-    stale.
+    initial system state is built on construction, so bad block states
+    fail there.  The input arrays are stored as read-only copies, so the
+    cache cannot go stale.
     """
 
     system_h: HamiltonianSpec
@@ -304,10 +305,6 @@ class TrialSetup:
             covered.extend(range(start, start + size))
         if len(set(covered)) != len(covered):
             raise SetupError("blocks overlap")
-        if not len(self.blocks) == probs.size == len(states):
-            raise SetupError("blocks, probabilities and states must align")
-        if any(state.shape != (size, size) for (_, size), state in zip(self.blocks, states)):
-            raise SetupError("block state shape does not match its block")
         if not _positive_finite(self.reference_temperature):
             raise SetupError("reference temperature must be finite and positive")
         _check_joint_dim(self.system_h.dim, self.env_h.dim)
@@ -316,6 +313,7 @@ class TrialSetup:
             if t.size != len(self.blocks):
                 raise SetupError("target output probabilities must match block count")
             object.__setattr__(self, "target_output_probs", _frozen(t.copy()))
+        self.initial_system  # built now: the block states must align, fit and mix to a state
 
     @cached_property
     def initial_system(self) -> DensityMatrix:

@@ -359,6 +359,23 @@ class TestReconcile:
             assert not report.max_work_mismatch <= 1e-9
             assert report.messages[1].startswith("trajectory totals mismatch closed forms")
 
+    @pytest.mark.parametrize(
+        "field, message",
+        [("width", "step 7 branch (None, 0) diverges"), ("output_index", "row ordering diverges")],
+    )
+    def test_tampered_width_or_output_is_located(self, field, message):
+        sc = uniform_scenario(rtz(), [0.5, 0.5])
+        weights = optimal_weights(sc)
+        ledger = run_protocol(sc, weights)
+        rows = list(ledger.rows)
+        target = next(idx for idx, row in enumerate(rows) if row.step == 7)
+        value = 1.5 * rows[target].width if field == "width" else 1
+        rows[target] = dataclasses.replace(rows[target], **{field: value})
+        report = reconcile(ProtocolLedger(tuple(rows), ledger.layouts, ledger.warnings), sc, weights)
+        assert not report.ok
+        assert report.first_divergent_step == (7, None, 0)
+        assert report.messages[0].startswith(message)
+
     @pytest.mark.parametrize("tamper", ["drop a step-7 row", "repeat the last row"])
     def test_missing_or_extra_row_is_reported(self, tamper):
         sc = uniform_scenario(rtz(), [0.5, 0.5])

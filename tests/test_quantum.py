@@ -200,18 +200,19 @@ class TestMixtureIdentity:
             )
 
     @pytest.mark.parametrize(
-        "states, message",
+        "states, error, message",
         [
-            ((np.eye(3) / 3.0,), "shape does not match"),
-            ((np.eye(2)[:, :1],), "shape does not match"),
-            ((np.eye(2) / 2.0, np.eye(2) / 2.0), "must align"),
+            ((np.eye(3) / 3.0,), SetupError, "shape does not match"),
+            ((np.eye(2)[:, :1],), SetupError, "shape does not match"),
+            ((np.eye(2) / 2.0, np.eye(2) / 2.0), SetupError, "must align"),
+            ((np.eye(2),), QuantumError, "trace differs from one"),
         ],
-        ids=["3x3-for-2-states", "not-square", "two-states-for-one-block"],
+        ids=["3x3-for-2-states", "not-square", "two-states-for-one-block", "trace-two"],
     )
-    def test_block_states_are_checked_when_the_setup_is_built(self, states, message):
+    def test_block_states_are_checked_when_the_setup_is_built(self, states, error, message):
         # A wrong state used to construct, give an empty batch for zero trials
         # and raise only on the first trial.
-        with pytest.raises(SetupError, match=message):
+        with pytest.raises(error, match=message):
             TrialSetup(
                 system_h=HamiltonianSpec(np.zeros(2)),
                 env_h=HamiltonianSpec(np.zeros(2)),
@@ -382,7 +383,6 @@ class TestCachedSetup:
         assert batch.respecting_trials == sum(bool(e[7]) for e in expected)
 
     def test_invariants_are_built_once_per_setup(self, monkeypatch):
-        setups = [default_setup((2, 2), 4, 1.0, [0.6, 0.4]) for _ in range(2)]
         calls = []
         for name in ("gibbs_state", "block_mixture"):
             original = getattr(quantum, name)
@@ -393,11 +393,13 @@ class TestCachedSetup:
 
             monkeypatch.setattr(quantum, name, counted)
         counts = []
-        for setup, trials in zip(setups, (1, 50)):
+        for trials in (1, 50):
             calls.clear()
-            run_trials(setup, trials, seed=2)
+            run_trials(default_setup((2, 2), 4, 1.0, [0.6, 0.4]), trials, seed=2)
             counts.append(sorted(calls))
-        assert counts[0] == counts[1] == ["block_mixture", "gibbs_state"]
+        # The setup's two block states, its mixture, and the environment's canonical state.
+        want = ["block_mixture", "gibbs_state", "gibbs_state", "gibbs_state"]
+        assert counts[0] == counts[1] == want
 
     def test_cached_arrays_are_read_only(self):
         setup = _non_diagonal_setup()
