@@ -29,10 +29,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import DEFAULT_SEED
 from .logic import ArityMismatchError, _entropy_nats, _logs, classify
 from .thermo import Scenario
 
-DEFAULT_SEED = 1729
 STALL_TOL = 1e-10  # minimize_expected_work: a step gaining less than this counts as stalled
 
 __all__ = [

@@ -39,12 +39,11 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import __version__
-from .boxprotocol import ProtocolLedger
-from .costs import CostReport, is_infinite
 from .logic import DiscreteDistribution, LogicalOperation
 from .thermo import (
     ModelSkeleton,
@@ -56,6 +55,10 @@ from .thermo import (
     UnitSystem,
     make_model,
 )
+
+if TYPE_CHECKING:
+    from .boxprotocol import ProtocolLedger
+    from .costs import CostReport
 
 __all__ = [
     "ScenarioParseError",
@@ -341,6 +344,8 @@ def format_float(value: float) -> str:
 
 def render_energy(value, divisor: float) -> str:
     """Energy cell: sentinel-aware, divided into the report unit."""
+    from .costs import is_infinite
+
     if is_infinite(value):
         return "INF"
     return format_float(value / divisor)
@@ -348,6 +353,8 @@ def render_energy(value, divisor: float) -> str:
 
 def energy_value(value, divisor: float):
     """Energy JSON value: the string ``INF`` or the value in the report unit."""
+    from .costs import is_infinite
+
     return "INF" if is_infinite(value) else value / divisor
 
 

@@ -1,9 +1,16 @@
 import hashlib
+import importlib
 import json
 import math
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thermologic
 from thermologic.cli import main
 from thermologic.quantum import MAX_TRIALS
 from thermologic.serialize import ScenarioParseError, load_scenario, parse_scenario
@@ -103,6 +110,26 @@ class TestScenarioParsing:
         payload = dict(RTZ_SCENARIO, units="si")
         sc = load_scenario(write(tmp_path, "s.json", payload))
         assert sc.units.k_B == pytest.approx(1.380649e-23)
+
+
+# Every exception class the package defines, and the exit code cli.main maps it to.
+PACKAGE_ERRORS = {
+    "serialize.ScenarioParseError": 2,
+    "logic.LogicError": 3,
+    "logic.InvalidDistributionError": 3,
+    "logic.InvalidOperationError": 3,
+    "logic.ArityMismatchError": 3,
+    "logic.ZeroProbabilityOutputError": 3,
+    "thermo.ThermoError": 3,
+    "thermo.DegenerateBathError": 3,
+    "costs.CostError": 3,
+    "costs.TransitionImpossibleError": 3,
+    "cycles.DegenerateCycleError": 3,
+    "quantum.QuantumError": 3,
+    "quantum.SetupError": 3,
+    "boxprotocol.ProtocolAbortError": 4,
+}
+EXIT_MESSAGES = {2: "parse error: ", 3: "validation error: ", 4: "runtime error: "}
 
 
 class TestExitCodes:
@@ -415,6 +442,32 @@ class TestExitCodes:
         path = write(tmp_path, "s.json", RTZ_SCENARIO)
         with pytest.raises(KeyError, match="bug"):
             main(["classify", path, "--out", str(tmp_path / "o")])
+
+    def test_every_package_error_has_a_pinned_exit_code(self):
+        modules = [importlib.import_module(f"thermologic.{m.name}")
+                   for m in pkgutil.iter_modules(thermologic.__path__)]
+        defined = {
+            f"{module.__name__.rpartition('.')[2]}.{name}"
+            for module in modules
+            for name, obj in vars(module).items()
+            if isinstance(obj, type) and issubclass(obj, Exception)
+            and obj.__module__ == module.__name__
+        }
+        assert defined == set(PACKAGE_ERRORS)
+
+    @pytest.mark.parametrize("name, code", sorted(PACKAGE_ERRORS.items()))
+    def test_package_error_exit_code(self, tmp_path, monkeypatch, capsys, name, code):
+        module, cls = name.split(".")
+        error = getattr(importlib.import_module(f"thermologic.{module}"), cls)
+
+        def failing(op):
+            raise error("planted")
+
+        monkeypatch.setattr("thermologic.cli.classify_op", failing)
+        out = tmp_path / "o"
+        assert main(["classify", write(tmp_path, "s.json", RTZ_SCENARIO), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(EXIT_MESSAGES[code])
+        assert not out.exists()
 
 
 class TestCostCommand:
@@ -756,3 +809,44 @@ class TestOtherCommands:
             assert manifest["inputs"]
             assert manifest["versions"]["thermologic"]
             assert "seed" in manifest
+
+
+# Runs the command line as ``python -m thermologic.cli`` does, then prints, as
+# its last stdout line, the package modules the run loaded.
+LOADED_MODULES = """
+import json, runpy, sys
+try:
+    runpy.run_module("thermologic.cli", run_name="__main__", alter_sys=True)
+except SystemExit as done:
+    code = done.code
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("thermologic."))]))
+"""
+
+
+class TestStartupImports:
+    @pytest.mark.parametrize(
+        "command, unloaded",
+        [
+            ("classify", {"costs", "boxprotocol", "cycles", "quantum"}),
+            ("cost", {"cycles", "quantum"}),
+            ("optimize", {"cycles", "quantum"}),
+            ("box-run", {"cycles", "quantum"}),
+            ("cycle build", {"boxprotocol", "quantum"}),
+            ("qbound", {"boxprotocol", "cycles"}),
+        ],
+    )
+    def test_subcommand_imports_only_its_layers(self, tmp_path, command, unloaded):
+        if command == "qbound":
+            args = ["qbound", "--trials", "2", "--env-dim", "2"]
+        else:
+            args = [*command.split(), write(tmp_path, "s.json", RTZ_SCENARIO)]
+        src = str(Path(thermologic.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", LOADED_MODULES, *args, "--out", str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, proc.stderr
+        loaded = {name.removeprefix("thermologic.") for name in modules}
+        assert "serialize" in loaded and not loaded & unloaded
