@@ -292,6 +292,7 @@ def cmd_qbound(args) -> int:
     print(f"bound_violations = {batch.bound_violations}")
     print(f"subadditivity_violations = {batch.subadditivity_violations}")
     print(f"relative_entropy_violations = {batch.relative_entropy_violations}")
+    print(f"identity_violations = {batch.identity_violations}")
     print(f"respecting_trials = {batch.respecting_trials}")
     worst = min((r.slack for r in batch.results), default=0.0)
     print(f"min_slack = {format_float(worst)}")

@@ -8,19 +8,25 @@ total energy change of system plus environment.  Three facts then bound
 the work from below: entropy is invariant under the unitary, entropy is
 subadditive across the final marginals, and the relative entropy of the
 final environment state against the canonical one is non-negative.  This
-module computes all three inequalities explicitly per trial so a failure
-pinpoints which link broke.
+module reports each trial's slack and both lemma terms, so a failure
+pinpoints which link broke, and checks the identity that ties them
+together, slack = T (subadditivity + relative entropy): the energy side
+and the entropy side are computed apart, so the identity tests both.
 
 A sweep changes only the unitary from trial to trial, so everything the
 unitary does not touch is built once per sweep and cached, read-only, on
-its :class:`TrialSetup`.
+its :class:`TrialSetup`.  That includes the joint entropy, which the
+unitary leaves at S(rho_S) + S(gamma_E); each draw is checked to be
+unitary to :data:`EIG_ATOL`, which is what the invariant assumes.
+Trials are evaluated in chunks, each one stacked array computation: one
+draw, one QR, and batched products, partial traces and marginal spectra.
 
 Everything here is in natural units (k_B = 1): temperatures are energies,
 and entropies are in nats.  Every Hamiltonian is diagonal in the
 computational basis, so canonical states are diagonal too.
 
-Dimensions are deliberately small (joint dimension capped at 64); dense
-eigendecomposition is the only linear algebra required.
+Dimensions are deliberately small (joint dimension capped at 64), so
+dense products, QR and eigendecompositions of the marginals suffice.
 """
 
 from __future__ import annotations
@@ -28,15 +34,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 EIG_ATOL = 1e-10
 MAX_JOINT_DIM = 64
 RANK_TOL = 1e-12  # canonicalize: eigenvalues at or below this are off the support
-MARGINAL_TOL = 0.05  # verify_bound: output block weights within this respect the operation
+MARGINAL_TOL = 0.05  # output block weights within this of the target respect the operation
 SLACK_TOL = 1e-9  # run_trials: a slack or lemma term below minus this is a violation
 MAX_TRIALS = 100_000  # run_trials: every result is kept, so a larger count is rejected
+CHUNK_ELEMENTS = 2**14  # run_trials: complex entries in each stacked d x d array of one chunk
 
 __all__ = [
     "QuantumError",
@@ -51,7 +59,6 @@ __all__ = [
     "CanonicalizedState",
     "canonicalize",
     "block_mixture",
-    "mixture_entropy_terms",
     "TrialSetup",
     "default_setup",
     "TrialResult",
@@ -136,30 +143,32 @@ def gibbs_state(hamiltonian: HamiltonianSpec, temperature: float) -> DensityMatr
     return DensityMatrix(np.diag(populations).astype(complex))
 
 
-def _entropy_from_eigs(eigs: np.ndarray) -> float:
-    clipped = eigs[eigs > 1e-300]
-    return float(-(clipped * np.log(clipped)).sum())
+def _entropies(matrices: np.ndarray) -> np.ndarray:
+    """Entropy of each Hermitian matrix of a stack (0 ln 0 = 0)."""
+    eigs = np.clip(np.linalg.eigvalsh(matrices), 0.0, None)
+    logs = np.log(eigs, out=np.zeros_like(eigs), where=eigs > 1e-300)
+    return -(eigs * logs).sum(axis=-1)
 
 
 def vn_entropy(rho: DensityMatrix | np.ndarray) -> float:
     """Entropy -tr(rho ln rho) in units of k (0 ln 0 = 0)."""
     m = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    eigs = np.clip(np.linalg.eigvalsh(m), 0.0, None)
-    return _entropy_from_eigs(eigs)
+    return float(_entropies(m))
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> float:
-    """Real part of tr(a b): a mean energy when ``a`` is a Hamiltonian and ``b`` a state."""
-    return float(np.real(np.trace(a @ b)))
+def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Real part of tr(a b) over the last two axes: a mean energy when ``a`` is a
+    Hamiltonian and ``b`` a state (or a stack of states)."""
+    return np.trace(a @ b, axis1=-2, axis2=-1).real
 
 
 def relative_entropy(rho: np.ndarray, sigma_log: np.ndarray) -> float:
     """tr rho (ln rho - ln sigma) given ln(sigma) as a matrix."""
     rho = np.asarray(rho, dtype=complex)
-    return _relative_entropy(rho, vn_entropy(rho), sigma_log)
+    return float(_relative_entropy(rho, vn_entropy(rho), sigma_log))
 
 
-def _relative_entropy(rho: np.ndarray, entropy: float, sigma_log: np.ndarray) -> float:
+def _relative_entropy(rho: np.ndarray, entropy, sigma_log: np.ndarray) -> np.ndarray:
     """:func:`relative_entropy` given the entropy of ``rho``, so its spectrum is taken once."""
     return -entropy - _trace_product(rho, sigma_log)
 
@@ -171,23 +180,31 @@ def _log_gibbs(hamiltonian: HamiltonianSpec, temperature: float) -> np.ndarray:
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
-    """Trace out one factor of a bipartite state; ``keep`` is 0 or 1."""
+    """Trace out one factor of a bipartite state, or of each state of a stack;
+    ``keep`` is 0 or 1."""
     d0, d1 = dims
-    reshaped = np.asarray(rho, dtype=complex).reshape(d0, d1, d0, d1)
+    rho = np.asarray(rho, dtype=complex)
+    reshaped = rho.reshape(*rho.shape[:-2], d0, d1, d0, d1)
     if keep == 0:
-        return np.einsum("ijkj->ik", reshaped)
+        return np.einsum("...ijkj->...ik", reshaped)
     if keep == 1:
-        return np.einsum("ijil->jl", reshaped)
+        return np.einsum("...ijil->...jl", reshaped)
     raise QuantumError("keep must be 0 or 1")
+
+
+def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A stack of ``count`` Haar unitaries: the draws of ``count`` :func:`haar_unitary` calls."""
+    normals = rng.standard_normal((count, 2, dim, dim))
+    z = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    phases /= np.abs(phases)
+    return q * phases[:, None, :]
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+    return _haar_unitaries(1, dim, rng)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,16 +271,6 @@ def block_mixture(
     return DensityMatrix(out)
 
 
-def mixture_entropy_terms(probs, block_states) -> float:
-    """Entropy of a block-orthogonal mixture: sum P (S_block - ln P)."""
-    total = 0.0
-    for p, state in zip(np.asarray(probs, dtype=float), block_states):
-        if p == 0.0:
-            continue
-        total += p * (vn_entropy(np.asarray(state)) - math.log(p))
-    return total
-
-
 def _check_joint_dim(system_dim: int, env_dim: int) -> None:
     if system_dim * env_dim > MAX_JOINT_DIM:
         raise SetupError(f"joint dimension exceeds cap {MAX_JOINT_DIM}")
@@ -274,9 +281,10 @@ class TrialSetup:
     """Fixed data shared by every trial in a sweep.
 
     What every trial reads and no unitary changes (the initial states,
-    the Hamiltonian matrices, the initial energies and system entropy,
-    and the log of the environment's canonical state) is a cached
-    property: built on first use, once per setup, and read-only.  The
+    the Hamiltonian matrices, the initial energies, the initial system
+    and joint entropies, and the log of the environment's canonical
+    state) is a cached property: built on first use, once per setup,
+    and read-only.  The
     initial system state is built on construction, so bad block states
     fail there.  The input arrays are stored as read-only copies, so the
     cache cannot go stale.
@@ -342,14 +350,19 @@ class TrialSetup:
     def initial_energies(self) -> tuple[float, float]:
         """Mean energies of the initial system and environment."""
         return (
-            _trace_product(self.system_hamiltonian, self.initial_system.matrix),
-            _trace_product(self.env_hamiltonian, self.initial_environment.matrix),
+            float(_trace_product(self.system_hamiltonian, self.initial_system.matrix)),
+            float(_trace_product(self.env_hamiltonian, self.initial_environment.matrix)),
         )
 
     @cached_property
     def initial_entropy(self) -> float:
         """Entropy of the initial system."""
         return vn_entropy(self.initial_system)
+
+    @cached_property
+    def joint_entropy(self) -> float:
+        """Entropy of the joint state, before and after any unitary: S(rho_S) + S(gamma_E)."""
+        return self.initial_entropy + vn_entropy(self.initial_environment)
 
     @cached_property
     def env_log_gibbs(self) -> np.ndarray:
@@ -405,22 +418,50 @@ class TrialResult:
     slack: float
     subadditivity_slack: float
     environment_relative_entropy: float
+    identity_residual: float  # slack - T (subadditivity + relative entropy), zero up to rounding
     output_block_weights: np.ndarray
     respects_operation: bool | None
 
 
-def verify_bound(setup: TrialSetup, unitary: np.ndarray, index: int = 0) -> TrialResult:
-    """Evaluate one unitary against the work bound and its two lemmas.
+class _TrialColumns(NamedTuple):
+    """Per-trial values of a stack of unitaries, one array per :class:`TrialResult` field."""
+
+    work: np.ndarray
+    bound: np.ndarray
+    slack: np.ndarray
+    subadditivity_slack: np.ndarray
+    environment_relative_entropy: np.ndarray
+    identity_residual: np.ndarray
+    output_block_weights: np.ndarray  # one row per trial
+    respects_operation: np.ndarray  # all False when the setup has no target
+
+    @classmethod
+    def empty(cls, trials: int, blocks: int) -> _TrialColumns:
+        scalars = [np.empty(trials) for _ in range(6)]
+        return cls(*scalars, np.empty((trials, blocks)), np.zeros(trials, dtype=bool))
+
+    def results(self, setup: TrialSetup, first_index: int) -> tuple[TrialResult, ...]:
+        respects = self.respects_operation.tolist()
+        if setup.target_output_probs is None:
+            respects = [None] * len(respects)
+        scalars = (column.tolist() for column in self[:-2])
+        rows = zip(*scalars, self.output_block_weights, respects)
+        return tuple(TrialResult(first_index + k, *row) for k, row in enumerate(rows))
+
+
+def _verify(setup: TrialSetup, unitaries: np.ndarray) -> _TrialColumns:
+    """Evaluate a stack of unitaries against the work bound, its two lemmas and their identity.
 
     What does not depend on the unitary is read from the setup's cached
-    properties, so a sweep builds it once.
+    properties, the joint entropy included, so each draw must be unitary.
     """
-    ds = setup.system_h.dim
-    de = setup.env_h.dim
-    if unitary.shape != (ds * de, ds * de):
-        raise SetupError("unitary dimension does not match setup")
+    ds, de = setup.system_h.dim, setup.env_h.dim
     t_ref = setup.reference_temperature
-    rho_final = unitary @ setup.initial_joint @ unitary.conj().T
+    adjoints = unitaries.conj().swapaxes(-1, -2)
+    deviation = np.abs(adjoints @ unitaries - np.eye(ds * de)).max()
+    if not deviation <= EIG_ATOL:  # NaN fails too
+        raise SetupError(f"matrix is not unitary: |U^dagger U - I| = {deviation:.3e}")
+    rho_final = unitaries @ setup.initial_joint @ adjoints
 
     sys_final = partial_trace(rho_final, (ds, de), keep=0)
     env_final = partial_trace(rho_final, (ds, de), keep=1)
@@ -430,35 +471,39 @@ def verify_bound(setup: TrialSetup, unitary: np.ndarray, index: int = 0) -> Tria
     e_env_1 = _trace_product(setup.env_hamiltonian, env_final)
     work = (e_sys_1 - e_sys_0) + (e_env_1 - e_env_0)
 
-    s_final = vn_entropy(sys_final)
+    s_final = _entropies(sys_final)
     bound = (e_sys_1 - e_sys_0) - t_ref * (s_final - setup.initial_entropy)
+    slack = work - bound
 
-    joint_entropy = vn_entropy(rho_final)
-    s_env = vn_entropy(env_final)
-    subadd = s_final + s_env - joint_entropy
+    s_env = _entropies(env_final)
+    subadd = s_final + s_env - setup.joint_entropy
     rel_ent = _relative_entropy(env_final, s_env, setup.env_log_gibbs)
 
-    weights = np.array(
+    weights = np.stack(
         [
-            float(np.real(np.trace(sys_final[start : start + size, start : start + size])))
+            np.trace(sys_final[:, start : start + size, start : start + size], axis1=1, axis2=2).real
             for start, size in setup.blocks
-        ]
+        ],
+        axis=-1,
     )
-    respects = None
-    if setup.target_output_probs is not None:
-        respects = bool(
-            np.max(np.abs(weights - setup.target_output_probs)) <= MARGINAL_TOL
-        )
-    return TrialResult(
-        index=index,
-        work=work,
-        bound=bound,
-        slack=work - bound,
-        subadditivity_slack=subadd,
-        environment_relative_entropy=rel_ent,
-        output_block_weights=weights,
-        respects_operation=respects,
+    if setup.target_output_probs is None:
+        respects = np.zeros(len(unitaries), dtype=bool)
+    else:
+        respects = np.abs(weights - setup.target_output_probs).max(axis=-1) <= MARGINAL_TOL
+    return _TrialColumns(
+        work, bound, slack, subadd, rel_ent, slack - t_ref * (subadd + rel_ent), weights, respects
     )
+
+
+def verify_bound(setup: TrialSetup, unitary: np.ndarray, index: int = 0) -> TrialResult:
+    """Evaluate one unitary against the work bound and its two lemmas: a stack of one.
+
+    A matrix that is not unitary to :data:`EIG_ATOL` raises :class:`SetupError`.
+    """
+    dim = setup.system_h.dim * setup.env_h.dim
+    if unitary.shape != (dim, dim):
+        raise SetupError("unitary dimension does not match setup")
+    return _verify(setup, unitary[None]).results(setup, index)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,6 +512,7 @@ class TrialBatchResult:
     bound_violations: int
     subadditivity_violations: int
     relative_entropy_violations: int
+    identity_violations: int
     respecting_trials: int
 
     @property
@@ -475,30 +521,36 @@ class TrialBatchResult:
             self.bound_violations
             + self.subadditivity_violations
             + self.relative_entropy_violations
+            + self.identity_violations
         )
 
 
 def run_trials(setup: TrialSetup, trials: int, seed: int) -> TrialBatchResult:
     """Sweep seeded Haar-random unitaries and count bound violations.
 
-    Every result is kept, so ``trials`` may be at most :data:`MAX_TRIALS`.
+    The trials run in chunks of at most :data:`CHUNK_ELEMENTS` entries per
+    stacked d x d array, each evaluated as one array computation; the draws
+    are those of successive :func:`haar_unitary` calls.  An identity
+    residual counts as a violation above :data:`SLACK_TOL` times
+    ``1 + |work| + |bound|``.  Every result is kept, so ``trials`` may be
+    at most :data:`MAX_TRIALS`.
     """
     if not 0 <= trials <= MAX_TRIALS:
         raise SetupError(f"trial count must be between 0 and {MAX_TRIALS}, got {trials!r}")
     rng = np.random.default_rng(seed)
     dim = setup.system_h.dim * setup.env_h.dim
-    results = []
-    for index in range(trials):
-        unitary = haar_unitary(dim, rng)
-        results.append(verify_bound(setup, unitary, index=index))
+    chunk = max(1, CHUNK_ELEMENTS // dim**2)
+    columns = _TrialColumns.empty(trials, len(setup.blocks))
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        for column, part in zip(columns, _verify(setup, _haar_unitaries(stop - start, dim, rng))):
+            column[start:stop] = part
+    scale = 1.0 + np.abs(columns.work) + np.abs(columns.bound)
     return TrialBatchResult(
-        results=tuple(results),
-        bound_violations=sum(1 for r in results if r.slack < -SLACK_TOL),
-        subadditivity_violations=sum(
-            1 for r in results if r.subadditivity_slack < -SLACK_TOL
-        ),
-        relative_entropy_violations=sum(
-            1 for r in results if r.environment_relative_entropy < -SLACK_TOL
-        ),
-        respecting_trials=sum(1 for r in results if r.respects_operation),
+        results=columns.results(setup, 0),
+        bound_violations=int((columns.slack < -SLACK_TOL).sum()),
+        subadditivity_violations=int((columns.subadditivity_slack < -SLACK_TOL).sum()),
+        relative_entropy_violations=int((columns.environment_relative_entropy < -SLACK_TOL).sum()),
+        identity_violations=int((~(np.abs(columns.identity_residual) <= SLACK_TOL * scale)).sum()),
+        respecting_trials=int(columns.respects_operation.sum()),
     )

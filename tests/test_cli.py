@@ -793,8 +793,10 @@ class TestOtherCommands:
         assert code == 0
         stdout = capsys.readouterr().out
         assert "violations: 0" in stdout
+        assert "identity_violations = 0" in stdout.splitlines()
         lines = (out / "trials.csv").read_text().splitlines()
         assert len(lines) == 26
+        assert lines[0].count(",") == 6
 
     def test_manifest_written_for_every_command(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", RTZ_SCENARIO)

@@ -16,7 +16,6 @@ from thermologic.quantum import (
     default_setup,
     gibbs_state,
     haar_unitary,
-    mixture_entropy_terms,
     partial_trace,
     relative_entropy,
     run_trials,
@@ -173,13 +172,29 @@ class TestHaar:
         u2 = haar_unitary(6, np.random.default_rng(9))
         assert np.array_equal(u1, u2)
 
+    def test_stacked_draws_equal_the_per_matrix_construction(self):
+        # A sweep draws a chunk of unitaries at once; each must be the one that a
+        # lone QR of its own Ginibre matrix, phase-fixed column by column, gives.
+        dim = 8
+        stacked = quantum._haar_unitaries(5, dim, np.random.default_rng(4))
+        rng = np.random.default_rng(4)
+        for unitary in stacked:
+            z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
+            q, r = np.linalg.qr(z)
+            assert np.array_equal(unitary, q * (np.diag(r) / np.abs(np.diag(r))))
+
 
 class TestMixtureIdentity:
     def test_block_mixture_entropy_decomposition(self):
+        # A block-orthogonal mixture has entropy sum P (S_block - ln P).
         setup = default_setup((2, 2), 4, 1.0, input_probs=[0.3, 0.7])
         rho = setup.initial_system
         direct = vn_entropy(rho)
-        decomposed = mixture_entropy_terms(setup.input_probs, setup.input_states)
+        decomposed = sum(
+            p * (vn_entropy(state) - math.log(p))
+            for p, state in zip(setup.input_probs, setup.input_states)
+            if p > 0.0
+        )
         assert direct == pytest.approx(decomposed, abs=1e-10)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
@@ -290,6 +305,49 @@ class TestVerifyBound:
         assert batch1.total_violations == 0
         assert [r.slack for r in batch1.results] == [r.slack for r in batch2.results]
 
+    @pytest.mark.parametrize(
+        "distort",
+        [
+            lambda u: 1.001 * u,
+            lambda u: np.round(u, 3),
+            lambda u: u * np.r_[np.ones(15), 0.0],
+            lambda u: u * np.nan,
+        ],
+        ids=["scaled", "rounded", "last-column-zeroed", "nan"],
+    )
+    def test_non_unitary_matrix_is_rejected(self, distort):
+        # The joint entropy is taken as invariant, which holds only for a unitary.
+        setup = default_setup((2, 2), 4, 1.0)
+        unitary = haar_unitary(16, np.random.default_rng(6))
+        verify_bound(setup, unitary)
+        with pytest.raises(SetupError, match="not unitary"):
+            verify_bound(setup, distort(unitary))
+
+    @pytest.mark.parametrize("blocks, env_dim", [((4, 4), 8), ((2, 2), 4), ((1,), 2)])
+    def test_sweep_draws_pass_the_unitarity_check(self, blocks, env_dim):
+        setup = default_setup(blocks, env_dim, 0.9)
+        dim = setup.system_h.dim * setup.env_h.dim
+        trials = 3 * max(1, quantum.CHUNK_ELEMENTS // dim**2) + 1  # three full chunks and one trial
+        batch = run_trials(setup, trials, seed=3)
+        assert len(batch.results) == trials and batch.total_violations == 0
+
+
+class TestIdentity:
+    def test_planted_environment_energy_error_is_counted(self):
+        setup = default_setup((2, 2), 8, 1.0, input_probs=[0.6, 0.4])
+        clean = run_trials(setup, 12, seed=4)
+        assert clean.identity_violations == 0 and clean.total_violations == 0
+        e_sys, e_env = setup.initial_energies
+        setup.__dict__["initial_energies"] = (e_sys, e_env + 1e-6)  # the cached value
+        planted = run_trials(setup, 12, seed=4)
+        assert planted.identity_violations == 12
+        assert planted.total_violations >= 12
+        # The lemma terms do not read the initial energies, so only the identity can see it.
+        assert planted.subadditivity_violations == planted.relative_entropy_violations == 0
+        for bad, good in zip(planted.results, clean.results):
+            assert bad.subadditivity_slack == good.subadditivity_slack
+            assert abs(bad.identity_residual) == pytest.approx(1e-6, rel=1e-6)
+
 
 def test_trial_count_is_capped():
     setup = default_setup((1, 1), 2, 1.0)
@@ -307,10 +365,11 @@ def _entropy_per_trial(m) -> float:
 
 
 def _verify_per_trial(setup, unitary, index):
-    """verify_bound as it was before the setup's invariants were cached.
+    """verify_bound for one unitary, written out without the setup's caches or stacking.
 
     Every value that does not depend on the unitary is rebuilt here on
-    each call, and the final environment is diagonalised twice.
+    each call, and the final environment is diagonalised twice.  The
+    joint entropy is the unitary invariant S(rho_S) + S(gamma_E).
     """
     ds, de = setup.system_h.dim, setup.env_h.dim
     t_ref = setup.reference_temperature
@@ -327,15 +386,17 @@ def _verify_per_trial(setup, unitary, index):
     work = (e_sys_1 - e_sys_0) + (e_env_1 - e_env_0)
     s_final = _entropy_per_trial(sys_final)
     bound = (e_sys_1 - e_sys_0) - t_ref * (s_final - _entropy_per_trial(rho_sys))
-    subadd = s_final + _entropy_per_trial(env_final) - _entropy_per_trial(rho_final)
+    joint_entropy = _entropy_per_trial(rho_sys) + _entropy_per_trial(rho_env)
+    subadd = s_final + _entropy_per_trial(env_final) - joint_entropy
     exponents = -(setup.env_h.energies - setup.env_h.energies.min()) / t_ref
     log_gibbs = np.diag(exponents - math.log(float(np.exp(exponents).sum()))).astype(complex)
     rel_ent = -_entropy_per_trial(env_final) - float(np.real(np.trace(env_final @ log_gibbs)))
+    residual = (work - bound) - t_ref * (subadd + rel_ent)
     weights = [float(np.real(np.trace(sys_final[s : s + n, s : s + n]))) for s, n in setup.blocks]
     respects = None
     if setup.target_output_probs is not None:
         respects = bool(np.max(np.abs(np.array(weights) - setup.target_output_probs)) <= 0.05)
-    return (index, work, bound, work - bound, subadd, rel_ent, weights, respects)
+    return (index, work, bound, work - bound, subadd, rel_ent, residual, weights, respects)
 
 
 def _non_diagonal_setup() -> TrialSetup:
@@ -373,14 +434,28 @@ class TestCachedSetup:
         expected = [_verify_per_trial(make(), haar_unitary(dim, rng), k) for k in range(25)]
         got = [
             (r.index, r.work, r.bound, r.slack, r.subadditivity_slack,
-             r.environment_relative_entropy, r.output_block_weights.tolist(), r.respects_operation)
+             r.environment_relative_entropy, r.identity_residual,
+             r.output_block_weights.tolist(), r.respects_operation)
             for r in batch.results
         ]
         assert got == expected
         assert batch.bound_violations == sum(e[3] < -1e-9 for e in expected)
         assert batch.subadditivity_violations == sum(e[4] < -1e-9 for e in expected)
         assert batch.relative_entropy_violations == sum(e[5] < -1e-9 for e in expected)
-        assert batch.respecting_trials == sum(bool(e[7]) for e in expected)
+        assert batch.identity_violations == sum(
+            abs(e[6]) > 1e-9 * (1.0 + abs(e[1]) + abs(e[2])) for e in expected
+        )
+        assert batch.respecting_trials == sum(bool(e[8]) for e in expected)
+
+    @pytest.mark.parametrize("make", SWEEP_SETUPS.values(), ids=SWEEP_SETUPS.keys())
+    def test_joint_entropy_is_the_unitary_invariant(self, make):
+        setup = make()
+        rng = np.random.default_rng(21)
+        dim = setup.system_h.dim * setup.env_h.dim
+        for _ in range(10):
+            unitary = haar_unitary(dim, rng)
+            rho_final = unitary @ setup.initial_joint @ unitary.conj().T
+            assert _entropy_per_trial(rho_final) == pytest.approx(setup.joint_entropy, abs=1e-13)
 
     def test_invariants_are_built_once_per_setup(self, monkeypatch):
         calls = []
