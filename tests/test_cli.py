@@ -604,11 +604,140 @@ ZERO_WEIGHT_SCENARIO = {
 }
 
 
+# Three branches over WARNED_SCENARIO's states and tables; the third never acts.
+UNCERTAIN_PINNED_CONFIG = {
+    "reference_temperature": 1.5,
+    "input": {"probs": [0.2, 0.3, 0.5]},
+    "branches": [
+        {"operation": WARNED_SCENARIO["operation"], "probability": 0.6},
+        {
+            "operation": dict(WARNED_SCENARIO["operation"], rows=[[0.1, 0.9], [1.0, 0.0], [0.3, 0.7]]),
+            "probability": 0.4,
+        },
+        {
+            "operation": dict(WARNED_SCENARIO["operation"], rows=[[0.0, 1.0], [0.0, 1.0], [0.0, 1.0]]),
+            "probability": 0.0,
+        },
+    ],
+    "input_thermo": WARNED_SCENARIO["input"]["thermo"],
+    "output_thermo": WARNED_SCENARIO["output"]["thermo"],
+}
+# A correlated prior with one impossible (input, bystander) pair.
+PARTIAL_PINNED_CONFIG = {
+    "reference_temperature": 1.5,
+    "joint_prior": [[0.2, 0.0], [0.1, 0.2], [0.15, 0.35]],
+    "operation": WARNED_SCENARIO["operation"],
+    "input_thermo": WARNED_SCENARIO["input"]["thermo"],
+    "output_thermo": WARNED_SCENARIO["output"]["thermo"],
+}
+
+
 class TestPinnedBytes:
-    """SHA-256 of the files and streams of ``cost`` and ``box-run``.
+    """SHA-256 of the files and streams of ``cost``, ``box-run`` and ``cycle``.
 
     Any changed byte is a change of behaviour.
     """
+
+    @pytest.mark.parametrize(
+        "payload, flags, pinned",
+        [
+            (
+                README_SCENARIO,
+                ["--middle-input", "0.9,0.1"],
+                {
+                    "cycle.json": "ab654adaca933bc7263b84e4a61854bc039c99005792c2d7f8d55d2b3a8fb4c9",
+                    "stdout": "2d5eb26a623aec3934c59d05849c5c42b455fefd069c7be43f91f43994ad8721",
+                },
+            ),
+            (
+                WARNED_SCENARIO,
+                [],
+                {
+                    "cycle.json": "2f26338c080a9a51117caa94fcbea4611ffd93176989672da0ab76c456fcd7f2",
+                    "stdout": "c08311b44cdee6158fcdf4bb1dd4efe0b7f0776deee17a4abf5e7836c40f87fe",
+                },
+            ),
+            (
+                WARNED_SCENARIO,
+                ["--middle-input", "0.5,0.3,0.2"],
+                {
+                    "cycle.json": "2810341af59af999582373d8c35a484457c7abf5d35c5ef70bb80f105e7b8f35",
+                    "stdout": "944d732665a61e9304344a47581f4d77be30a1b2b3e452fa83330f66b660ab50",
+                },
+            ),
+            (
+                WARNED_SCENARIO,
+                ["--weights", "0.3,0.3,0.4", "--middle-input", "0.1,0.6,0.3", "--si"],
+                {
+                    "cycle.json": "d95a4e9300e42ca7e0876976f05d3aab0b0540e3e7d6c530234627eb506e5a06",
+                    "stdout": "fd9ffd4db10a91cfcabad9dace93f0e92fd5a3d403869676aa2b61b09b6be97b",
+                },
+            ),
+            (
+                ZERO_WEIGHT_SCENARIO,
+                ["--weights", "0.4,0,0.6", "--middle-input", "0.2,0.3,0.5"],
+                {
+                    "cycle.json": "06961ce1eaa0161ffad383dda40b8ce209f149d6a0caf4fc46450528692823cb",
+                    "stdout": "7d8eec71490d4ea7bcffccb6338fa565ea1f70ca2811c9931715b8b553af305f",
+                },
+            ),
+        ],
+        ids=["readme-middle", "warned", "warned-middle", "warned-weights-middle-si", "zero-weight-middle"],
+    )
+    def test_cycle_build_bytes_are_pinned(self, tmp_path, capsys, payload, flags, pinned):
+        out = tmp_path / "o"
+        args = ["cycle", "build", write(tmp_path, "s.json", payload), *flags, "--out", str(out)]
+        assert main(args) == 0
+        streams = capsys.readouterr()
+        assert streams.err == ""
+        got = {"cycle.json": (out / "cycle.json").read_bytes(), "stdout": streams.out.encode()}
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == pinned
+
+    @pytest.mark.parametrize(
+        "command, config, pinned",
+        [
+            (
+                "uncertain",
+                UNCERTAIN_CONFIG,
+                {
+                    "uncertain.json": "754a503e7197b7c37351acc1ad693299f31b3bbb0580467c5cf828624d9dd2fd",
+                    "stdout": "e8452d53286cd7f28c5bfacb1584dc6b4936c32a1bf94a0a85f391aca6e5bb41",
+                },
+            ),
+            (
+                "uncertain",
+                UNCERTAIN_PINNED_CONFIG,
+                {
+                    "uncertain.json": "86cedb076eb252101405b705d2cd55b9dfdb2655cd5824e9a8f3025c10a8b250",
+                    "stdout": "8ccfd6cc76a563437d5246df1cc5e124b124e88da42443c08f4aa0722ab143a2",
+                },
+            ),
+            (
+                "partial",
+                PARTIAL_CONFIG,
+                {
+                    "partial.json": "2642f5a1939f2ef59bdb35d59db902ee6306ae7fc3ced051edec7e163b0eb732",
+                    "stdout": "e8452d53286cd7f28c5bfacb1584dc6b4936c32a1bf94a0a85f391aca6e5bb41",
+                },
+            ),
+            (
+                "partial",
+                PARTIAL_PINNED_CONFIG,
+                {
+                    "partial.json": "e2c67d4e549e826985bc5576df17711a8b0cd1ddbe0661e14119ea8a980a0b16",
+                    "stdout": "e32906ef61ec7bc1d9a8a251b16f050e39a7202e9ea2cbc3e4f5d430258d6005",
+                },
+            ),
+        ],
+        ids=["uncertain", "uncertain-three-branches", "partial", "partial-correlated"],
+    )
+    def test_cycle_config_bytes_are_pinned(self, tmp_path, capsys, command, config, pinned):
+        out = tmp_path / "o"
+        assert main(["cycle", command, write(tmp_path, "c.json", config), "--out", str(out)]) == 0
+        streams = capsys.readouterr()
+        assert streams.err == ""
+        got = {f"{command}.json": (out / f"{command}.json").read_bytes(), "stdout": streams.out.encode()}
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == pinned
 
     @pytest.mark.parametrize(
         "payload, flags, pinned",
