@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DEFAULT_SEED
-from .logic import ArityMismatchError, _entropy_nats, _logs, classify
+from .logic import ArityMismatchError, _logs, classify
 from .thermo import Scenario
 
 STALL_TOL = 1e-10  # minimize_expected_work: a step gaining less than this counts as stalled
@@ -123,12 +123,13 @@ def make_weights(scenario: Scenario, weights) -> WeightVector:
         raise ArityMismatchError(
             f"expected {scenario.op.n_inputs} weights, got {w.size}"
         )
-    if not (w >= 0.0).all():  # NaN fails too; +inf fails the sum below
+    lowest = w.min()
+    if not lowest >= 0.0:  # NaN fails too; +inf fails the sum below
         raise CostError(f"weights must be non-negative, got {w.tolist()}")
     total = math.fsum(w.tolist())
     if abs(total - 1.0) > 1e-9:
         raise CostError(f"weights sum to {total!r}, expected 1")
-    flagged = tuple(
+    flagged = () if lowest > 0.0 else tuple(
         int(i)
         for i in np.flatnonzero((w == 0.0) & (scenario.input_dist.probs > 0.0))
     )
@@ -209,39 +210,9 @@ class CostReport:
         return tuple(map(TransitionCost, inputs, outputs, joint, works, heats))
 
 
-def _bounds(scenario: Scenario):
-    k = scenario.units.k_B
-    t_ref = scenario.reference_temperature
-    p_in = scenario.input_dist.probs
-    p_out = scenario.output_dist.probs
-    table_in, table_out = scenario.input_arrays, scenario.output_arrays
-    mean_e = math.fsum((p_out * table_out.energy).tolist()) - math.fsum(
-        (p_in * table_in.energy).tolist()
-    )
-    state_entropy = math.fsum((p_out * table_out.entropy).tolist()) - math.fsum(
-        (p_in * table_in.entropy).tolist()
-    )
-    h_in = _entropy_nats(p_in) / math.log(2.0)
-    h_out = _entropy_nats(p_out) / math.log(2.0)
-    shannon_bits = h_out - h_in
-    entropy_change = state_entropy + shannon_bits * math.log(2.0)
-    work_bound = mean_e - t_ref * k * entropy_change
-    heat_bound = -t_ref * k * entropy_change
-    return (
-        mean_e,
-        entropy_change,
-        state_entropy,
-        shannon_bits,
-        work_bound,
-        heat_bound,
-        -entropy_change,
-        -shannon_bits * math.log(2.0),
-    )
-
-
 def glp_bounds(scenario: Scenario) -> CostReport:
     """Bounds-only report: minimal work, heat, bath entropy and mixing cost."""
-    return CostReport(*_bounds(scenario))
+    return CostReport(*scenario.bound_terms)
 
 
 def _priced_transitions(scenario: Scenario, weights: WeightVector, pairs=None):
@@ -258,11 +229,11 @@ def _priced_transitions(scenario: Scenario, weights: WeightVector, pairs=None):
     k = scenario.units.k_B
     t_ref = scenario.reference_temperature
     table_in, table_out = scenario.input_arrays, scenario.output_arrays
-    rows, cols = scenario.op.matrix.nonzero() if pairs is None else pairs
+    rows, cols = scenario.op.support if pairs is None else pairs
     w_in = weights.weights[rows]
     finite = w_in != 0.0
-    ratio = weights.output_weights[cols] / np.where(finite, w_in, 1.0)
-    log_ratio = _logs(np.where(finite, ratio, 1.0))
+    ratio = np.divide(weights.output_weights[cols], w_in, out=np.ones(w_in.size), where=finite)
+    log_ratio = _logs(ratio)
     work = (table_out.free_energy[cols] - table_in.free_energy[rows]) + k * t_ref * log_ratio
     heat = t_ref * k * (table_in.entropy[rows] - table_out.entropy[cols] + log_ratio)
     return rows, cols, finite, work, heat
@@ -298,13 +269,13 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
     columns = TransitionColumns(rows, cols, joint, work, heat, finite)
     for column in columns:
         column.setflags(write=False)
-    if (~finite & (joint > 0.0)).any():
+    if not finite.all() and (joint[~finite] > 0.0).any():
         expected_work = expected_heat = INFINITE_COST
     else:
         expected_work = math.fsum((joint * work)[finite].tolist())
         expected_heat = math.fsum((joint * heat)[finite].tolist())
     return CostReport(
-        *_bounds(scenario),
+        *scenario.bound_terms,
         columns=columns,
         expected_work=expected_work,
         expected_heat=expected_heat,

@@ -46,7 +46,6 @@ from .logic import (
     _logs,
     bayes_invert,
     classify,
-    propagate,
     prune_zero_inputs,
     prune_zero_outputs,
 )
@@ -337,13 +336,14 @@ def reverse_operation(scenario: Scenario) -> ReverseOperationReport:
     """
     op0, dist0, kept_in = prune_zero_inputs(scenario.op, scenario.input_dist)
     op1, kept_out = prune_zero_outputs(op0, dist0)
+    kept_in_set, kept_out_set = set(kept_in), set(kept_out)
     pruned_inputs = tuple(
-        lbl for i, lbl in enumerate(scenario.op.input_labels) if i not in kept_in
+        lbl for i, lbl in enumerate(scenario.op.input_labels) if i not in kept_in_set
     )
     pruned_outputs = tuple(
-        lbl for j, lbl in enumerate(scenario.op.output_labels) if j not in kept_out
+        lbl for j, lbl in enumerate(scenario.op.output_labels) if j not in kept_out_set
     )
-    forward = Scenario(
+    forward = scenario if op1 is scenario.op else Scenario(
         input_dist=dist0,
         op=op1,
         input_thermo=tuple(scenario.input_thermo[i] for i in kept_in),
@@ -419,7 +419,7 @@ def suboptimal_cycle_cost(
     work = kt * math.fsum((joint[rows, cols] * _logs(ratio)).tolist())
     return SuboptimalCycleCost(
         work=work,
-        weights_match_input=bool(np.allclose(w, p_in, rtol=0.0, atol=1e-12)),
+        weights_match_input=bool(np.abs(w - p_in).max() <= 1e-12),
         operation_reversible=classify(op).reversible,
     )
 
@@ -482,16 +482,10 @@ def uncertain_operation_cost(
     restore_work = input_value - mixture_free_energy(p_out, free_out, kt)
     cycle_total = math.fsum((mean_branch_work, restore_work))
 
-    mi_terms = []
-    for g in range(len(ops)):
-        if gamma[g] == 0.0:
-            continue
-        for j in range(n_out):
-            joint = gamma[g] * out_by_branch[g, j]
-            if joint == 0.0:
-                continue
-            mi_terms.append(joint * math.log(out_by_branch[g, j] / p_out[j]))
-    mutual_information = math.fsum(mi_terms)
+    joint = gamma[:, None] * out_by_branch  # (branch, output)
+    g, j = np.nonzero(joint)
+    ratio = out_by_branch[g, j] / p_out[j]
+    mutual_information = math.fsum((joint[g, j] * _logs(ratio)).tolist())
     return UncertainOperationReport(
         branch_works=branch_works,
         mean_branch_work=mean_branch_work,
@@ -558,15 +552,13 @@ def partial_operation_cost(
     restore_work = restore_in - restore_out
     cycle_total = math.fsum((forward_work, restore_work))
 
-    rows, cols = np.nonzero(m)
+    rows, cols = op.support
     tri = joint[rows] * m[rows, cols][:, None]  # (realisable transition, bystander)
     t, g = np.nonzero(tri)
     i, j, tri = rows[t], cols[t], tri[t, g]
     ratio = tri * p_out[j] / (p_in[i] * m[i, j] * out_joint[j, g])
     cmi = math.fsum((tri * _logs(ratio)).tolist())
-    product = bool(
-        np.allclose(joint, np.outer(p_in, p_bystander), rtol=0.0, atol=1e-12)
-    )
+    product = bool(np.abs(joint - np.outer(p_in, p_bystander)).max() <= 1e-12)
     return PartialOperationReport(
         forward_work=forward_work,
         restore_work=restore_work,
@@ -666,7 +658,7 @@ def evaluate_cycle(spec: CycleSpec, middle_input=None) -> CycleEvaluation:
     )
     opener = leg(DiscreteDistribution([1.0]), opener_op, standard_state, spec.input_thermo)
     mid = leg(mid_dist, spec.op, spec.input_thermo, spec.output_thermo)
-    out_dist = propagate(spec.op, mid_dist)
+    out_dist = mid.output_dist
     closer = leg(out_dist, closer_op, spec.output_thermo, standard_state)
     costs = (
         expected_cost(opener, make_weights(opener, [1.0])),

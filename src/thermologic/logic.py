@@ -11,12 +11,17 @@ reset-to-zero, unset-from-zero, randomise, and the general one-bit map
 they all specialise).
 
 All values are immutable after construction and every function is pure.
+A :class:`LogicalOperation` computes two things once, on first access,
+and keeps them: its :attr:`~LogicalOperation.classification` (what
+:func:`classify` returns) and its :attr:`~LogicalOperation.support`, the
+read-only row-major indices of its realisable transitions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -89,8 +94,20 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _in_unit_range(arr: np.ndarray) -> bool:
+    """Every entry within ``PROB_ATOL`` of ``[0, 1]``; NaN fails, as min and max propagate it."""
+    return bool(arr.min() >= -PROB_ATOL and arr.max() <= 1.0 + PROB_ATOL)
+
+
+def _clipped(arr: np.ndarray) -> np.ndarray:
+    """``arr`` clipped to ``[0, 1]`` in place and made read-only."""
+    arr.clip(0.0, 1.0, out=arr)
+    arr.setflags(write=False)
+    return arr
+
+
 def _index_labels(n: int) -> tuple[str, ...]:
-    return tuple(str(i) for i in range(n))
+    return tuple(map(str, range(n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,15 +123,15 @@ class DiscreteDistribution:
     probs: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_1d(np.asarray(self.probs, dtype=float))
+        arr = np.array(self.probs, dtype=float, ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidDistributionError("distribution must be a non-empty vector")
-        if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():  # NaN fails too
+        if not _in_unit_range(arr):
             raise InvalidDistributionError(f"probabilities outside [0, 1]: {arr.tolist()}")
         total = math.fsum(arr.tolist())
         if abs(total - 1.0) > PROB_ATOL:
             raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "probs", _frozen_array(np.clip(arr, 0.0, 1.0)))
+        object.__setattr__(self, "probs", _clipped(arr))
 
     def __len__(self) -> int:
         return self.probs.size
@@ -145,7 +162,7 @@ class LogicalOperation:
     output_labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        arr = np.array(self.matrix, dtype=float, ndmin=2)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise InvalidOperationError("operation matrix must be 2-d and non-empty")
         n_in, n_out = arr.shape
@@ -153,17 +170,17 @@ class LogicalOperation:
         out_labels = self.output_labels or _index_labels(n_out)
         if len(in_labels) != n_in or len(out_labels) != n_out:
             raise InvalidOperationError("label count does not match matrix shape")
-        if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():  # NaN fails too
+        if not _in_unit_range(arr):
             raise InvalidOperationError("conditional probabilities outside [0, 1]")
-        for i, row in enumerate(arr):
-            total = math.fsum(row.tolist())
+        for i, row in enumerate(arr.tolist()):
+            total = math.fsum(row)
             if abs(total - 1.0) > PROB_ATOL:
                 raise InvalidOperationError(
                     f"row for input '{in_labels[i]}' sums to {total!r}, expected 1"
                 )
-        object.__setattr__(self, "matrix", _frozen_array(np.clip(arr, 0.0, 1.0)))
-        object.__setattr__(self, "input_labels", tuple(str(s) for s in in_labels))
-        object.__setattr__(self, "output_labels", tuple(str(s) for s in out_labels))
+        object.__setattr__(self, "matrix", _clipped(arr))
+        object.__setattr__(self, "input_labels", tuple(map(str, in_labels)))
+        object.__setattr__(self, "output_labels", tuple(map(str, out_labels)))
 
     @property
     def n_inputs(self) -> int:
@@ -173,6 +190,22 @@ class LogicalOperation:
     def n_outputs(self) -> int:
         return self.matrix.shape[1]
 
+    @cached_property
+    def classification(self) -> "OperationClass":
+        """What :func:`classify` reports, computed on first access."""
+        m = self.matrix
+        deterministic = bool(np.all((m <= PROB_ATOL) | (m >= 1.0 - PROB_ATOL)))
+        reversible = bool(np.all(np.count_nonzero(m > PROB_ATOL, axis=0) <= 1))
+        return OperationClass(deterministic=deterministic, reversible=reversible)
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(inputs, outputs)`` index arrays of the non-zero entries, row-major."""
+        rows, cols = self.matrix.nonzero()
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        return rows, cols
+
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution:
@@ -181,13 +214,13 @@ class JointDistribution:
     matrix: np.ndarray
 
     def __post_init__(self):
-        arr = np.atleast_2d(np.asarray(self.matrix, dtype=float))
+        arr = np.array(self.matrix, dtype=float, ndmin=2)
         if not (arr >= -PROB_ATOL).all():  # NaN fails too; +inf fails the sum below
             raise InvalidDistributionError("joint probabilities must be non-negative")
         total = math.fsum(arr.ravel().tolist())
         if abs(total - 1.0) > PROB_ATOL:
             raise InvalidDistributionError(f"joint probabilities sum to {total!r}")
-        object.__setattr__(self, "matrix", _frozen_array(np.clip(arr, 0.0, 1.0)))
+        object.__setattr__(self, "matrix", _clipped(arr))
 
     @property
     def input_marginal(self) -> DiscreteDistribution:
@@ -221,10 +254,7 @@ def classify(op: LogicalOperation) -> OperationClass:
     state identifies its input uniquely.  Both tests depend only on the
     matrix, never on an input distribution.
     """
-    m = op.matrix
-    deterministic = bool(np.all((m <= PROB_ATOL) | (m >= 1.0 - PROB_ATOL)))
-    reversible = bool(np.all(np.count_nonzero(m > PROB_ATOL, axis=0) <= 1))
-    return OperationClass(deterministic=deterministic, reversible=reversible)
+    return op.classification
 
 
 def propagate(op: LogicalOperation, dist: DiscreteDistribution) -> DiscreteDistribution:

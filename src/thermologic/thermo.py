@@ -9,6 +9,11 @@ into read-only energy, entropy and free-energy arrays once
 (:func:`state_arrays`), and the mixture free energy of a distribution
 over states has one implementation (:func:`mixture_free_energy`).
 
+A scenario is immutable, so it computes each derived value once, on first
+access, and keeps it: its output distribution, the two state arrays and
+the eight bound terms of a bounds-only cost report
+(:attr:`Scenario.bound_terms`).
+
 Four standard assumption sets are provided as constructors
 (:func:`make_model`) and as report-only checks (:func:`validate`):
 
@@ -37,7 +42,6 @@ from .logic import (
     LogicalOperation,
     ArityMismatchError,
     _entropy_nats,
-    _frozen_array,
     _logs,
     propagate,
 )
@@ -129,9 +133,12 @@ class StateArrays(NamedTuple):
 
 def state_arrays(thermo, kt: float) -> StateArrays:
     """Energy, entropy and free energy ``E - kt S`` of each state in ``thermo``."""
-    energy = _frozen_array([st.energy for st in thermo])
-    entropy = _frozen_array([st.entropy for st in thermo])
-    return StateArrays(energy, entropy, _frozen_array(energy - kt * entropy))
+    table = np.array([[st.energy for st in thermo], [st.entropy for st in thermo]], dtype=float)
+    table.setflags(write=False)
+    energy, entropy = table
+    free_energy = energy - kt * entropy
+    free_energy.setflags(write=False)
+    return StateArrays(energy, entropy, free_energy)
 
 
 def mixture_free_energy(probs: np.ndarray, free_energy: np.ndarray, kt: float) -> float:
@@ -183,6 +190,37 @@ class Scenario:
     @cached_property
     def output_arrays(self) -> StateArrays:
         return state_arrays(self.output_thermo, self.kT)
+
+    @cached_property
+    def bound_terms(self) -> tuple[float, ...]:
+        """The eight fields of a bounds-only :class:`~thermologic.costs.CostReport`, in order."""
+        k = self.units.k_B
+        t_ref = self.reference_temperature
+        p_in = self.input_dist.probs
+        p_out = self.output_dist.probs
+        table_in, table_out = self.input_arrays, self.output_arrays
+        mean_e = math.fsum((p_out * table_out.energy).tolist()) - math.fsum(
+            (p_in * table_in.energy).tolist()
+        )
+        state_entropy = math.fsum((p_out * table_out.entropy).tolist()) - math.fsum(
+            (p_in * table_in.entropy).tolist()
+        )
+        h_in = _entropy_nats(p_in) / math.log(2.0)
+        h_out = _entropy_nats(p_out) / math.log(2.0)
+        shannon_bits = h_out - h_in
+        entropy_change = state_entropy + shannon_bits * math.log(2.0)
+        work_bound = mean_e - t_ref * k * entropy_change
+        heat_bound = -t_ref * k * entropy_change
+        return (
+            mean_e,
+            entropy_change,
+            state_entropy,
+            shannon_bits,
+            work_bound,
+            heat_bound,
+            -entropy_change,
+            -shannon_bits * math.log(2.0),
+        )
 
     @property
     def kT(self) -> float:

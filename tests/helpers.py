@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from hypothesis import strategies as st
 
 from thermologic.logic import DiscreteDistribution, LogicalOperation
 from thermologic.thermo import Scenario, StateThermo
@@ -50,3 +53,67 @@ def permutation_operation(perm: tuple[int, ...]) -> LogicalOperation:
     for i, j in enumerate(perm):
         m[i, j] = 1.0
     return LogicalOperation(m)
+
+
+# Values that sit on or just past the edges of the validation rules.
+EDGE_VALUES = (
+    math.nan, math.inf, -math.inf, -0.0, 0.0, 1.0, 5e-324,
+    -1e-12, -1e-10, -1e-8, 1.0 + 1e-10, 1.0 + 1e-8,
+)
+
+
+@st.composite
+def edge_probability_arrays(draw, shape: str = "matrix"):
+    """Rows that sum to one, some entries then set to an edge value, in one of five shapes.
+
+    ``shape`` picks the shape most draws take (``"row"`` or ``"matrix"``);
+    about one draw in four takes another: a scalar, a 3-d array or an
+    empty array.  Zero entries keep their sign through the normalisation,
+    so ``-0.0`` reaches the constructors.
+    """
+    n_rows = draw(st.integers(1, 4))
+    n_cols = draw(st.integers(1, 4))
+    entry = st.sampled_from((0.0, -0.0)) | st.floats(0.0, 1.0)
+    raw = np.array(draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)))
+    sums = raw.sum(axis=1, keepdims=True)
+    table = np.where(sums > 0.0, raw / np.where(sums > 0.0, sums, 1.0), 1.0 / n_cols)
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n_rows - 1)), draw(st.integers(0, n_cols - 1))
+        table[i, j] = draw(st.sampled_from(EDGE_VALUES))
+    kind = draw(st.sampled_from((shape,) * 6 + ("scalar", "cube", "empty")))
+    if kind == "row":
+        return table[0]
+    if kind == "scalar":
+        return draw(st.sampled_from((float(table[0, 0]), table[0, 0], table[:1, :1].reshape(()))))
+    if kind == "cube":
+        return table[None]
+    if kind == "empty":
+        return draw(st.sampled_from((np.empty(0), np.empty((0, n_cols)), [])))
+    return table
+
+
+def outcome(build):
+    """The tuple ``build()`` returns, or the class and message of what it raises."""
+    try:
+        return build()
+    except Exception as exc:  # compared class and message, not caught for recovery
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(got, want):
+    """Both raised the same class with the same message, or returned equal values.
+
+    Arrays must match in dtype, shape and bytes (so the sign of a zero
+    counts), and the returned ones must be read-only.
+    """
+    raised = isinstance(want[0], type)
+    assert isinstance(got[0], type) == raised, (got, want)
+    if raised:
+        assert got == want
+        return
+    for new, ref in zip(got, want, strict=True):
+        if isinstance(ref, np.ndarray):
+            assert not new.flags.writeable
+            assert (new.dtype, new.shape, new.tobytes()) == (ref.dtype, ref.shape, ref.tobytes())
+        else:
+            assert new == ref

@@ -6,6 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    assert_same_outcome,
+    edge_probability_arrays,
+    outcome,
     permutation_operation,
     random_distribution,
     random_operation,
@@ -31,7 +34,14 @@ from thermologic.cycles import (
     partial_operation_cost,
     uncertain_operation_cost,
 )
-from thermologic.logic import DiscreteDistribution, LogicalOperation, identity_op, rtz, ufz
+from thermologic.logic import (
+    ArityMismatchError,
+    DiscreteDistribution,
+    LogicalOperation,
+    identity_op,
+    rtz,
+    ufz,
+)
 from thermologic.thermo import ModelSkeleton, Scenario, make_model, validate
 
 LN2 = math.log(2.0)
@@ -437,3 +447,48 @@ def test_infinite_sentinel_is_singleton_and_serialisable():
     assert INFINITE_COST is type(INFINITE_COST)()
     assert render_energy(INFINITE_COST, 2.0) == "INF"
     assert render_energy(1.0, 2.0) == "0.5"
+
+
+def _reference_weights(scenario, weights):
+    """The validation rules of make_weights as first written, kept as the reference."""
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 1 or w.size != scenario.op.n_inputs:
+        raise ArityMismatchError(f"expected {scenario.op.n_inputs} weights, got {w.size}")
+    if not (w >= 0.0).all():
+        raise CostError(f"weights must be non-negative, got {w.tolist()}")
+    total = math.fsum(w.tolist())
+    if abs(total - 1.0) > 1e-9:
+        raise CostError(f"weights sum to {total!r}, expected 1")
+    flagged = tuple(
+        int(i) for i in np.flatnonzero((w == 0.0) & (scenario.input_dist.probs > 0.0))
+    )
+    return w, w @ scenario.op.matrix, flagged, False
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    weights=edge_probability_arrays("row"),
+    seed=st.integers(0, 2**32 - 1),
+    dead=st.lists(st.booleans(), min_size=5, max_size=5),
+    arity=st.sampled_from((0, 0, 0, 1)),
+)
+def test_weight_validation_matches_the_reference_rules(weights, seed, dead, arity):
+    """Inputs of zero probability (``dead``) decide which zero weights are flagged."""
+    rng = np.random.default_rng(seed)
+    n_in = (np.size(weights) if np.ndim(weights) == 1 and np.size(weights) else 2) + arity
+    probs = np.where(dead[:n_in], 0.0, rng.uniform(0.1, 1.0, n_in))
+    if not probs.any():
+        probs[0] = 1.0
+    scenario = uniform_scenario(random_operation(rng, n_in, int(rng.integers(1, 4))), probs / probs.sum())
+
+    def build():
+        vector = make_weights(scenario, weights)
+        return (
+            vector.weights,
+            vector.output_weights,
+            vector.infinite_inputs,
+            vector.weight_independent,
+        )
+
+    want = outcome(lambda: _reference_weights(scenario, weights))
+    assert_same_outcome(outcome(build), want)

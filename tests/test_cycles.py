@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     permutation_operation,
@@ -9,7 +11,7 @@ from helpers import (
     random_operation,
     random_thermo,
 )
-from thermologic.costs import CostError, is_infinite, make_weights, optimal_weights
+from thermologic.costs import CostError, expected_cost, is_infinite, make_weights, optimal_weights
 from thermologic.cycles import (
     DegenerateCycleError,
     build_reversible_cycle,
@@ -243,6 +245,53 @@ class TestReverseOperation:
             assert np.max(np.abs(restored.probs - sc.input_dist.probs)) < 1e-12
 
 
+    def test_pruned_labels_follow_the_quadratic_rule(self):
+        # Inputs b and d never occur; outputs x and z are then unreachable.
+        op = LogicalOperation(
+            [
+                [0.0, 0.5, 0.0, 0.5],
+                [1.0, 0.0, 0.0, 0.0],
+                [0.0, 1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.5, 0.5],
+                [0.0, 0.2, 0.0, 0.8],
+            ],
+            input_labels=("a", "b", "c", "d", "e"),
+            output_labels=("x", "y", "z", "w"),
+        )
+        sc = uniform_scenario(op, [0.3, 0.0, 0.3, 0.0, 0.4])
+        report = reverse_operation(sc)
+        kept_in = (0, 2, 4)
+        kept_out = (1, 3)
+        assert report.pruned_inputs == tuple(
+            lbl for i, lbl in enumerate(op.input_labels) if i not in kept_in
+        ) == ("b", "d")
+        assert report.pruned_outputs == tuple(
+            lbl for j, lbl in enumerate(op.output_labels) if j not in kept_out
+        ) == ("x", "z")
+        assert report.operation.input_labels == ("y", "w")
+        assert report.operation.output_labels == ("a", "c", "e")
+
+    def test_unpruned_forward_leg_is_the_scenario(self):
+        rng = np.random.default_rng(24)
+        sc = Scenario(
+            input_dist=random_distribution(rng, 4),
+            op=random_operation(rng, 4, 3),
+            input_thermo=random_thermo(rng, 4),
+            output_thermo=random_thermo(rng, 3),
+            reference_temperature=1.3,
+        )
+        report = reverse_operation(sc)
+        assert report.pruned_inputs == report.pruned_outputs == ()
+        assert report.scenario.input_dist is sc.output_dist
+        want = expected_cost(sc, optimal_weights(sc))
+        assert report.forward_cost.columns.work.tobytes() == want.columns.work.tobytes()
+        assert report.forward_cost.columns.heat.tobytes() == want.columns.heat.tobytes()
+        assert (report.forward_cost.expected_work, report.forward_cost.expected_heat) == (
+            want.expected_work,
+            want.expected_heat,
+        )
+
+
 class TestSuboptimalCycle:
     def test_matching_weights_cost_nothing(self):
         d = DiscreteDistribution([0.3, 0.7])
@@ -442,3 +491,57 @@ class TestBuildReversibleCycle:
 def test_non_finite_probabilities_are_rejected(call, bad):
     with pytest.raises(CostError):
         call(bad)
+
+
+def _sparse_operation(rng, n_in, n_out):
+    """Random rows with about a third of their entries zeroed; every row keeps one."""
+    rows = rng.dirichlet(np.ones(n_out), size=n_in) * (rng.random((n_in, n_out)) > 0.35)
+    rows[np.arange(n_in), rng.integers(0, n_out, n_in)] += 0.1
+    return LogicalOperation(rows / rows.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    zero_branch=st.booleans(),
+    dead_input=st.booleans(),
+)
+def test_mutual_information_matches_the_loop_form(seed, count, zero_branch, dead_input):
+    """The vectorised mutual information equals, with ``==``, the per-term loop written out here."""
+    rng = np.random.default_rng(seed)
+    n_in, n_out = (int(v) for v in rng.integers(1, 6, 2))
+    ops = [_sparse_operation(rng, n_in, n_out) for _ in range(count)]
+    gamma = rng.dirichlet(np.ones(count))
+    if zero_branch and count > 1:
+        gamma[0] = 0.0
+        gamma /= gamma.sum()
+    probs = rng.dirichlet(np.ones(n_in))
+    if dead_input and n_in > 1:
+        probs[-1] = 0.0
+        probs /= probs.sum()
+    dist = DiscreteDistribution(probs)
+    t_ref = float(rng.uniform(0.5, 2.0))
+    report = uncertain_operation_cost(
+        list(zip(ops, gamma.tolist())),
+        dist,
+        random_thermo(rng, n_in),
+        random_thermo(rng, n_out),
+        reference_temperature=t_ref,
+    )
+
+    out_by_branch = np.array([dist.probs @ op.matrix for op in ops])
+    p_out = gamma @ out_by_branch
+    terms = []
+    for g in range(count):
+        if gamma[g] == 0.0:
+            continue
+        for j in range(n_out):
+            joint = gamma[g] * out_by_branch[g, j]
+            if joint == 0.0:
+                continue
+            terms.append(joint * math.log(out_by_branch[g, j] / p_out[j]))
+    want = math.fsum(terms)
+    assert report.mutual_information_nats == want
+    assert report.excess == t_ref * want
+    assert report.factorizes == (abs(want) <= 1e-12)

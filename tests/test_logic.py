@@ -5,8 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import permutation_operation, random_distribution, random_operation
+from helpers import (
+    assert_same_outcome,
+    edge_probability_arrays,
+    outcome,
+    permutation_operation,
+    random_distribution,
+    random_operation,
+)
 from thermologic.logic import (
+    PROB_ATOL,
     ArityMismatchError,
     DiscreteDistribution,
     InvalidDistributionError,
@@ -250,3 +258,87 @@ def test_prune_drops_only_dead_outputs():
     reduced, kept = prune_zero_outputs(padded, d)
     assert kept == (0, 1)
     assert reduced.n_outputs == 2
+
+
+def _reference_distribution(values):
+    """The validation rules of DiscreteDistribution as first written, kept as the reference."""
+    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    if arr.ndim != 1 or arr.size == 0:
+        raise InvalidDistributionError("distribution must be a non-empty vector")
+    if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():
+        raise InvalidDistributionError(f"probabilities outside [0, 1]: {arr.tolist()}")
+    total = math.fsum(arr.tolist())
+    if abs(total - 1.0) > PROB_ATOL:
+        raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
+    return (np.clip(arr, 0.0, 1.0),)
+
+
+def _reference_operation(values, input_labels, output_labels):
+    """The validation rules of LogicalOperation as first written, kept as the reference."""
+    arr = np.atleast_2d(np.asarray(values, dtype=float))
+    if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
+        raise InvalidOperationError("operation matrix must be 2-d and non-empty")
+    n_in, n_out = arr.shape
+    in_labels = input_labels or tuple(str(i) for i in range(n_in))
+    out_labels = output_labels or tuple(str(i) for i in range(n_out))
+    if len(in_labels) != n_in or len(out_labels) != n_out:
+        raise InvalidOperationError("label count does not match matrix shape")
+    if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():
+        raise InvalidOperationError("conditional probabilities outside [0, 1]")
+    for i, row in enumerate(arr):
+        total = math.fsum(row.tolist())
+        if abs(total - 1.0) > PROB_ATOL:
+            raise InvalidOperationError(
+                f"row for input '{in_labels[i]}' sums to {total!r}, expected 1"
+            )
+    return (
+        np.clip(arr, 0.0, 1.0),
+        tuple(str(s) for s in in_labels),
+        tuple(str(s) for s in out_labels),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=edge_probability_arrays("row"))
+def test_distribution_validation_matches_the_reference_rules(values):
+    got = outcome(lambda: (DiscreteDistribution(values).probs,))
+    assert_same_outcome(got, outcome(lambda: _reference_distribution(values)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=edge_probability_arrays("matrix"),
+    labels=st.sampled_from(("none", "ints", "short")),
+)
+def test_operation_validation_matches_the_reference_rules(values, labels):
+    shape = np.shape(values)
+    n_in, n_out = shape if len(shape) == 2 else (1, 1)
+    input_labels, output_labels = {
+        "none": (None, None),
+        "ints": (tuple(range(n_in)), tuple(range(10, 10 + n_out))),
+        "short": (("a",) * (n_in - 1) or None, ("x",) * n_out),
+    }[labels]
+
+    def build():
+        op = LogicalOperation(values, input_labels=input_labels, output_labels=output_labels)
+        return op.matrix, op.input_labels, op.output_labels
+
+    got = outcome(build)
+    assert_same_outcome(got, outcome(lambda: _reference_operation(values, input_labels, output_labels)))
+
+
+def test_stored_arrays_keep_the_sign_of_zero():
+    assert np.signbit(DiscreteDistribution([-0.0, 1.0]).probs).tolist() == [True, False]
+    assert np.signbit(LogicalOperation([[1.0, -0.0]]).matrix).tolist() == [[False, True]]
+
+
+def test_operation_caches_its_classification_and_support():
+    op = LogicalOperation([[0.5, 0.5, 0.0], [0.0, 0.0, 1.0]])
+    assert classify(op) is op.classification is classify(op)
+    assert (op.classification.deterministic, op.classification.reversible) == (False, True)
+    rows, cols = op.support
+    assert op.support is op.support
+    assert (rows.tolist(), cols.tolist()) == ([0, 0, 1], [0, 1, 2])
+    for index in op.support:
+        with pytest.raises(ValueError):
+            index[0] = 1

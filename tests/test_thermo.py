@@ -5,8 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import random_operation
-from thermologic.costs import CostError, expected_cost, make_weights, optimal_weights
+from helpers import random_distribution, random_operation, random_thermo
+from thermologic.costs import (
+    CostError,
+    expected_cost,
+    glp_bounds,
+    make_weights,
+    optimal_weights,
+)
 from thermologic.logic import (
     DiscreteDistribution,
     InvalidDistributionError,
@@ -26,6 +32,7 @@ from thermologic.thermo import (
     UnitSystem,
     aggregate_baths,
     make_model,
+    state_arrays,
     validate,
 )
 
@@ -241,3 +248,37 @@ class TestAggregateBaths:
         report = expected_cost(sc, optimal_weights(sc))
         q, t = aggregate_baths([(report.expected_heat, sc.reference_temperature)])
         assert q == report.expected_heat and t == sc.reference_temperature
+
+
+class TestScenarioCache:
+    def test_derived_values_are_computed_once(self):
+        rng = np.random.default_rng(31)
+        sc = Scenario(
+            random_distribution(rng, 3),
+            random_operation(rng, 3, 4),
+            random_thermo(rng, 3),
+            random_thermo(rng, 4),
+            1.7,
+        )
+        for name in ("output_dist", "input_arrays", "output_arrays", "bound_terms"):
+            assert getattr(sc, name) is getattr(sc, name)
+        bounds = glp_bounds(sc)
+        report = expected_cost(sc, optimal_weights(sc))
+        fields = (
+            "mean_energy_change", "entropy_change", "state_entropy_change", "shannon_change_bits",
+            "work_bound", "heat_bound", "bath_entropy_bound", "nibdf_bound",
+        )
+        assert tuple(getattr(bounds, f) for f in fields) == sc.bound_terms
+        assert tuple(getattr(report, f) for f in fields) == sc.bound_terms
+
+    def test_state_arrays_are_read_only_per_state_values(self):
+        rng = np.random.default_rng(32)
+        thermo = random_thermo(rng, 5)
+        arrays = state_arrays(thermo, 1.3)
+        assert arrays.energy.tolist() == [state.energy for state in thermo]
+        assert arrays.entropy.tolist() == [state.entropy for state in thermo]
+        assert arrays.free_energy.tolist() == [state.energy - 1.3 * state.entropy for state in thermo]
+        for values in arrays:
+            assert values.dtype == float and values.shape == (5,)
+            with pytest.raises(ValueError):
+                values[0] = 0.0
