@@ -74,7 +74,8 @@ def edge_probability_arrays(draw, shape: str = "matrix"):
     n_rows = draw(st.integers(1, 4))
     n_cols = draw(st.integers(1, 4))
     entry = st.sampled_from((0.0, -0.0)) | st.floats(0.0, 1.0)
-    raw = np.array(draw(st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows)))
+    row = st.lists(entry, min_size=n_cols, max_size=n_cols)
+    raw = np.array(draw(st.lists(row, min_size=n_rows, max_size=n_rows)))
     sums = raw.sum(axis=1, keepdims=True)
     table = np.where(sums > 0.0, raw / np.where(sums > 0.0, sums, 1.0), 1.0 / n_cols)
     for _ in range(draw(st.integers(0, 3))):
