@@ -244,7 +244,6 @@ class TestReverseOperation:
             restored = report.scenario.output_dist
             assert np.max(np.abs(restored.probs - sc.input_dist.probs)) < 1e-12
 
-
     def test_pruned_labels_follow_the_quadratic_rule(self):
         # Inputs b and d never occur; outputs x and z are then unreachable.
         op = LogicalOperation(
