@@ -633,7 +633,7 @@ PARTIAL_PINNED_CONFIG = {
 
 
 class TestPinnedBytes:
-    """SHA-256 of the files and streams of ``cost``, ``box-run`` and ``cycle``.
+    """SHA-256 of the files and streams of ``cost``, ``box-run``, ``cycle`` and ``optimize``.
 
     Any changed byte is a change of behaviour.
     """
@@ -814,6 +814,29 @@ class TestPinnedBytes:
         got = {name: (out / name).read_bytes() for name in ("ledger.csv", "widths.tsv")}
         got.update(stdout=streams.out.encode(), stderr=streams.err.encode())
         assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == pinned
+
+    @pytest.mark.parametrize(
+        "payload, flags, pinned",
+        [
+            (README_SCENARIO, [], "84df65405019048dfe99318aef2f18a5b133414f7322a9bb098a68d4ba89a7be"),
+            # A random restart, not the uniform start, gives the best value.
+            (README_SCENARIO, ["--seed", "7"], "2a96a1784dd44b75e42cc728efb69c28120d0b6f19cdad3166a15fd3a5bff32e"),
+            (WARNED_SCENARIO, [], "5a1b70a17d770cff66ba25c6cb3423829ae959ba613352ba4084f231dd0123c8"),
+            (WARNED_SCENARIO, ["--seed", "5"], "f237e880d0aa830d6b7432d1b1c7223884dd26fd3b72dc8a958c4866b11abc5f"),
+        ],
+        ids=["readme", "readme-seed-7", "warned", "warned-seed-5"],
+    )
+    def test_optimize_bytes_are_pinned(self, tmp_path, capsys, payload, flags, pinned):
+        # stdout is the file's own text.
+        out = tmp_path / "o"
+        assert main(["optimize", write(tmp_path, "s.json", payload), *flags, "--out", str(out)]) == 0
+        streams = capsys.readouterr()
+        assert streams.err == ""
+        got = {"optimize.json": (out / "optimize.json").read_bytes(), "stdout": streams.out.encode()}
+        assert {name: hashlib.sha256(data).hexdigest() for name, data in got.items()} == {
+            "optimize.json": pinned,
+            "stdout": pinned,
+        }
 
 
 class TestOtherCommands:
