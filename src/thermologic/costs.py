@@ -104,12 +104,11 @@ class WeightVector:
     weight_independent: bool = False
 
     def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        wo = np.asarray(self.output_weights, dtype=float)
-        wo.setflags(write=False)
-        object.__setattr__(self, "output_weights", wo)
+        # Read-only copies: the caller's arrays stay theirs and writable.
+        for name in ("weights", "output_weights"):
+            arr = np.array(getattr(self, name), dtype=float)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def flagged_infinite(self) -> bool:
@@ -142,7 +141,7 @@ def optimal_weights(scenario: Scenario) -> WeightVector:
     For logically reversible operations the expected cost does not depend
     on the weights at all, which is reported via ``weight_independent``.
     """
-    w = scenario.input_dist.probs.copy()
+    w = scenario.input_dist.probs
     return WeightVector(
         w,
         w @ scenario.op.matrix,
@@ -298,19 +297,6 @@ def _log_cost_parts(scenario: Scenario):
     return joint, p_in, p_out, matrix
 
 
-def _log_ratio_expectation(joint, w, w_out) -> float:
-    mask = joint > 0.0
-    logs = np.zeros_like(joint)
-    ratio = np.divide(
-        np.broadcast_to(w_out, joint.shape),
-        np.broadcast_to(w[:, None], joint.shape),
-        out=np.ones_like(joint),
-        where=mask,
-    )
-    logs[mask] = np.log(ratio[mask])
-    return float(np.sum(joint * logs))
-
-
 def minimize_expected_work(
     scenario: Scenario,
     seed: int = DEFAULT_SEED,
@@ -329,13 +315,19 @@ def minimize_expected_work(
     base = _base_cost(scenario)
     k_t = scenario.kT
     rng = np.random.default_rng(seed)
+    # The log-ratio terms live on the fixed support; the sum runs over the
+    # whole matrix, zeros included, in the same order on every call.
+    rows, cols = np.nonzero(joint > 0.0)
+    logs = np.zeros_like(joint)
+    live = p_out > 0.0
+    coeff = np.zeros_like(p_out)  # stays zero off ``live``
 
     def objective(w):
-        return _log_ratio_expectation(joint, w, w @ matrix)
+        logs[rows, cols] = np.log((w @ matrix)[cols] / w[rows])
+        return float((joint * logs).sum())
 
     def gradient(w):
-        w_out = w @ matrix
-        coeff = np.divide(p_out, w_out, out=np.zeros_like(p_out), where=p_out > 0.0)
+        np.divide(p_out, w @ matrix, out=coeff, where=live)
         return matrix @ coeff - p_in / w
 
     starts = [np.full(n, 1.0 / n)]
@@ -347,7 +339,7 @@ def minimize_expected_work(
     best_iters = 0
     best_converged = False
     for start in starts:
-        w = np.clip(start, 1e-12, None)
+        w = np.maximum(start, 1e-12)
         w = w / w.sum()
         f = objective(w)
         step = 0.5
@@ -356,14 +348,14 @@ def minimize_expected_work(
         iteration = 0
         for iteration in range(1, max_iterations + 1):
             g = gradient(w)
-            mean_g = float(w @ g)
-            stationarity = float(np.max(np.abs(g - mean_g) * w))
+            centred = g - float(w @ g)
+            stationarity = float((np.abs(centred) * w).max())
             if stationarity < 1e-11:
                 converged = True
                 break
             trial_step = step
             for _ in range(60):
-                exponent = np.clip(-trial_step * (g - mean_g), -50.0, 50.0)
+                exponent = np.minimum(np.maximum(-trial_step * centred, -50.0), 50.0)
                 candidate = w * np.exp(exponent)
                 candidate = candidate / candidate.sum()
                 f_candidate = objective(candidate)
@@ -405,10 +397,14 @@ def minimax_weights(
 ) -> OptimizationResult:
     """Minimise the worst-case (rather than mean) transition work.
 
-    Subgradient mirror descent on ``max`` over realisable transitions.
-    No optimality is claimed beyond dominance: the returned worst case
-    never exceeds the worst case at the mean-optimal weights ``w = P``,
-    which is where the search's best value starts.
+    Subgradient mirror descent on ``max`` over realisable transitions,
+    from three starts: uniform and two seeded Dirichlet draws.  The starts
+    share nothing, so they descend together as the rows of one stack,
+    each keeping the first iterate that reaches its own lowest worst case.
+    The result is the first start's best among those strictly below the
+    worst case at the mean-optimal weights ``w = P``, in start order, or
+    ``w = P`` itself when no start beats it; so the returned worst case
+    never exceeds the one at ``w = P``.  No further optimality is claimed.
     """
     joint, p_in, p_out, matrix = _log_cost_parts(scenario)
     k_t = scenario.kT
@@ -417,34 +413,46 @@ def minimax_weights(
         raise CostError("no realisable transitions")
     const = scenario.output_arrays.free_energy[cols] - scenario.input_arrays.free_energy[rows]
 
-    def worst(w):
-        values = const + k_t * _logs((w @ matrix)[cols] / w[rows])
-        idx = int(np.argmax(values))
-        return float(values[idx]), idx
+    def worst(W):
+        """Every row's transition values, the index of its worst one, and its output weights."""
+        # Stacked ``@`` rounds each row as ``w @ matrix`` does; einsum and 2-D ``@`` may not.
+        W_out = (W[:, None, :] @ matrix)[:, 0]
+        ratios = W_out[:, cols] / W[:, rows]
+        values = const + k_t * _logs(ratios.ravel()).reshape(ratios.shape)
+        return values, values.argmax(axis=1), W_out
 
     rng = np.random.default_rng(seed)
     n = matrix.shape[0]
-    starts = [np.full(n, 1.0 / n), rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]
-    best_w = p_in.copy()
-    best_value, _ = worst(best_w)
-    for w in starts:
-        for iteration in range(1, max_iterations + 1):
-            value, idx = worst(w)
-            if value < best_value:
-                best_value, best_w = value, w.copy()
-            i_star, j_star = rows[idx], cols[idx]
-            w_out = w @ matrix
-            g = k_t * (matrix[:, j_star] / w_out[j_star])
-            g[i_star] -= k_t / w[i_star]
-            step = 0.2 / math.sqrt(iteration)
-            exponent = np.clip(-step * (g - float(w @ g)), -50.0, 50.0)
-            w = w * np.exp(exponent)
-            total = float(w.sum())
-            if not math.isfinite(total) or total <= 0.0:
-                w = np.full(n, 1.0 / n)
-                continue
-            w = np.clip(w / total, 1e-15, None)
-            w = w / w.sum()
+    uniform = np.full(n, 1.0 / n)
+    W = np.stack([uniform, rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))])
+    stack = np.arange(len(W))
+    best_W = W.copy()
+    best_values = [math.inf] * len(W)
+    for iteration in range(1, max_iterations + 1):
+        values, idx, W_out = worst(W)
+        for r, value in enumerate(values[stack, idx].tolist()):
+            if value < best_values[r]:
+                best_values[r] = value
+                best_W[r] = W[r]
+        i_star, j_star = rows[idx], cols[idx]
+        g = k_t * (matrix.T[j_star] / W_out[stack, j_star][:, None])
+        g[stack, i_star] -= k_t / W[stack, i_star]
+        step = 0.2 / math.sqrt(iteration)
+        mean_g = (W[:, None, :] @ g[:, :, None])[:, 0]  # each row's ``w @ g``, as above
+        W = W * np.exp(np.minimum(np.maximum(-step * (g - mean_g), -50.0), 50.0))
+        totals = W.sum(axis=1)
+        reset = [not 0.0 < total < math.inf for total in totals.tolist()]
+        if any(reset):  # such a start begins again from uniform weights
+            W[reset], totals[reset] = uniform, 1.0
+        W = np.maximum(W / totals[:, None], 1e-15)
+        W /= W.sum(axis=1)[:, None]
+        if any(reset):
+            W[reset] = uniform
+    values, idx, _ = worst(p_in[None])
+    best_w, best_value = p_in.copy(), float(values[0, idx[0]])
+    for value, w in zip(best_values, best_W):
+        if value < best_value:
+            best_value, best_w = value, w
     return OptimizationResult(
         weights=best_w, value=best_value, iterations=max_iterations, converged=True
     )

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -162,6 +163,15 @@ class TestOptimalWeights:
         with pytest.raises(CostError):
             make_weights(sc, [1.5, -0.5])
 
+    def test_make_weights_leaves_the_callers_array_writable(self):
+        sc = uniform_scenario(rtz(), [0.5, 0.5])
+        w = np.array([0.3, 0.7])
+        vector = make_weights(sc, w)
+        w[0] = 0.4
+        assert vector.weights.tolist() == [0.3, 0.7]
+        assert not vector.weights.flags.writeable
+        assert optimal_weights(sc).weights is not sc.input_dist.probs
+
 
 class TestGibbsInequality:
     def test_random_weights_never_beat_optimum(self):
@@ -267,23 +277,219 @@ class TestNumericOptimizer:
         assert not minimize_expected_work(sc, seed=0, max_iterations=40, restarts=0).converged
 
     def test_minimax_never_exceeds_mean_optimal_worst_case(self):
-        def worst_at_mean(sc):
-            return max(
-                tr.work
-                for tr in expected_cost(sc, optimal_weights(sc)).transitions
-                if tr.joint_probability > 0.0 and not is_infinite(tr.work)
-            )
-
         rng = np.random.default_rng(8)
         for _ in range(10):
             sc = random_scenario(rng, max_states=4)
             result = minimax_weights(sc, seed=9, max_iterations=4000)
-            assert result.value <= worst_at_mean(sc) + 1e-9
+            assert result.value <= _worst_work(sc, optimal_weights(sc)) + 1e-9
         # Scenarios on which the descent never improves on its uniform start.
         for k in (84, 145, 164):
             sc = random_scenario(np.random.default_rng(k), max_states=8)
             result = minimax_weights(sc, seed=k, max_iterations=100)
-            assert result.value <= worst_at_mean(sc) + 1e-9
+            assert result.value <= _worst_work(sc, optimal_weights(sc)) + 1e-9
+
+    @pytest.mark.parametrize("poison", [{}, {(1, 1): math.nan, (0, 7): math.inf, (2, 30): math.nan}])
+    def test_minimax_matches_its_sequential_form(self, monkeypatch, poison):
+        # ``poison`` maps (start, iteration) to a value that the update's
+        # exponential returns there; that start's total is then not finite,
+        # and it begins again from uniform weights without a RuntimeWarning.
+        calls = []
+
+        def exp(x):  # the update's exponential, one call per iteration for the stack of starts
+            calls.append(None)
+            out = real_exp(x)
+            for (r, iteration), value in poison.items():
+                if iteration == len(calls):
+                    out[r, 0] = value
+            return out
+
+        real_exp = np.exp
+        for k in (0, 84, 145, 164):
+            sc = random_scenario(np.random.default_rng(k), max_states=8)
+            want = _sequential_minimax(sc, k, 40, poison)
+            calls.clear()
+            monkeypatch.setattr(np, "exp", exp)
+            got = minimax_weights(sc, seed=k, max_iterations=40)
+            monkeypatch.undo()
+            assert (got.value.hex(), got.weights.tobytes()) == (want[0].hex(), want[1].tobytes())
+
+
+def _sequential_minimax(sc, seed, max_iterations, poison):
+    """``minimax_weights`` as first written: its three starts one after another."""
+    p_in, matrix, k_t = sc.input_dist.probs, sc.op.matrix, sc.kT
+    rows, cols = np.nonzero(p_in[:, None] * matrix > 0.0)
+    const = sc.output_arrays.free_energy[cols] - sc.input_arrays.free_energy[rows]
+
+    def worst(w):
+        values = const + k_t * np.array([math.log(v) for v in ((w @ matrix)[cols] / w[rows]).tolist()])
+        idx = int(np.argmax(values))
+        return float(values[idx]), idx
+
+    rng = np.random.default_rng(seed)
+    n = matrix.shape[0]
+    starts = [np.full(n, 1.0 / n), rng.dirichlet(np.ones(n)), rng.dirichlet(np.ones(n))]
+    best_w = p_in.copy()
+    best_value, _ = worst(best_w)
+    for r, w in enumerate(starts):
+        for iteration in range(1, max_iterations + 1):
+            value, idx = worst(w)
+            if value < best_value:
+                best_value, best_w = value, w.copy()
+            i_star, j_star = rows[idx], cols[idx]
+            g = k_t * (matrix[:, j_star] / (w @ matrix)[j_star])
+            g[i_star] -= k_t / w[i_star]
+            step = 0.2 / math.sqrt(iteration)
+            w = w * np.exp(np.clip(-step * (g - float(w @ g)), -50.0, 50.0))
+            w[0] = poison.get((r, iteration), w[0])
+            total = float(w.sum())
+            if not math.isfinite(total) or total <= 0.0:
+                w = np.full(n, 1.0 / n)
+                continue
+            w = np.clip(w / total, 1e-15, None)
+            w = w / w.sum()
+    return best_value, best_w
+
+def _worst_work(sc, weights):
+    """The largest work over transitions of positive joint probability."""
+    return max(
+        tr.work
+        for tr in expected_cost(sc, weights).transitions
+        if tr.joint_probability > 0.0 and not is_infinite(tr.work)
+    )
+
+
+def _pinned_scenario(k):
+    """The scenarios of the tests above, plus one 8x8."""
+    if k == "8x8":
+        rng = np.random.default_rng(8)
+        return Scenario(
+            random_distribution(rng, 8),
+            random_operation(rng, 8, 8),
+            random_thermo(rng, 8),
+            random_thermo(rng, 8),
+            1.25,
+        )
+    return random_scenario(np.random.default_rng(k), max_states=6 if k == 0 else 8)
+
+
+def _pin(result):
+    digest = hashlib.sha256(result.weights.tobytes()).hexdigest()
+    return result.value.hex(), digest, result.iterations, result.converged
+
+
+# (scenario, seed, iteration cap, restarts) -> (value, SHA-256 of the weight bytes,
+# iterations, converged).  On scenario 0 the cap of 40 stops every start.
+MINIMISER_PINS = {
+    (0, 0, 40, 0): (
+        "-0x1.c275e118964aep-1",
+        "83bbcfebd44ae3c6ade7bc068beb65652666a880c87185b637a689e74c5ea597",
+        40,
+        False,
+    ),
+    (0, 0, 40, 4): (
+        "-0x1.c275e118964aep-1",
+        "83bbcfebd44ae3c6ade7bc068beb65652666a880c87185b637a689e74c5ea597",
+        40,
+        False,
+    ),
+    (84, 84, 100_000, 0): (
+        "-0x1.bcd302ebeec9ap-1",
+        "163b8b5d1a79c8e386202b81c9638203144d37c274ae2e0a62f0869a0b6e44a9",
+        728,
+        True,
+    ),
+    (84, 84, 100_000, 4): (
+        "-0x1.bcd303bb03754p-1",
+        "3e2684b05a22f02a5c278f578223693c65494a3d6d1cc92305d1bedee6df94bf",
+        61,
+        True,
+    ),
+    (145, 145, 100_000, 0): (
+        "-0x1.070d32b7f286cp+0",
+        "7ed0009ca74a274ea1c2f309dee0480e4db7041ec0d8f77a50300e3ec0584a19",
+        52,
+        True,
+    ),
+    (145, 145, 100_000, 4): (
+        "-0x1.070d32b7f54b6p+0",
+        "de000027af49dd4f44437e26e63021af2190d188493ed62e1a8fff22f7cf701f",
+        53,
+        True,
+    ),
+    (164, 164, 100_000, 0): (
+        "0x1.1477357128a53p+1",
+        "cfef8b9b50b8aa77d517b2a47bef0ebb5e4cdf844714207fb96d8e82a8f27b2d",
+        22,
+        True,
+    ),
+    (164, 164, 100_000, 4): (
+        "0x1.1477357128a52p+1",
+        "5ad616715597028f601faeafe87f81a000c30f6a352a2e7dfeb7ada0a48c85eb",
+        46,
+        True,
+    ),
+    ("8x8", 8, 100_000, 0): (
+        "0x1.ec4da6a4a91f1p-2",
+        "faf92d0f8a681cfd08600d869e619705d92d40841f738394a4e6ccedf3d5c970",
+        155,
+        True,
+    ),
+    ("8x8", 8, 100_000, 4): (
+        "0x1.ec4da5e0d42d3p-2",
+        "86967f46df90b80da52570927d73fffc33d7b7d444ab05f663c046e04b681ef5",
+        51,
+        True,
+    ),
+}
+
+# (scenario, seed) -> the same fields, after 100 iterations.
+MINIMAX_PINS = {
+    (0, 0): (
+        "0x1.9c19ac41af02cp+1",
+        "52950246a9009306a12db679d1f01b7866b9b7c91414a136c2bf0b207da4121d",
+        100,
+        True,
+    ),
+    (84, 84): (
+        "0x1.07e8355f51750p+1",
+        "0659bf6b21f3165b364ea1815bee3611a7adf556ccea505d21c4132c3350de5a",
+        100,
+        True,
+    ),
+    (145, 145): (
+        "0x1.a27418ffdfc81p-1",
+        "914ee63e3bf4df3c5a83c2b6ab50dfe6728b96b7d585288124fa4ebf9f395a79",
+        100,
+        True,
+    ),
+    (164, 164): (
+        "0x1.33ffb748cd227p+2",
+        "20326fc9e341614526e67f049b8ab257168784ca341232744c71601b7550419b",
+        100,
+        True,
+    ),
+    ("8x8", 8): (
+        "0x1.897f0f034f55ap+1",
+        "65c5345153d2f48b057ce282be27f774447677c4afb9cde391a88c6bd1acdb29",
+        100,
+        True,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MINIMISER_PINS, key=str), ids=str)
+def test_minimiser_results_are_pinned(case):
+    k, seed, cap, restarts = case
+    sc = _pinned_scenario(k)
+    result = minimize_expected_work(sc, seed=seed, max_iterations=cap, restarts=restarts)
+    assert _pin(result) == MINIMISER_PINS[case]
+
+
+@pytest.mark.parametrize("case", sorted(MINIMAX_PINS, key=str), ids=str)
+def test_minimax_results_are_pinned(case):
+    k, seed = case
+    result = minimax_weights(_pinned_scenario(k), seed=seed, max_iterations=100)
+    assert _pin(result) == MINIMAX_PINS[case]
 
 
 def _priced_scenario(seed: int, structure: str, dead_input: bool) -> Scenario:
@@ -311,6 +517,22 @@ def _priced_scenario(seed: int, structure: str, dead_input: bool) -> Scenario:
         reference_temperature=float(rng.uniform(0.5, 2.0)),
     )
 
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    dead_input=st.booleans(),
+)
+def test_minimax_value_is_its_worst_case_and_dominates_w_equals_p(seed, structure, dead_input):
+    """The value is the worst realisable transition at the returned weights,
+    and never above the worst one at ``w = P``."""
+    sc = _priced_scenario(seed, structure, dead_input)
+    result = minimax_weights(sc, seed=seed, max_iterations=200)
+    at_result = _worst_work(sc, make_weights(sc, result.weights))
+    assert result.value == pytest.approx(at_result, rel=1e-12, abs=1e-12)
+    assert result.value <= _worst_work(sc, optimal_weights(sc)) + 1e-9
 
 @settings(max_examples=80, deadline=None)
 @given(
