@@ -401,10 +401,11 @@ def minimax_weights(
     from three starts: uniform and two seeded Dirichlet draws.  The starts
     share nothing, so they descend together as the rows of one stack,
     each keeping the first iterate that reaches its own lowest worst case.
-    The result is the first start's best among those strictly below the
-    worst case at the mean-optimal weights ``w = P``, in start order, or
-    ``w = P`` itself when no start beats it; so the returned worst case
-    never exceeds the one at ``w = P``.  No further optimality is claimed.
+    The bests are then compared in start order with a strict ``<``,
+    beginning from the worst case at the mean-optimal weights ``w = P``:
+    on a tie the earlier start wins, and ``w = P`` wins over every start.
+    So the returned worst case never exceeds the one at ``w = P``.  No
+    further optimality is claimed.
     """
     joint, p_in, p_out, matrix = _log_cost_parts(scenario)
     k_t = scenario.kT

@@ -288,7 +288,11 @@ class TestNumericOptimizer:
             result = minimax_weights(sc, seed=k, max_iterations=100)
             assert result.value <= _worst_work(sc, optimal_weights(sc)) + 1e-9
 
-    @pytest.mark.parametrize("poison", [{}, {(1, 1): math.nan, (0, 7): math.inf, (2, 30): math.nan}])
+    @pytest.mark.parametrize(
+        "poison",
+        [{}, {(1, 1): math.nan, (0, 7): math.inf, (2, 30): math.nan}],
+        ids=["plain", "poisoned"],
+    )
     def test_minimax_matches_its_sequential_form(self, monkeypatch, poison):
         # ``poison`` maps (start, iteration) to a value that the update's
         # exponential returns there; that start's total is then not finite,
@@ -321,7 +325,8 @@ def _sequential_minimax(sc, seed, max_iterations, poison):
     const = sc.output_arrays.free_energy[cols] - sc.input_arrays.free_energy[rows]
 
     def worst(w):
-        values = const + k_t * np.array([math.log(v) for v in ((w @ matrix)[cols] / w[rows]).tolist()])
+        ratios = (w @ matrix)[cols] / w[rows]
+        values = const + k_t * np.array([math.log(v) for v in ratios.tolist()])
         idx = int(np.argmax(values))
         return float(values[idx]), idx
 
@@ -348,6 +353,7 @@ def _sequential_minimax(sc, seed, max_iterations, poison):
             w = np.clip(w / total, 1e-15, None)
             w = w / w.sum()
     return best_value, best_w
+
 
 def _worst_work(sc, weights):
     """The largest work over transitions of positive joint probability."""
