@@ -365,7 +365,11 @@ def _worst_work(sc, weights):
 
 
 def _pinned_scenario(k):
-    """The scenarios of the tests above, plus one 8x8."""
+    """The scenarios of the tests above, plus one 8x8 and one 6x6 reset.
+
+    The reset's joint matrix has 6 non-zero entries among 36, so its
+    objective sums a different number of terms than its support holds.
+    """
     if k == "8x8":
         rng = np.random.default_rng(8)
         return Scenario(
@@ -375,6 +379,11 @@ def _pinned_scenario(k):
             random_thermo(rng, 8),
             1.25,
         )
+    if k == "reset":
+        rng = np.random.default_rng(6)
+        reset = LogicalOperation(np.eye(6)[np.zeros(6, dtype=int)])
+        probs = random_distribution(rng, 6)
+        return Scenario(probs, reset, random_thermo(rng, 6), random_thermo(rng, 6), 1.25)
     return random_scenario(np.random.default_rng(k), max_states=6 if k == 0 else 8)
 
 
@@ -446,6 +455,18 @@ MINIMISER_PINS = {
         51,
         True,
     ),
+    ("reset", 6, 100_000, 0): (
+        "0x1.5da130b7ba127p+1",
+        "dc1a3a06ae1cb35ef6e41b523b8720a03bae41312d6c26ea09ab1254d5b96594",
+        13,
+        True,
+    ),
+    ("reset", 6, 100_000, 4): (
+        "0x1.5da130b7ba126p+1",
+        "e4f783d6898b3f9feee9dd89cb593c38d1b23b0ac0e2917b2765e19fdd27b345",
+        10,
+        True,
+    ),
 }
 
 # (scenario, seed) -> the same fields, after 100 iterations.
@@ -477,6 +498,12 @@ MINIMAX_PINS = {
     ("8x8", 8): (
         "0x1.897f0f034f55ap+1",
         "65c5345153d2f48b057ce282be27f774447677c4afb9cde391a88c6bd1acdb29",
+        100,
+        True,
+    ),
+    ("reset", 6): (
+        "0x1.d367337f68ad4p+1",
+        "e44a7c2a80609ed234e949292430f12d044b4094cc26490d94f9ae2c72b3483f",
         100,
         True,
     ),
