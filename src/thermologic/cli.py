@@ -25,7 +25,7 @@ import numpy as np
 
 from . import DEFAULT_SEED, __version__
 from .logic import classify as classify_op
-from .logic import shannon_entropy
+from .logic import DiscreteDistribution, shannon_entropy
 from .serialize import (
     ScenarioParseError,
     cost_report_dict,
@@ -54,7 +54,6 @@ EXIT_RUNTIME = 4
 def _common_flags(parser: argparse.ArgumentParser):
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    parser.add_argument("--format", choices=("csv", "json", "both"), default="both")
     parser.add_argument(
         "--si",
         action="store_true",
@@ -220,20 +219,15 @@ def cmd_cycle_rle_le(args) -> int:
 
 
 def cmd_cycle_build(args) -> int:
-    from .cycles import build_reversible_cycle, evaluate_cycle
+    from .cycles import evaluate_cycle
 
     scenario = load_scenario(args.scenario)
-    weights = _parse_weights(args.weights, scenario)
-    spec = build_reversible_cycle(
-        scenario.op,
-        weights.weights,
-        scenario.input_thermo,
-        scenario.output_thermo,
-        scenario.reference_temperature,
-        scenario.units,
-    )
+    cycle = scenario
+    if args.weights is not None:
+        weights = _parse_weights(args.weights, scenario)
+        cycle = dataclasses.replace(scenario, input_dist=DiscreteDistribution(weights.weights))
     middle = parse_floats(args.middle_input) if args.middle_input else None
-    evaluation = evaluate_cycle(spec, middle_input=middle)
+    evaluation = evaluate_cycle(cycle, middle_input=middle)
     divisor, unit = _divisor(scenario, args)
     payload = {
         "energy_unit": unit,
@@ -320,6 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "classify", cmd_classify, "classify an operation and report entropies", "scenario")
     p = command(sub, "cost", cmd_cost, "per-transition and expected work/heat with bounds", "scenario")
     p.add_argument("--weights", help=weights_help)
+    p.add_argument("--format", choices=("csv", "json", "both"), default="both")
     command(sub, "optimize", cmd_optimize, "numeric weight optimisation cross-check", "scenario")
     p = command(sub, "box-run", cmd_box_run, "run the staged box implementation", "scenario")
     p.add_argument("--weights", help=weights_help)

@@ -18,12 +18,16 @@ a KL-divergence-shaped quantity, returned alongside the raw
 thermodynamic sums so the two routes can be compared.  The box cycle and
 the three sources work in natural units (k_B = 1), so ``kT`` is the
 temperature they are given.
+
+A closed cycle around an implemented operation is the :class:`Scenario`
+whose input statistics are the design weights: the one scenario for
+which those weights are optimal, and so the one whose cycle is free.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
 
@@ -77,7 +81,6 @@ __all__ = [
     "uncertain_operation_cost",
     "PartialOperationReport",
     "partial_operation_cost",
-    "CycleSpec",
     "build_reversible_cycle",
     "CycleEvaluation",
     "evaluate_cycle",
@@ -127,6 +130,11 @@ class BoxCycleReport:
 def _is_distribution(p: np.ndarray) -> bool:
     """Entries at least 0 summing to 1; NaN fails the range test, +inf the sum."""
     return bool((p >= 0.0).all()) and abs(math.fsum(p.ravel().tolist()) - 1.0) <= 1e-9
+
+
+def _expected_log_ratio(weights: np.ndarray, ratios: np.ndarray) -> float:
+    """``sum weights * ln ratios``, the shape of every KL excess here, summed with ``fsum``."""
+    return math.fsum((weights * _logs(ratios)).tolist())
 
 
 def _stage(name: str, kind: str, before, after, kt: float) -> CycleStage:
@@ -222,7 +230,7 @@ def rle_le_cycle(
 
     net_work = math.fsum(s.work for s in stages)
     net_heat = math.fsum(s.heat for s in stages)
-    kl = p * math.log(p / p_prime) + q * math.log(q / q_prime)
+    kl = _expected_log_ratio(np.array([p, q]), np.array([p / p_prime, q / q_prime]))
     return BoxCycleReport(
         model=model,
         p=p,
@@ -343,22 +351,20 @@ def reverse_operation(scenario: Scenario) -> ReverseOperationReport:
     pruned_outputs = tuple(
         lbl for j, lbl in enumerate(scenario.op.output_labels) if j not in kept_out_set
     )
-    forward = scenario if op1 is scenario.op else Scenario(
+    forward = scenario if op1 is scenario.op else replace(
+        scenario,
         input_dist=dist0,
         op=op1,
         input_thermo=tuple(scenario.input_thermo[i] for i in kept_in),
         output_thermo=tuple(scenario.output_thermo[j] for j in kept_out),
-        reference_temperature=scenario.reference_temperature,
-        units=scenario.units,
     )
     reverse_op = bayes_invert(op1, dist0)
-    reverse = Scenario(
+    reverse = replace(
+        forward,
         input_dist=forward.output_dist,
         op=reverse_op,
         input_thermo=forward.output_thermo,
         output_thermo=forward.input_thermo,
-        reference_temperature=scenario.reference_temperature,
-        units=scenario.units,
     )
     forward_cost = expected_cost(forward, optimal_weights(forward))
     reverse_cost = expected_cost(reverse, optimal_weights(reverse))
@@ -404,11 +410,10 @@ def suboptimal_cycle_cost(
     p_in = actual_input.probs
     if p_in.size != op.n_inputs:
         raise CostError("input distribution arity does not match operation")
+    reversible = classify(op).reversible
     if np.any((w == 0.0) & (p_in > 0.0)):
         return SuboptimalCycleCost(
-            work=INFINITE_COST,
-            weights_match_input=False,
-            operation_reversible=classify(op).reversible,
+            work=INFINITE_COST, weights_match_input=False, operation_reversible=reversible
         )
     w_out = w @ op.matrix
     p_out = p_in @ op.matrix
@@ -416,11 +421,10 @@ def suboptimal_cycle_cost(
     joint = p_in[:, None] * op.matrix
     rows, cols = np.nonzero(joint)
     ratio = p_in[rows] * w_out[cols] / (p_out[cols] * w[rows])
-    work = kt * math.fsum((joint[rows, cols] * _logs(ratio)).tolist())
     return SuboptimalCycleCost(
-        work=work,
+        work=kt * _expected_log_ratio(joint[rows, cols], ratio),
         weights_match_input=bool(np.abs(w - p_in).max() <= 1e-12),
-        operation_reversible=classify(op).reversible,
+        operation_reversible=reversible,
     )
 
 
@@ -485,7 +489,7 @@ def uncertain_operation_cost(
     joint = gamma[:, None] * out_by_branch  # (branch, output)
     g, j = np.nonzero(joint)
     ratio = out_by_branch[g, j] / p_out[j]
-    mutual_information = math.fsum((joint[g, j] * _logs(ratio)).tolist())
+    mutual_information = _expected_log_ratio(joint[g, j], ratio)
     return UncertainOperationReport(
         branch_works=branch_works,
         mean_branch_work=mean_branch_work,
@@ -557,7 +561,7 @@ def partial_operation_cost(
     t, g = np.nonzero(tri)
     i, j, tri = rows[t], cols[t], tri[t, g]
     ratio = tri * p_out[j] / (p_in[i] * m[i, j] * out_joint[j, g])
-    cmi = math.fsum((tri * _logs(ratio)).tolist())
+    cmi = _expected_log_ratio(tri, ratio)
     product = bool(np.abs(joint - np.outer(p_in, p_bystander)).max() <= 1e-12)
     return PartialOperationReport(
         forward_work=forward_work,
@@ -570,23 +574,6 @@ def partial_operation_cost(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class CycleSpec:
-    """Open-emit-reset cycle around one operation, anchored at a standard state.
-
-    The middle leg runs ``op`` implemented for ``weights``; the opening
-    and closing legs, and the standard state (energy ``k T_R / 2``, zero
-    entropy), are derived from it by :func:`evaluate_cycle`.
-    """
-
-    op: LogicalOperation
-    weights: np.ndarray
-    input_thermo: tuple[StateThermo, ...]
-    output_thermo: tuple[StateThermo, ...]
-    reference_temperature: float
-    units: UnitSystem
-
-
 def build_reversible_cycle(
     op: LogicalOperation,
     weights,
@@ -594,25 +581,23 @@ def build_reversible_cycle(
     output_thermo: tuple[StateThermo, ...],
     reference_temperature: float = 1.0,
     units: UnitSystem = NATURAL_UNITS,
-) -> CycleSpec:
-    """Embed an implemented operation in a closed three-leg cycle.
+) -> Scenario:
+    """Embed an operation implemented for ``weights`` in a closed three-leg cycle.
 
-    The opening leg emits the inputs from a standard state with exactly
-    the implementation weights; the closing leg resets every output to
-    the standard state, optimised for the propagated weights.  Run on
-    matching statistics the whole cycle costs nothing, which is what
-    certifies the middle implementation as thermodynamically reversible.
+    The cycle is the scenario whose input statistics are the design
+    weights, the one scenario for which they are optimal.
+    :func:`evaluate_cycle` derives its opening leg, which emits the
+    inputs from a standard state with exactly those weights, and its
+    closing leg, which resets every output to the standard state
+    optimised for the propagated weights.  Run on matching statistics
+    the whole cycle costs nothing, which is what certifies the middle
+    implementation as thermodynamically reversible.
     """
     w = np.asarray(weights, dtype=float)
     if w.size != op.n_inputs or not _is_distribution(w):
         raise CostError("weights must form a distribution over the operation inputs")
-    return CycleSpec(
-        op=op,
-        weights=w,
-        input_thermo=tuple(input_thermo),
-        output_thermo=tuple(output_thermo),
-        reference_temperature=reference_temperature,
-        units=units,
+    return Scenario(
+        DiscreteDistribution(w), op, input_thermo, output_thermo, reference_temperature, units
     )
 
 
@@ -623,46 +608,49 @@ class CycleEvaluation:
     total_heat: object
 
 
-def evaluate_cycle(spec: CycleSpec, middle_input=None) -> CycleEvaluation:
-    """Total cost of the cycle for given (possibly mismatched) middle statistics.
+def evaluate_cycle(cycle: Scenario, middle_input=None) -> CycleEvaluation:
+    """Total cost of a cycle for given (possibly mismatched) middle statistics.
 
-    With no ``middle_input`` the designed weights are used and the total
-    vanishes.  Otherwise the opening and closing legs are derived for
-    the actual statistics (they define the cycle for that input) while
-    the middle leg keeps its designed weights, so the total reduces to
-    the suboptimal-implementation excess.  The opening leg is one row
-    from the standard state to the inputs; the closing leg is one column
-    from every output back to it.
+    ``cycle`` is the scenario whose input statistics are the design
+    weights, as :func:`build_reversible_cycle` returns; any scenario
+    serves, with its own input distribution as the weights.  With no
+    ``middle_input`` the middle leg is ``cycle`` itself and the total
+    vanishes.  Otherwise the opening and closing legs are derived for the
+    actual statistics (they define the cycle for that input) while the
+    middle leg keeps the designed weights, so the total reduces to the
+    suboptimal-implementation excess.  The opening leg is one row from
+    the standard state (energy ``k T_R / 2``, zero entropy) to the
+    inputs; the closing leg is one column from every output back to it.
     """
-
-    def leg(dist, op, input_thermo, output_thermo) -> Scenario:
-        return Scenario(
-            input_dist=dist,
-            op=op,
-            input_thermo=input_thermo,
-            output_thermo=output_thermo,
-            reference_temperature=spec.reference_temperature,
-            units=spec.units,
-        )
-
-    p_mid = np.asarray(middle_input, dtype=float) if middle_input is not None else spec.weights
-    mid_dist = DiscreteDistribution(p_mid)
+    mid = cycle if middle_input is None else replace(
+        cycle, input_dist=DiscreteDistribution(middle_input)
+    )
+    op = cycle.op
     standard = ("standard",)
-    t_ref = spec.reference_temperature
-    standard_state = (StateThermo(0.5 * spec.units.k_B * t_ref, 0.0, t_ref),)
-    opener_op = LogicalOperation(
-        p_mid[None, :], input_labels=standard, output_labels=spec.op.input_labels
+    t_ref = cycle.reference_temperature
+    standard_state = (StateThermo(0.5 * cycle.units.k_B * t_ref, 0.0, t_ref),)
+    opener = replace(
+        cycle,
+        input_dist=DiscreteDistribution([1.0]),
+        op=LogicalOperation(
+            mid.input_dist.probs[None, :], input_labels=standard, output_labels=op.input_labels
+        ),
+        input_thermo=standard_state,
+        output_thermo=cycle.input_thermo,
     )
-    closer_op = LogicalOperation(
-        np.ones((spec.op.n_outputs, 1)), input_labels=spec.op.output_labels, output_labels=standard
-    )
-    opener = leg(DiscreteDistribution([1.0]), opener_op, standard_state, spec.input_thermo)
-    mid = leg(mid_dist, spec.op, spec.input_thermo, spec.output_thermo)
     out_dist = mid.output_dist
-    closer = leg(out_dist, closer_op, spec.output_thermo, standard_state)
+    closer = replace(
+        cycle,
+        input_dist=out_dist,
+        op=LogicalOperation(
+            np.ones((op.n_outputs, 1)), input_labels=op.output_labels, output_labels=standard
+        ),
+        input_thermo=cycle.output_thermo,
+        output_thermo=standard_state,
+    )
     costs = (
         expected_cost(opener, make_weights(opener, [1.0])),
-        expected_cost(mid, make_weights(mid, spec.weights)),
+        expected_cost(mid, make_weights(mid, cycle.input_dist.probs)),
         expected_cost(closer, make_weights(closer, out_dist.probs)),
     )
     if any(is_infinite(c.expected_work) for c in costs):

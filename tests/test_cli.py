@@ -257,6 +257,8 @@ class TestExitCodes:
             (["box-run", "--weights", "0.5,x"], RTZ_SCENARIO, 3),
             (["cycle", "rle-le", "--p", "0.5", "--temperature", "0"], None, 3),
             (["cycle", "build", "--middle-input", "0.5,x"], RTZ_SCENARIO, 3),
+            # three middle-input probabilities for the two inputs of the scenario
+            (["cycle", "build", "--middle-input", "0.5,0.3,0.2"], RTZ_SCENARIO, 3),
             (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branches=[{"probability": 1.0}]), 2),
             (["cycle", "partial"], dict(PARTIAL_CONFIG, joint_prior="x"), 2),
             (["qbound", "--config"], {"env_dim": "x"}, 2),
@@ -278,6 +280,7 @@ class TestExitCodes:
             "box-run",
             "cycle-rle-le",
             "cycle-build",
+            "cycle-build-middle-arity",
             "cycle-uncertain",
             "cycle-partial",
             "qbound",
@@ -883,6 +886,15 @@ class TestOtherCommands:
         assert main(["cost", path, "--format", "csv", "--out", str(out)]) == 0
         assert (out / "report.csv").exists()
         assert not (out / "report.json").exists()
+
+    def test_format_flag_belongs_to_cost_only(self, tmp_path, capsys):
+        path = write(tmp_path, "s.json", RTZ_SCENARIO)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["classify", path, "--format", "csv", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cycle_rle_le(self, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from helpers import (
     permutation_operation,
     random_distribution,
     random_operation,
+    random_scenario,
     random_thermo,
 )
 from thermologic.costs import CostError, expected_cost, is_infinite, make_weights, optimal_weights
@@ -30,7 +32,7 @@ from thermologic.logic import (
     rtz,
     ufz,
 )
-from thermologic.thermo import ModelSkeleton, Scenario, StateThermo, make_model
+from thermologic.thermo import ModelSkeleton, Scenario, StateThermo, UnitSystem, make_model
 
 LN2 = math.log(2.0)
 
@@ -468,6 +470,28 @@ class TestBuildReversibleCycle:
         evaluation = evaluate_cycle(spec, middle_input=random_distribution(rng, 3).probs)
         assert evaluation.total_work == pytest.approx(0.0, abs=1e-10)
 
+    def test_a_scenario_is_the_cycle_of_its_own_input_statistics(self):
+        """The CLI passes a loaded scenario straight in; it must cost what the built cycle costs."""
+        rng = np.random.default_rng(33)
+        for units in (UnitSystem(), UnitSystem(k_B=0.7)):
+            sc = replace(random_scenario(rng), units=units)
+            cycle = build_reversible_cycle(
+                sc.op,
+                sc.input_dist.probs,
+                sc.input_thermo,
+                sc.output_thermo,
+                sc.reference_temperature,
+                sc.units,
+            )
+            assert isinstance(cycle, Scenario)
+            assert cycle.input_dist.probs.tobytes() == sc.input_dist.probs.tobytes()
+            middle = random_distribution(rng, sc.op.n_inputs).probs
+            for kwargs in ({}, {"middle_input": middle}):
+                built, direct = evaluate_cycle(cycle, **kwargs), evaluate_cycle(sc, **kwargs)
+                for a, b in zip(built.leg_costs, direct.leg_costs):
+                    assert (a.expected_work, a.expected_heat) == (b.expected_work, b.expected_heat)
+                assert (built.total_work, built.total_heat) == (direct.total_work, direct.total_heat)
+
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
@@ -492,6 +516,21 @@ def test_non_finite_probabilities_are_rejected(call, bad):
         call(bad)
 
 
+def _kl(p, q) -> float:
+    """``sum p ln(p / q)`` over the entries where ``p > 0``, written out term by term."""
+    pairs = zip(np.ravel(p).tolist(), np.ravel(q).tolist())
+    return math.fsum(a * math.log(a / b) for a, b in pairs if a > 0.0)
+
+
+def _with_dead_last(rng, n, dead):
+    """A Dirichlet draw over ``n`` states, with its last entry zeroed when ``dead`` and ``n > 1``."""
+    probs = rng.dirichlet(np.ones(n))
+    if dead and n > 1:
+        probs[-1] = 0.0
+        probs /= probs.sum()
+    return probs
+
+
 def _sparse_operation(rng, n_in, n_out):
     """Random rows with about a third of their entries zeroed; every row keeps one."""
     rows = rng.dirichlet(np.ones(n_out), size=n_in) * (rng.random((n_in, n_out)) > 0.35)
@@ -505,12 +544,17 @@ def _sparse_operation(rng, n_in, n_out):
     count=st.integers(1, 4),
     zero_branch=st.booleans(),
     dead_input=st.booleans(),
+    dense=st.booleans(),
 )
-def test_mutual_information_matches_the_loop_form(seed, count, zero_branch, dead_input):
-    """The vectorised mutual information equals, with ``==``, the per-term loop written out here."""
+def test_mutual_information_matches_the_loop_form(seed, count, zero_branch, dead_input, dense):
+    """The vectorised mutual information equals, with ``==``, the per-term loop written out here.
+
+    It is also the divergence of the (branch, output) joint from the product of its marginals.
+    """
     rng = np.random.default_rng(seed)
     n_in, n_out = (int(v) for v in rng.integers(1, 6, 2))
-    ops = [_sparse_operation(rng, n_in, n_out) for _ in range(count)]
+    make_op = random_operation if dense else _sparse_operation
+    ops = [make_op(rng, n_in, n_out) for _ in range(count)]
     gamma = rng.dirichlet(np.ones(count))
     if zero_branch and count > 1:
         gamma[0] = 0.0
@@ -544,3 +588,69 @@ def test_mutual_information_matches_the_loop_form(seed, count, zero_branch, dead
     assert report.mutual_information_nats == want
     assert report.excess == t_ref * want
     assert report.factorizes == (abs(want) <= 1e-12)
+    kl = _kl(gamma[:, None] * out_by_branch, np.outer(gamma, p_out))
+    assert report.mutual_information_nats == pytest.approx(kl, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=st.floats(1e-3, 1.0 - 1e-3), p_prime=st.floats(1e-3, 1.0 - 1e-3))
+def test_box_cycle_excess_is_a_kl_divergence(p, p_prime):
+    report = rle_le_cycle(p, p_prime)
+    want = _kl(np.array([p, 1.0 - p]), np.array([p_prime, 1.0 - p_prime]))
+    assert report.kl_nats == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dense=st.booleans(),
+    dead_input=st.booleans(),
+    dead_weight=st.booleans(),
+)
+def test_suboptimal_cycle_cost_is_a_kl_divergence(seed, dense, dead_input, dead_weight):
+    """Work / kT is the divergence of P(in, out) from P(out) times the weights' posterior."""
+    rng = np.random.default_rng(seed)
+    n_in, n_out = (int(v) for v in rng.integers(1, 6, 2))
+    op = (random_operation if dense else _sparse_operation)(rng, n_in, n_out)
+    p_in = _with_dead_last(rng, n_in, dead_input)
+    w = _with_dead_last(rng, n_in, dead_input and dead_weight)  # zero weight only where P is zero
+    t_ref = float(rng.uniform(0.5, 2.0))
+    report = suboptimal_cycle_cost(op, w, DiscreteDistribution(p_in), t_ref)
+
+    m = op.matrix
+    p_out, w_out = p_in @ m, w @ m
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where P(in, out) is zero
+        posterior = w[:, None] * m / w_out
+    want = _kl(p_in[:, None] * m, posterior * p_out)
+    assert report.work / t_ref == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dense=st.booleans(),
+    sparse_prior=st.booleans(),
+    dead_input=st.booleans(),
+)
+def test_conditional_mutual_information_is_a_kl_divergence(seed, dense, sparse_prior, dead_input):
+    """I(in; bystander | out) is the divergence of P(i, j, g) from P(i, j) P(j, g) / P(j)."""
+    rng = np.random.default_rng(seed)
+    n_in, n_out, n_g = (int(v) for v in rng.integers(1, 5, 3))
+    op = (random_operation if dense else _sparse_operation)(rng, n_in, n_out)
+    joint = rng.dirichlet(np.ones(n_in * n_g)).reshape(n_in, n_g)
+    if sparse_prior:
+        joint *= rng.random(joint.shape) > 0.4
+    if dead_input and n_in > 1:
+        joint[-1] = 0.0
+    if joint.sum() == 0.0:
+        joint[0, 0] = 1.0
+    joint /= joint.sum()
+    report = partial_operation_cost(joint, op, random_thermo(rng, n_in), random_thermo(rng, n_out))
+
+    m = op.matrix
+    p_in = joint.sum(axis=1)
+    p_out = p_in @ m
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 only where P(i, j, g) is zero
+        conditional = (p_in[:, None] * m)[:, :, None] * (m.T @ joint)[None] / p_out[None, :, None]
+    want = _kl(joint[:, None, :] * m[:, :, None], conditional)
+    assert report.conditional_mutual_information_nats == pytest.approx(want, abs=1e-12)
