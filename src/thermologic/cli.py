@@ -269,7 +269,7 @@ def cmd_qbound(args) -> int:
 
     config = load_qbound_config(args.config) if args.config else {}
     if "system_blocks" not in config:
-        config["system_blocks"] = tuple(int(v) for v in args.blocks.split(","))
+        config["system_blocks"] = tuple(parse_floats(args.blocks, int))
     setup = default_setup(
         system_block_sizes=config["system_blocks"],
         env_dim=config.get("env_dim", args.env_dim),

@@ -48,10 +48,11 @@ from .logic import (
     LogicalOperation,
     _entropy_nats,
     _logs,
-    bayes_invert,
+    _posterior,
+    _prune_outputs,
     classify,
+    propagate,
     prune_zero_inputs,
-    prune_zero_outputs,
 )
 from .thermo import (
     NATURAL_UNITS,
@@ -343,7 +344,8 @@ def reverse_operation(scenario: Scenario) -> ReverseOperationReport:
     forward expected work and heat.
     """
     op0, dist0, kept_in = prune_zero_inputs(scenario.op, scenario.input_dist)
-    op1, kept_out = prune_zero_outputs(op0, dist0)
+    out0 = scenario.output_dist if op0 is scenario.op else propagate(op0, dist0)
+    op1, kept_out = _prune_outputs(op0, out0)
     kept_in_set, kept_out_set = set(kept_in), set(kept_out)
     pruned_inputs = tuple(
         lbl for i, lbl in enumerate(scenario.op.input_labels) if i not in kept_in_set
@@ -358,7 +360,7 @@ def reverse_operation(scenario: Scenario) -> ReverseOperationReport:
         input_thermo=tuple(scenario.input_thermo[i] for i in kept_in),
         output_thermo=tuple(scenario.output_thermo[j] for j in kept_out),
     )
-    reverse_op = bayes_invert(op1, dist0)
+    reverse_op = _posterior(op1, dist0, forward.output_dist)
     reverse = replace(
         forward,
         input_dist=forward.output_dist,

@@ -276,7 +276,11 @@ def bayes_invert(op: LogicalOperation, dist: DiscreteDistribution) -> LogicalOpe
     Raises :class:`ZeroProbabilityOutputError` if any output state has zero
     probability under ``dist`` (its posterior is undefined).
     """
-    out = propagate(op, dist)
+    return _posterior(op, dist, propagate(op, dist))
+
+
+def _posterior(op: LogicalOperation, dist: DiscreteDistribution, out: DiscreteDistribution):
+    """:func:`bayes_invert` of ``op`` under ``dist``, whose output distribution is ``out``."""
     dead = np.flatnonzero(out.probs == 0.0)
     if dead.size:
         raise ZeroProbabilityOutputError(op.output_labels[j] for j in dead)
@@ -321,7 +325,11 @@ def prune_zero_outputs(
 
     Returns the reduced operation and the retained output indices.
     """
-    out = propagate(op, dist)
+    return _prune_outputs(op, propagate(op, dist))
+
+
+def _prune_outputs(op: LogicalOperation, out: DiscreteDistribution):
+    """:func:`prune_zero_outputs` of ``op``, whose output distribution is ``out``."""
     keep = np.flatnonzero(out.probs > 0.0)
     if keep.size == 0:
         raise InvalidOperationError("all outputs have zero probability")

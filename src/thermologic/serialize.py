@@ -46,6 +46,8 @@ import numpy as np
 from . import __version__
 from .logic import DiscreteDistribution, LogicalOperation
 from .thermo import (
+    MODEL_KINDS,
+    _READS,
     ModelSkeleton,
     NATURAL_UNITS,
     SI_UNITS,
@@ -153,9 +155,12 @@ def _optional(mapping: dict, key: str, read, context: str):
     return None if value is None else read(value, f"{context} {key}")
 
 
-def parse_floats(text: str) -> list[float]:
-    """A comma-separated command-line list such as ``0.3,0.7``."""
-    return [float(v) for v in text.split(",")]
+def parse_floats(text: str, read=float) -> list:
+    """A comma-separated command-line list such as ``0.3,0.7``, each entry passed to ``read``."""
+    try:
+        return [read(v) for v in text.split(",")]
+    except ValueError as exc:
+        raise ScenarioParseError(f"cannot read the list {text!r}: {exc}") from exc
 
 
 def parse_operation(data) -> LogicalOperation:
@@ -190,9 +195,27 @@ def _parse_thermo(entries, count: int, context: str) -> tuple[StateThermo, ...]:
     )
 
 
-_MODEL_KEYS = (
-    "kind", "E_R", "S_R", "C_A", "C_B", "C_C", "E_x", "input_temperatures", "output_temperatures",
-)
+# The ModelSkeleton field that each model key sets.
+_MODEL_FIELDS = {
+    "E_R": "energy_offset", "S_R": "entropy_offset", "C_A": "equilibrium_constant",
+    "C_B": "adiabatic_constant", "C_C": "adiabatic_constant", "E_x": "state_energy",
+    "input_temperatures": "input_temperatures", "output_temperatures": "output_temperatures",
+}
+
+
+def _reject_ignored_keys(model: dict, kind) -> None:
+    """Raise if a non-null key of ``model`` is one its kind (``thermo._READS``) would ignore."""
+    if kind not in MODEL_KINDS:
+        return  # make_model names the unknown kind
+    energy, constant, temperatures = _READS[kind]
+    given = [key for key in _MODEL_FIELDS if model.get(key) is not None]
+    read = set()
+    for fields in (energy, (constant,), *((name,) for name in temperatures)):
+        # Of the keys that set one group of fields, only the first is read.
+        read.update([key for name in fields for key in given if _MODEL_FIELDS[key] == name][:1])
+    ignored = [key for key in given if key not in read]
+    if ignored:
+        raise ScenarioParseError(f"the {kind} model would ignore {', '.join(map(repr, ignored))}")
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -222,7 +245,8 @@ def parse_scenario(data: dict) -> Scenario:
     if model is not None:
         if isinstance(model, str):
             model = {"kind": model}
-        kind = _need(_known(model, _MODEL_KEYS, "model"), "kind", "model")
+        kind = _need(_known(model, ("kind", *_MODEL_FIELDS), "model"), "kind", "model")
+        _reject_ignored_keys(model, kind)
         skeleton = ModelSkeleton(
             input_dist=dist,
             op=op,
@@ -232,7 +256,7 @@ def parse_scenario(data: dict) -> Scenario:
             entropy_offset=_number(model.get("S_R", 0.0), "model S_R"),
             equilibrium_constant=_optional(model, "C_A", _number, "model"),
             adiabatic_constant=_optional(
-                model, "C_B" if "C_B" in model else "C_C", _number, "model"
+                model, "C_B" if model.get("C_B") is not None else "C_C", _number, "model"
             ),
             state_energy=_optional(model, "E_x", _number, "model"),
             input_temperatures=_optional(model, "input_temperatures", _numbers, "model"),

@@ -15,14 +15,17 @@ the eight bound terms of a bounds-only cost report
 (:attr:`Scenario.bound_terms`).
 
 Four standard assumption sets are provided as constructors
-(:func:`make_model`) and as report-only checks (:func:`validate`):
+(:func:`make_model`) and as report-only checks (:func:`validate`).  Each
+constructor gives all states one energy ``E``, so it builds one of two
+entropy tables, a constant or ``S = c + ln P``:
 
 * ``uniform``: every state has the same energy, entropy and temperature.
 * ``equilibrium``: states are canonical at the reference temperature with
-  ``E - T_R * S + k T_R ln P`` constant, which makes the minimal mean
-  work vanish.
-* ``adiabatic``: ``S - k ln P`` constant, which makes the minimal mean
-  heat vanish; temperatures are unconstrained.
+  ``E - k T_R S + k T_R ln P = C_A``, which makes the minimal mean work
+  vanish.  At one energy this is ``S = c + ln P`` with
+  ``c = (E - C_A) / k T_R``, the adiabatic shape.
+* ``adiabatic``: ``S - ln P`` constant, which makes the minimal mean heat
+  vanish; temperatures are unconstrained.
 * ``adiabatic_equilibrium``: both at once (constant energy plus the
   adiabatic entropy condition at the reference temperature), under which
   any operation can run with neither work nor heat.
@@ -236,7 +239,8 @@ class ModelSkeleton:
     to ``k T_R / 2``, the square-well value).  The constants fixing the
     equilibrium and adiabatic conditions default so that the smallest
     state entropy is exactly zero.  Per-state temperatures may be given
-    for the adiabatic model, which leaves them free.
+    for the adiabatic model, which leaves them free.  A field that the
+    chosen kind does not read is ignored.
     """
 
     input_dist: DiscreteDistribution
@@ -252,81 +256,66 @@ class ModelSkeleton:
     output_temperatures: tuple[float, ...] | None = None
 
 
-def _require_support(probs: np.ndarray, side: str, kind: str) -> None:
-    if np.any(probs <= 0.0):
-        raise ThermoError(
-            f"{kind} model needs strictly positive {side} probabilities "
-            "(zero-probability states must be pruned first)"
-        )
+# What each kind reads from a ModelSkeleton: the fields for the one state energy
+# (the first one set is read), the entropy constant and the free temperatures.
+_READS = {
+    "uniform": (("energy_offset",), "entropy_offset", ()),
+    "equilibrium": (("state_energy", "energy_offset"), "equilibrium_constant", ()),
+    "adiabatic": (
+        ("energy_offset",), "adiabatic_constant", ("input_temperatures", "output_temperatures")
+    ),
+    "adiabatic_equilibrium": (("energy_offset",), "adiabatic_constant", ()),
+}
 
 
 def make_model(kind: str, skeleton: ModelSkeleton) -> Scenario:
-    """Build a scenario satisfying one of the standard assumption sets."""
+    """Build a scenario satisfying one of the standard assumption sets.
+
+    All states get one energy ``E``, by default ``k T_R / 2``.  The entropy
+    is the constant ``entropy_offset`` (``uniform``) or ``c + ln P``, which
+    for ``equilibrium`` is ``E - k T_R S + k T_R ln P = C_A`` solved at that
+    one energy.  By default the smallest state entropy is zero.
+    """
     if kind not in MODEL_KINDS:
         raise ThermoError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
+    energy_fields, constant_field, free_temperatures = _READS[kind]
     k = skeleton.units.k_B
     t_ref = skeleton.reference_temperature
-    e_ref = skeleton.energy_offset if skeleton.energy_offset is not None else 0.5 * k * t_ref
+    energies = (getattr(skeleton, name) for name in energy_fields)
+    energy = next((e for e in energies if e is not None), 0.5 * k * t_ref)
     p_in = skeleton.input_dist.probs
     p_out = propagate(skeleton.op, skeleton.input_dist).probs
+    constant = getattr(skeleton, constant_field)
+    entropy = lambda _p: constant  # S = c
+    if kind != "uniform":  # S = c + ln P
+        for probs, side in ((p_in, "input"), (p_out, "output")):
+            if np.any(probs <= 0.0):
+                raise ThermoError(
+                    f"{kind} model needs strictly positive {side} probabilities "
+                    "(zero-probability states must be pruned first)"
+                )
+        p_min = min(p_in.min(), p_out.min())
+        if kind == "equilibrium":
+            kt = k * t_ref
+            c_a = constant if constant is not None else energy + kt * math.log(p_min)
+            constant = (energy - c_a) / kt
+        elif constant is None:
+            constant = -math.log(p_min)
+        entropy = lambda p: constant + math.log(p)
 
-    def temps(side_temps, n):
+    def temperatures(name, n):
+        side_temps = getattr(skeleton, name) if name in free_temperatures else None
         if side_temps is None:
             return (t_ref,) * n
         if len(side_temps) != n:
             raise ArityMismatchError("temperature table arity mismatch")
         return tuple(float(t) for t in side_temps)
 
-    if kind == "uniform":
-        s_ref = skeleton.entropy_offset
-        make = lambda _p, t: StateThermo(e_ref, s_ref, t)
-        t_in = temps(None, len(p_in))
-        t_out = temps(None, len(p_out))
-    elif kind == "equilibrium":
-        # E - T_R k S + k T_R ln P constant: solve for S at fixed state energy.
-        _require_support(p_in, "input", kind)
-        _require_support(p_out, "output", kind)
-        e_state = skeleton.state_energy if skeleton.state_energy is not None else e_ref
-        p_min = min(p_in.min(), p_out.min())
-        c_a = (
-            skeleton.equilibrium_constant
-            if skeleton.equilibrium_constant is not None
-            else e_state + k * t_ref * math.log(p_min)
-        )
-        make = lambda p, t: StateThermo(
-            e_state, (e_state - c_a) / (k * t_ref) + math.log(p), t_ref
-        )
-        t_in = temps(None, len(p_in))
-        t_out = temps(None, len(p_out))
-    elif kind == "adiabatic":
-        # S - k ln P constant; temperatures and the common energy stay free.
-        _require_support(p_in, "input", kind)
-        _require_support(p_out, "output", kind)
-        p_min = min(p_in.min(), p_out.min())
-        c_b = (
-            skeleton.adiabatic_constant
-            if skeleton.adiabatic_constant is not None
-            else -math.log(p_min)
-        )
-        make = lambda p, t: StateThermo(e_ref, c_b + math.log(p), t)
-        t_in = temps(skeleton.input_temperatures, len(p_in))
-        t_out = temps(skeleton.output_temperatures, len(p_out))
-    else:  # adiabatic_equilibrium
-        _require_support(p_in, "input", kind)
-        _require_support(p_out, "output", kind)
-        p_min = min(p_in.min(), p_out.min())
-        c_c = (
-            skeleton.adiabatic_constant
-            if skeleton.adiabatic_constant is not None
-            else -math.log(p_min)
-        )
-        make = lambda p, t: StateThermo(e_ref, c_c + math.log(p), t_ref)
-        t_in = temps(None, len(p_in))
-        t_out = temps(None, len(p_out))
-
+    t_in = temperatures("input_temperatures", len(p_in))
+    t_out = temperatures("output_temperatures", len(p_out))
     try:
-        input_thermo = tuple(make(p, t) for p, t in zip(p_in, t_in))
-        output_thermo = tuple(make(p, t) for p, t in zip(p_out, t_out))
+        input_thermo = tuple(StateThermo(energy, entropy(p), t) for p, t in zip(p_in, t_in))
+        output_thermo = tuple(StateThermo(energy, entropy(p), t) for p, t in zip(p_out, t_out))
     except ThermoError as exc:
         raise ThermoError(f"{kind} model produced an invalid state: {exc}") from exc
 
@@ -384,60 +373,34 @@ def validate(scenario: Scenario) -> AssumptionReport:
     p_out = scenario.output_dist.probs
     table_in = scenario.input_arrays
     table_out = scenario.output_arrays
-    energy = np.concatenate((table_in.energy, table_out.energy))
-    entropy = np.concatenate((table_in.entropy, table_out.entropy))
-
-    checks: list[AssumptionCheck] = []
-
-    def add(name: str, residual: float):
-        checks.append(AssumptionCheck(name, residual <= EPS_MODEL, residual))
-
+    energy, entropy, free_energy = (np.concatenate(pair) for pair in zip(table_in, table_out))
+    energy_spread = _spread(energy) / kt
     temperatures = [st.temperature for st in scenario.input_thermo + scenario.output_thermo]
-    add("isothermal", _spread(temperatures + [t_ref]) / t_ref)
-    add("uniform_states", max(_spread(energy) / kt, _spread(entropy)))
-    mean_e_in = math.fsum((p_in * table_in.energy).tolist())
-    mean_e_out = math.fsum((p_out * table_out.energy).tolist())
-    mean_s_in = math.fsum((p_in * table_in.entropy).tolist())
-    mean_s_out = math.fsum((p_out * table_out.entropy).tolist())
-    add(
-        "uniform_computing",
-        max(abs(mean_e_out - mean_e_in) / kt, abs(mean_s_out - mean_s_in)),
-    )
-
+    mean_e, _, mean_s = scenario.bound_terms[:3]
     if np.all(p_in > 0.0) and np.all(p_out > 0.0):
-        probs = np.concatenate((p_in, p_out))
-        free_energy = np.concatenate((table_in.free_energy, table_out.free_energy))
-        add("equilibrium", _spread((free_energy + kt * _logs(probs)) / kt))
-        adiabatic_values = entropy - _logs(probs)
-        add("adiabatic", _spread(adiabatic_values))
-        add(
-            "adiabatic_equilibrium",
-            max(_spread(energy) / kt, _spread(adiabatic_values)),
-        )
-    else:
-        checks.append(AssumptionCheck("equilibrium", False, math.inf))
-        checks.append(AssumptionCheck("adiabatic", False, math.inf))
-        checks.append(AssumptionCheck("adiabatic_equilibrium", False, math.inf))
-
-    free_in = mixture_free_energy(p_in, table_in.free_energy, kt)
-    free_out = mixture_free_energy(p_out, table_out.free_energy, kt)
-    add("zero_mean_work", abs(free_out - free_in) / kt)
-    ent_in = mean_s_in + _entropy_nats(p_in)
-    ent_out = mean_s_out + _entropy_nats(p_out)
-    add("zero_mean_heat", abs(ent_out - ent_in))
-
-    order = (
-        "isothermal",
-        "uniform_states",
-        "uniform_computing",
-        "equilibrium",
-        "zero_mean_work",
-        "zero_mean_heat",
-        "adiabatic",
-        "adiabatic_equilibrium",
+        logs = _logs(np.concatenate((p_in, p_out)))
+        equilibrium = _spread((free_energy + kt * logs) / kt)
+        adiabatic = _spread(entropy - logs)
+    else:  # the conditions on ln P hold only if every state occurs
+        equilibrium = adiabatic = math.inf
+    sides = ((p_in, table_in), (p_out, table_out))
+    free_in, free_out = (mixture_free_energy(p, table.free_energy, kt) for p, table in sides)
+    gibbs_in, gibbs_out = (
+        math.fsum((p * table.entropy).tolist()) + _entropy_nats(p) for p, table in sides
     )
-    by_name = {c.name: c for c in checks}
-    return AssumptionReport(tuple(by_name[name] for name in order))
+    residuals = {
+        "isothermal": _spread(temperatures + [t_ref]) / t_ref,
+        "uniform_states": max(energy_spread, _spread(entropy)),
+        "uniform_computing": max(abs(mean_e) / kt, abs(mean_s)),
+        "equilibrium": equilibrium,
+        "zero_mean_work": abs(free_out - free_in) / kt,
+        "zero_mean_heat": abs(gibbs_out - gibbs_in),
+        "adiabatic": adiabatic,
+        "adiabatic_equilibrium": max(energy_spread, adiabatic),
+    }
+    return AssumptionReport(
+        tuple(AssumptionCheck(name, r <= EPS_MODEL, r) for name, r in residuals.items())
+    )
 
 
 def aggregate_baths(deposits) -> tuple[float, float]:

@@ -78,6 +78,23 @@ ADIABATIC_SCENARIO = dict(
 )
 QBOUND_CONFIG = {"trials": 3, "env_dim": 4, "seed": 2}
 
+# Models that each run without their last keys, which the kind does not read
+# or which set the same value twice.
+UNREAD_MODEL_KEYS = {
+    "adiabatic-equilibrium-unread": (
+        {"kind": "adiabatic_equilibrium"},
+        {"input_temperatures": [1.0, 1.5], "C_A": 0.0, "S_R": 0.0, "E_x": 0.5},
+    ),
+    "uniform-unread": ({"kind": "uniform"}, {"output_temperatures": [1.0, 1.5], "C_A": 0.0}),
+    "equilibrium-unread": ({"kind": "equilibrium", "C_A": -1.0}, {"C_B": 1.0}),
+    "equilibrium-two-energies": ({"kind": "equilibrium", "E_x": 0.5}, {"E_R": 0.0}),
+    "adiabatic-two-constants": ({"kind": "adiabatic", "C_B": 2.0}, {"C_C": 1.0}),
+}
+
+
+def with_model(model):
+    return dict(ADIABATIC_SCENARIO, model=model)
+
 
 class TestScenarioParsing:
     def test_model_scenario(self, tmp_path):
@@ -105,6 +122,13 @@ class TestScenarioParsing:
         bad["input"] = dict(bad["input"], labels=["a", "WRONG"])
         with pytest.raises(ScenarioParseError):
             parse_scenario(bad)
+
+    def test_null_model_key_counts_as_absent(self):
+        # A null key is never the one read: C_C sets the constant, and uniform ignores nothing.
+        nulled = parse_scenario(with_model({"kind": "adiabatic", "C_B": None, "C_C": 3.0}))
+        alone = parse_scenario(with_model({"kind": "adiabatic", "C_C": 3.0}))
+        assert nulled.input_thermo == alone.input_thermo
+        assert parse_scenario(with_model({"kind": "uniform", "C_A": None})).input_thermo
 
     def test_si_units(self, tmp_path):
         payload = dict(RTZ_SCENARIO, units="si")
@@ -252,11 +276,11 @@ class TestExitCodes:
         "command, payload, code",
         [
             (["classify"], {"reference_temperature": 1.0}, 2),
-            (["cost", "--weights", "0.5,x"], RTZ_SCENARIO, 3),
+            (["cost", "--weights", "0.5,x"], RTZ_SCENARIO, 2),
             (["optimize"], dict(RTZ_SCENARIO, input={"probs": [0.5, 0.6]}), 3),
-            (["box-run", "--weights", "0.5,x"], RTZ_SCENARIO, 3),
+            (["box-run", "--weights", "0.5,x"], RTZ_SCENARIO, 2),
             (["cycle", "rle-le", "--p", "0.5", "--temperature", "0"], None, 3),
-            (["cycle", "build", "--middle-input", "0.5,x"], RTZ_SCENARIO, 3),
+            (["cycle", "build", "--middle-input", "0.5,x"], RTZ_SCENARIO, 2),
             # three middle-input probabilities for the two inputs of the scenario
             (["cycle", "build", "--middle-input", "0.5,0.3,0.2"], RTZ_SCENARIO, 3),
             (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branches=[{"probability": 1.0}]), 2),
@@ -272,6 +296,11 @@ class TestExitCodes:
             (["cost"], replaced(EXPLICIT_SCENARIO, ("input", "thermo", 0, "E"), 10**400), 3),
             (["qbound", "--config"], dict(QBOUND_CONFIG, trails=5), 2),
             (["cost"], dict(RTZ_SCENARIO, modle={"kind": "uniform"}), 2),
+            (["qbound", "--blocks", "2,x"], None, 2),
+            *(
+                (["cost"], with_model({**model, **extra}), 2)
+                for model, extra in UNREAD_MODEL_KEYS.values()
+            ),
         ],
         ids=[
             "classify",
@@ -292,6 +321,8 @@ class TestExitCodes:
             "cost-huge-integer",
             "qbound-unknown-key",
             "cost-unknown-key",
+            "qbound-blocks",
+            *(f"cost-{name}" for name in UNREAD_MODEL_KEYS),
         ],
     )
     def test_rejected_run_writes_nothing(self, tmp_path, capsys, command, payload, code):
@@ -299,6 +330,17 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([*command, *inputs, "--out", str(out)]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize("model, extra", UNREAD_MODEL_KEYS.values(), ids=UNREAD_MODEL_KEYS)
+    def test_model_key_the_kind_does_not_read_exits_2(self, tmp_path, capsys, model, extra):
+        # Each model is first run without the extra keys.
+        for data, code in ((model, 0), ({**model, **extra}, 2)):
+            out = tmp_path / f"o{code}"
+            path = write(tmp_path, "in.json", with_model(data))
+            assert main(["cost", path, "--out", str(out)]) == code
+            assert out.exists() == (code == 0)
+        err = capsys.readouterr().err
+        assert f"the {model['kind']} model " in err and repr(list(extra)[-1]) in err
 
     @pytest.mark.parametrize(
         "command, payload, key",

@@ -13,6 +13,7 @@ from helpers import (
     random_scenario,
     random_thermo,
 )
+from thermologic import cycles, logic, thermo
 from thermologic.costs import CostError, expected_cost, is_infinite, make_weights, optimal_weights
 from thermologic.cycles import (
     DegenerateCycleError,
@@ -291,6 +292,30 @@ class TestReverseOperation:
             want.expected_work,
             want.expected_heat,
         )
+
+    def test_unpruned_scenario_is_not_propagated_again(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        sc = Scenario(
+            input_dist=random_distribution(rng, 6),
+            op=random_operation(rng, 6, 6),
+            input_thermo=random_thermo(rng, 6),
+            output_thermo=random_thermo(rng, 6),
+            reference_temperature=1.1,
+        )
+        sc.output_dist  # kept by the scenario from here on
+        propagated = []
+        real = logic.propagate
+
+        def counted(op, dist):
+            propagated.append(op)
+            return real(op, dist)
+
+        for module in (logic, thermo, cycles):
+            monkeypatch.setattr(module, "propagate", counted)
+        report = reverse_operation(sc)
+        assert report.pruned_inputs == report.pruned_outputs == ()
+        # Only the reverse leg's own output statistics are computed.
+        assert len(propagated) == 1 and propagated[0] is report.operation
 
 
 class TestSuboptimalCycle:
