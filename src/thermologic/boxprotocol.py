@@ -381,7 +381,9 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
         add(3, i, -1, d3, t_ref, entropy_for_width(d3, t_ref, units), iso, iso)
 
     # Steps 4 and 5: a pair of rows per branch of a live input, in row-major order.
-    ii, jj = np.nonzero(matrix * (w_in != 0.0)[:, None])
+    rows, cols = scenario.op.support
+    live = w_in[rows] != 0.0
+    ii, jj = rows[live], cols[live]
     width = matrix[ii, jj] * w_in[ii] * total_width
     branches = np.zeros((2 * ii.size, 9))
     branches[:, [0, 4, 6]] = (4.0, 0.5 * k * t_ref, t_ref)

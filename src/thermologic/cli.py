@@ -226,7 +226,7 @@ def cmd_cycle_build(args) -> int:
     if args.weights is not None:
         weights = _parse_weights(args.weights, scenario)
         cycle = dataclasses.replace(scenario, input_dist=DiscreteDistribution(weights.weights))
-    middle = parse_floats(args.middle_input) if args.middle_input else None
+    middle = parse_floats(args.middle_input) if args.middle_input is not None else None
     evaluation = evaluate_cycle(cycle, middle_input=middle)
     divisor, unit = _divisor(scenario, args)
     payload = {

@@ -27,6 +27,16 @@ import numpy as np
 
 PROB_ATOL = 1e-9
 
+# The row-sum screen of LogicalOperation.  After the range check every entry
+# lies in [-PROB_ATOL, 1 + PROB_ATOL], so the n entries x of a row have
+# sum |x| <= sum x + 2 n PROB_ATOL, and their float sum, taken in any order, is
+# off from the exact sum by at most about (n - 1) 2**-53 sum |x|.  For a float
+# sum within _ROW_SCREEN_ATOL of 1 and n <= _SCREENED_WIDTH that error is below
+# 1.2e-10, so the exact sum is within PROB_ATOL of 1 and math.fsum accepts the
+# row too.  Wider rows are not screened.
+_ROW_SCREEN_ATOL = PROB_ATOL / 2
+_SCREENED_WIDTH = 2**20
+
 __all__ = [
     "PROB_ATOL",
     "LogicError",
@@ -155,6 +165,13 @@ class LogicalOperation:
     ``matrix[i, j]`` is the probability that input state ``i`` yields
     output state ``j``.  Labels are opaque strings used only for
     reporting; index order is authoritative.
+
+    Each row must sum to one within ``PROB_ATOL``, as :func:`math.fsum`
+    of the row gives it.  One array sum screens the rows first: a row
+    whose float sum lies within ``PROB_ATOL / 2`` of one passes, since
+    rounding cannot move a sum of at most ``2**20`` entries that far.
+    Every other row is decided by ``fsum``, in order, so the first row
+    rejected and its message are those of an exact check of every row.
     """
 
     matrix: np.ndarray
@@ -172,8 +189,11 @@ class LogicalOperation:
             raise InvalidOperationError("label count does not match matrix shape")
         if not _in_unit_range(arr):
             raise InvalidOperationError("conditional probabilities outside [0, 1]")
-        for i, row in enumerate(arr.tolist()):
-            total = math.fsum(row)
+        screen = _ROW_SCREEN_ATOL if n_out <= _SCREENED_WIDTH else -1.0  # -1: sum every row
+        for i, rounded in enumerate(arr.sum(axis=1).tolist()):
+            if abs(rounded - 1.0) <= screen:
+                continue
+            total = math.fsum(arr[i].tolist())
             if abs(total - 1.0) > PROB_ATOL:
                 raise InvalidOperationError(
                     f"row for input '{in_labels[i]}' sums to {total!r}, expected 1"
@@ -193,9 +213,10 @@ class LogicalOperation:
     @cached_property
     def classification(self) -> "OperationClass":
         """What :func:`classify` reports, computed on first access."""
-        m = self.matrix
-        deterministic = bool(np.all((m <= PROB_ATOL) | (m >= 1.0 - PROB_ATOL)))
-        reversible = bool(np.all(np.count_nonzero(m > PROB_ATOL, axis=0) <= 1))
+        rows, cols = self.support
+        values = self.matrix[rows, cols]
+        deterministic = bool(np.all((values <= PROB_ATOL) | (values >= 1.0 - PROB_ATOL)))
+        reversible = bool(np.all(np.bincount(cols[values > PROB_ATOL]) <= 1))
         return OperationClass(deterministic=deterministic, reversible=reversible)
 
     @cached_property

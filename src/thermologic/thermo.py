@@ -297,6 +297,8 @@ def make_model(kind: str, skeleton: ModelSkeleton) -> Scenario:
         p_min = min(p_in.min(), p_out.min())
         if kind == "equilibrium":
             kt = k * t_ref
+            if kt == 0.0:
+                raise ThermoError(f"{kind} model needs a positive k T_R, got {kt!r}")
             c_a = constant if constant is not None else energy + kt * math.log(p_min)
             constant = (energy - c_a) / kt
         elif constant is None:

@@ -283,6 +283,7 @@ class TestExitCodes:
             (["cycle", "build", "--middle-input", "0.5,x"], RTZ_SCENARIO, 2),
             # three middle-input probabilities for the two inputs of the scenario
             (["cycle", "build", "--middle-input", "0.5,0.3,0.2"], RTZ_SCENARIO, 3),
+            (["cycle", "build", "--middle-input", ""], RTZ_SCENARIO, 2),
             (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branches=[{"probability": 1.0}]), 2),
             (["cycle", "partial"], dict(PARTIAL_CONFIG, joint_prior="x"), 2),
             (["qbound", "--config"], {"env_dim": "x"}, 2),
@@ -297,6 +298,8 @@ class TestExitCodes:
             (["qbound", "--config"], dict(QBOUND_CONFIG, trails=5), 2),
             (["cost"], dict(RTZ_SCENARIO, modle={"kind": "uniform"}), 2),
             (["qbound", "--blocks", "2,x"], None, 2),
+            # make_model would divide by k T_R = 0
+            (["cost"], dict(with_model({"kind": "equilibrium"}), reference_temperature=0.0), 3),
             *(
                 (["cost"], with_model({**model, **extra}), 2)
                 for model, extra in UNREAD_MODEL_KEYS.values()
@@ -310,6 +313,7 @@ class TestExitCodes:
             "cycle-rle-le",
             "cycle-build",
             "cycle-build-middle-arity",
+            "cycle-build-middle-empty",
             "cycle-uncertain",
             "cycle-partial",
             "qbound",
@@ -322,6 +326,7 @@ class TestExitCodes:
             "qbound-unknown-key",
             "cost-unknown-key",
             "qbound-blocks",
+            "cost-equilibrium-zero-temperature",
             *(f"cost-{name}" for name in UNREAD_MODEL_KEYS),
         ],
     )

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -12,7 +12,12 @@ from helpers import (
     permutation_operation,
     random_distribution,
     random_operation,
+    random_thermo,
 )
+from thermologic import logic
+from thermologic.boxprotocol import run_protocol
+from thermologic.costs import expected_cost, optimal_weights
+from thermologic.cycles import reverse_operation
 from thermologic.logic import (
     PROB_ATOL,
     ArityMismatchError,
@@ -20,6 +25,7 @@ from thermologic.logic import (
     InvalidDistributionError,
     InvalidOperationError,
     LogicalOperation,
+    OperationClass,
     ZeroProbabilityOutputError,
     bayes_invert,
     classify,
@@ -35,6 +41,7 @@ from thermologic.logic import (
     shannon_entropy,
     ufz,
 )
+from thermologic.thermo import Scenario
 
 
 def dist_strategy(n):
@@ -327,6 +334,109 @@ def test_operation_validation_matches_the_reference_rules(values, labels):
     assert_same_outcome(got, outcome(lambda: _reference_operation(values, input_labels, output_labels)))
 
 
+# Sums at the edges of the row check (1 +- PROB_ATOL) and of its screen (1 +- PROB_ATOL / 2).
+SUM_EDGES = (PROB_ATOL, -PROB_ATOL, PROB_ATOL / 2, -PROB_ATOL / 2)
+
+
+@st.composite
+def edge_sum_rows(draw, n_cols):
+    """A row of ``n_cols`` entries whose exact sum lies a few ulps from a sum edge.
+
+    ``m`` equal shares of the edge value carry the sum, the other entries
+    are zeros and pairs ``-x, x`` of tiny entries, in a random order.  The
+    float sum of the shares is off from their exact sum by a few ulps, so
+    the two often fall on opposite sides of the edge.
+    """
+    pairs = draw(st.lists(st.sampled_from((PROB_ATOL, 1e-12, 1e-17)), max_size=5))
+    m = draw(st.integers(1, n_cols - 2 * len(pairs)))
+    share = (1.0 + draw(st.sampled_from(SUM_EDGES))) / m
+    steps = draw(st.integers(-2, 1))  # the steps whose float and exact sums straddle most often
+    for _ in range(abs(steps)):
+        share = math.nextafter(share, math.copysign(1.0, steps))
+    zero = draw(st.sampled_from((0.0, -0.0)))
+    entries = [share] * m + [y for x in pairs for y in (-x, x)]
+    entries += [zero] * (n_cols - len(entries))
+    draw(st.randoms(use_true_random=False)).shuffle(entries)
+    return entries
+
+
+@st.composite
+def edge_sum_matrices(draw):
+    """Up to four rows of 20 to 300 entries: edge-sum rows, all ``0.0``, all ``-0.0`` or uniform."""
+    n_cols = draw(st.integers(20, 300))
+    rows = [
+        draw(
+            edge_sum_rows(n_cols)
+            | st.sampled_from(([0.0] * n_cols, [-0.0] * n_cols, [1.0 / n_cols] * n_cols))
+        )
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    return np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=edge_sum_matrices())
+def test_row_screen_matches_the_reference_at_the_sum_edges(values):
+    def build():
+        op = LogicalOperation(values)
+        return op.matrix, op.input_labels, op.output_labels
+
+    assert_same_outcome(outcome(build), outcome(lambda: _reference_operation(values, None, None)))
+
+
+def _matches_the_reference(values):
+    try:
+        assert_same_outcome(
+            outcome(lambda: (LogicalOperation(values).matrix,)),
+            outcome(lambda: _reference_operation(values, None, None)[:1]),
+        )
+    except AssertionError:
+        return False
+    return True
+
+
+def test_row_screen_needs_its_margin_and_its_width_bound(monkeypatch):
+    # With no margin the screen passes a row whose exact sum is outside PROB_ATOL ...
+    monkeypatch.setattr(logic, "_ROW_SCREEN_ATOL", PROB_ATOL)
+    mismatch = find(
+        edge_sum_matrices(),
+        lambda values: not _matches_the_reference(values),
+        settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+    )
+    # ... and a row wider than _SCREENED_WIDTH is summed exactly, whatever the screen.
+    monkeypatch.setattr(logic, "_SCREENED_WIDTH", mismatch.shape[1] - 1)
+    assert _matches_the_reference(mismatch)
+
+
+def test_exact_sums_grow_linearly_on_permutations(monkeypatch):
+    """``math.fsum`` reads O(n) entries to build, price, reverse and run an n-state permutation."""
+    received = []
+    fsum = math.fsum
+
+    def counting_fsum(values):
+        values = list(values)
+        received.append(len(values))
+        return fsum(values)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    counts = []
+    for n in (128, 256, 512, 1024, 2048):
+        rng = np.random.default_rng(n)
+        received.clear()
+        matrix = np.zeros((n, n))
+        matrix[np.arange(n), rng.permutation(n)] = 1.0
+        op = LogicalOperation(matrix)
+        scenario = Scenario(
+            random_distribution(rng, n), op, random_thermo(rng, n), random_thermo(rng, n), 1.0
+        )
+        weights = optimal_weights(scenario)
+        expected_cost(scenario, weights)
+        reverse_operation(scenario)
+        run_protocol(scenario, weights)
+        counts.append(sum(received))
+    assert all(b <= 2.5 * a for a, b in zip(counts, counts[1:])), counts
+
+
 def test_stored_arrays_keep_the_sign_of_zero():
     assert np.signbit(DiscreteDistribution([-0.0, 1.0]).probs).tolist() == [True, False]
     assert np.signbit(LogicalOperation([[1.0, -0.0]]).matrix).tolist() == [[False, True]]
@@ -342,3 +452,18 @@ def test_operation_caches_its_classification_and_support():
     for index in op.support:
         with pytest.raises(ValueError):
             index[0] = 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=edge_probability_arrays("matrix"))
+def test_classification_from_the_support_matches_the_dense_rule(values):
+    try:
+        op = LogicalOperation(values)
+    except InvalidOperationError:
+        return
+    m = op.matrix
+    dense = OperationClass(
+        deterministic=bool(np.all((m <= PROB_ATOL) | (m >= 1.0 - PROB_ATOL))),
+        reversible=bool(np.all(np.count_nonzero(m > PROB_ATOL, axis=0) <= 1)),
+    )
+    assert op.classification == dense
