@@ -23,6 +23,7 @@ plus a minimax variant for worst-case rather than mean cost.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -96,6 +97,10 @@ class WeightVector:
     ``infinite_inputs`` lists inputs that were given zero weight while
     still occurring with positive probability; any expectation involving
     them is flagged as infinitely expensive rather than rejected.
+
+    Both arrays are read-only, so a vector keeps the cost reports that
+    :func:`expected_cost` makes with it, one per scenario, each for as
+    long as its scenario lives.
     """
 
     weights: np.ndarray
@@ -113,6 +118,16 @@ class WeightVector:
     @property
     def flagged_infinite(self) -> bool:
         return bool(self.infinite_inputs)
+
+    @cached_property
+    def _reports(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
+
+    def __getstate__(self):
+        # The memo holds weak references, which do not pickle; a copy starts empty.
+        state = dict(self.__dict__)
+        state.pop("_reports", None)
+        return state
 
 
 def make_weights(scenario: Scenario, weights) -> WeightVector:
@@ -135,19 +150,29 @@ def make_weights(scenario: Scenario, weights) -> WeightVector:
     return WeightVector(w, w @ scenario.op.matrix, infinite_inputs=flagged)
 
 
+# Each scenario's optimal weights, for as long as the scenario lives.
+_OPTIMAL: weakref.WeakKeyDictionary[Scenario, WeightVector] = weakref.WeakKeyDictionary()
+
+
 def optimal_weights(scenario: Scenario) -> WeightVector:
     """Cost-minimising weights: ``w = P(input)``.
 
     For logically reversible operations the expected cost does not depend
     on the weights at all, which is reported via ``weight_independent``.
+    A scenario is immutable, so it has one optimal vector: every call
+    returns the same object, held weakly by the scenario, and a report
+    priced with it is priced once (see :func:`expected_cost`).
     """
-    w = scenario.input_dist.probs
-    return WeightVector(
-        w,
-        w @ scenario.op.matrix,
-        infinite_inputs=(),
-        weight_independent=classify(scenario.op).reversible,
-    )
+    weights = _OPTIMAL.get(scenario)
+    if weights is None:
+        w = scenario.input_dist.probs
+        weights = _OPTIMAL[scenario] = WeightVector(
+            w,
+            w @ scenario.op.matrix,
+            infinite_inputs=(),
+            weight_independent=classify(scenario.op).reversible,
+        )
+    return weights
 
 
 @dataclass(frozen=True)
@@ -262,7 +287,20 @@ def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int,
 
 
 def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
-    """Full cost report for a scenario implemented with the given weights."""
+    """Full cost report for a scenario implemented with the given weights.
+
+    Both arguments are immutable, so the report is made once per pair and
+    kept by ``weights`` for as long as both objects live: pricing the same
+    scenario with the same vector again returns the same report.  Equal
+    content in another object is priced afresh.
+    """
+    report = weights._reports.get(scenario)
+    if report is None:
+        report = weights._reports[scenario] = _price(scenario, weights)
+    return report
+
+
+def _price(scenario: Scenario, weights: WeightVector) -> CostReport:
     rows, cols, finite, work, heat = _priced_transitions(scenario, weights)
     joint = scenario.input_dist.probs[rows] * scenario.op.matrix[rows, cols]
     columns = TransitionColumns(rows, cols, joint, work, heat, finite)

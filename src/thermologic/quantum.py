@@ -379,11 +379,13 @@ def default_setup(
 ) -> TrialSetup:
     """Deterministic small setup: fixed non-degenerate spectra, canonical blocks.
 
-    The block sizes and the joint dimension are checked before any
-    spectrum or state is built.
+    The block sizes, ``env_dim`` and the joint dimension are checked
+    before any spectrum or state is built.
     """
     if any(size < 1 for size in system_block_sizes):
         raise SetupError("block outside system dimension")
+    if env_dim < 1:
+        raise SetupError(f"env_dim must be at least 1, got {env_dim}")
     dim = sum(system_block_sizes)
     _check_joint_dim(dim, env_dim)
     system_h = HamiltonianSpec(np.linspace(0.0, 1.3, dim))

@@ -12,7 +12,11 @@ over states has one implementation (:func:`mixture_free_energy`).
 A scenario is immutable, so it computes each derived value once, on first
 access, and keeps it: its output distribution, the two state arrays and
 the eight bound terms of a bounds-only cost report
-(:attr:`Scenario.bound_terms`).
+(:attr:`Scenario.bound_terms`).  The cost layer keeps what it derives
+from a scenario by weak reference, for as long as the scenario lives:
+its optimal weights, and the cost report of each weight vector it is
+priced with, which lives no longer than that vector
+(:func:`~thermologic.costs.expected_cost`).
 
 Four standard assumption sets are provided as constructors
 (:func:`make_model`) and as report-only checks (:func:`validate`).  Each

@@ -298,6 +298,7 @@ class TestExitCodes:
             (["qbound", "--config"], dict(QBOUND_CONFIG, trails=5), 2),
             (["cost"], dict(RTZ_SCENARIO, modle={"kind": "uniform"}), 2),
             (["qbound", "--blocks", "2,x"], None, 2),
+            (["qbound", "--env-dim", "-3"], None, 3),
             # make_model would divide by k T_R = 0
             (["cost"], dict(with_model({"kind": "equilibrium"}), reference_temperature=0.0), 3),
             *(
@@ -326,6 +327,7 @@ class TestExitCodes:
             "qbound-unknown-key",
             "cost-unknown-key",
             "qbound-blocks",
+            "qbound-env-dim-negative",
             "cost-equilibrium-zero-temperature",
             *(f"cost-{name}" for name in UNREAD_MODEL_KEYS),
         ],
@@ -335,6 +337,20 @@ class TestExitCodes:
         out = tmp_path / "o"
         assert main([*command, *inputs, "--out", str(out)]) == code
         assert not out.exists()
+
+    @pytest.mark.parametrize("env_dim", [0, -3])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_env_dim_below_one_is_named_before_anything_is_built(
+        self, tmp_path, capsys, source, env_dim
+    ):
+        if source == "flag":
+            command = ["qbound", "--env-dim", str(env_dim)]
+        else:
+            command = ["qbound", "--config", write(tmp_path, "in.json", {"env_dim": env_dim})]
+        out = tmp_path / "o"
+        assert main([*command, "--out", str(out)]) == 3
+        assert not out.exists()
+        assert f"env_dim must be at least 1, got {env_dim}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("model, extra", UNREAD_MODEL_KEYS.values(), ids=UNREAD_MODEL_KEYS)
     def test_model_key_the_kind_does_not_read_exits_2(self, tmp_path, capsys, model, extra):

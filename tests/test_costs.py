@@ -1,5 +1,11 @@
+import dataclasses
+import gc
 import hashlib
 import math
+import pickle
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -16,8 +22,10 @@ from helpers import (
     random_scenario,
     random_thermo,
 )
+from thermologic import costs
 from thermologic.costs import (
     CostError,
+    CostReport,
     INFINITE_COST,
     TransitionImpossibleError,
     expected_cost,
@@ -32,7 +40,9 @@ from thermologic.costs import (
 from thermologic.cycles import (
     LEDGER_TOL,
     entropy_ledgers,
+    evaluate_cycle,
     partial_operation_cost,
+    reverse_operation,
     uncertain_operation_cost,
 )
 from thermologic.logic import (
@@ -747,3 +757,184 @@ def test_weight_validation_matches_the_reference_rules(weights, seed, dead, arit
 
     want = outcome(lambda: _reference_weights(scenario, weights))
     assert_same_outcome(outcome(build), want)
+
+
+# --- One pricing per (scenario, weights) pair --------------------------------
+
+
+def _bits(value):
+    """Every float of a result as ``float.hex`` and every array as its bytes, recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(_bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        if isinstance(value, CostReport):
+            fields.append(value.transitions)
+        return type(value).__name__, tuple(_bits(v) for v in fields)
+    return repr(value)
+
+
+def _copy_scenario(sc):
+    """An equal scenario that shares no object with ``sc``."""
+    op = sc.op
+    return Scenario(
+        DiscreteDistribution(sc.input_dist.probs.copy()),
+        LogicalOperation(
+            op.matrix.copy(), input_labels=op.input_labels, output_labels=op.output_labels
+        ),
+        sc.input_thermo,
+        sc.output_thermo,
+        sc.reference_temperature,
+        sc.units,
+    )
+
+
+class TestPricingMemo:
+    def _scenario(self, seed=31):
+        rng = np.random.default_rng(seed)
+        return random_scenario(rng, max_states=5)
+
+    def test_a_pair_is_priced_once_across_cost_ledgers_and_reverse(self, monkeypatch):
+        sc = self._scenario()
+        calls = []
+        real = costs._priced_transitions
+
+        def counted(scenario, weights, pairs=None):
+            calls.append((scenario, weights))
+            return real(scenario, weights, pairs)
+
+        monkeypatch.setattr(costs, "_priced_transitions", counted)
+        w = optimal_weights(sc)
+        report = expected_cost(sc, w)
+        entropy_ledgers(sc, w)
+        reverse = reverse_operation(sc)
+        assert reverse.pruned_inputs == reverse.pruned_outputs == ()
+        assert optimal_weights(sc) is w
+        assert reverse.forward_cost is report and expected_cost(sc, w) is report
+        assert sum(1 for pair in calls if pair[0] is sc and pair[1] is w) == 1
+        assert len(calls) == 2  # and the reverse leg once
+
+    def test_other_scenarios_and_other_vectors_are_priced_afresh(self):
+        sc = self._scenario()
+        rng = np.random.default_rng(32)
+        w = make_weights(sc, random_distribution(rng, sc.op.n_inputs).probs)
+        report = expected_cost(sc, w)
+        variants = [
+            dataclasses.replace(sc, input_thermo=random_thermo(rng, sc.op.n_inputs)),
+            dataclasses.replace(sc, input_dist=random_distribution(rng, sc.op.n_inputs)),
+        ]
+        for other in variants:
+            got = expected_cost(other, w)
+            assert got is not report
+            fresh = _copy_scenario(other)
+            assert _bits(got) == _bits(expected_cost(fresh, make_weights(fresh, w.weights)))
+            assert _bits(got) != _bits(report)
+        twin = make_weights(sc, w.weights)
+        again = expected_cost(sc, twin)
+        assert again is not report and _bits(again) == _bits(report)
+        assert expected_cost(sc, w) is report
+
+    def test_reports_live_only_while_both_keys_live(self):
+        sc = self._scenario()
+        w = make_weights(sc, np.full(sc.op.n_inputs, 1.0 / sc.op.n_inputs))
+        report = weakref.ref(expected_cost(sc, w))
+        gc.collect()
+        assert report() is not None
+        del w
+        gc.collect()
+        assert report() is None
+
+        w = make_weights(sc, np.full(sc.op.n_inputs, 1.0 / sc.op.n_inputs))
+        report = weakref.ref(expected_cost(sc, w))
+        optimal = weakref.ref(optimal_weights(sc))
+        at_optimum = weakref.ref(expected_cost(sc, optimal()))
+        del sc
+        gc.collect()
+        assert report() is None and optimal() is None and at_optimum() is None
+
+    def test_a_priced_vector_pickles_without_its_reports(self):
+        sc = self._scenario()
+        w = optimal_weights(sc)
+        report = expected_cost(sc, w)
+        copy = pickle.loads(pickle.dumps(w))
+        assert copy.weights.tobytes() == w.weights.tobytes()
+        assert copy.weight_independent == w.weight_independent
+        again = expected_cost(sc, copy)
+        assert again is not report and _bits(again) == _bits(report)
+
+    def test_threads_sharing_keys_get_the_cold_values(self):
+        scenarios = [self._scenario(seed) for seed in range(40, 48)]
+        copies = [_copy_scenario(sc) for sc in scenarios]
+        want = [_bits(expected_cost(sc, optimal_weights(sc))) for sc in copies]
+        got, errors = [], []
+
+        def work():
+            try:
+                for sc in scenarios:
+                    got.append((sc, expected_cost(sc, optimal_weights(sc))))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 6 * len(scenarios)
+        for sc, report in got:
+            assert _bits(report) == want[scenarios.index(sc)]
+
+
+_MEMO_CALLS = ("cost", "ledgers", "reverse", "cycle", "cycle-mismatched")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    dead_input=st.booleans(),
+    zero_live_weight=st.booleans(),
+    calls=st.lists(
+        st.tuples(st.sampled_from(_MEMO_CALLS), st.sampled_from(("optimal", "drawn"))),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_shared_reports_are_the_cold_values(seed, structure, dead_input, zero_live_weight, calls):
+    """Any interleaving of the pricing callers on shared scenario and weights
+    gives what each call gives alone on fresh, equal copies."""
+    sc = _priced_scenario(seed, structure, dead_input)
+    rng = np.random.default_rng(seed)
+    raw = rng.dirichlet(np.ones(sc.op.n_inputs))
+    if zero_live_weight:
+        raw[-1] = 0.0  # the last input is live, so its costs are INF
+    raw /= raw.sum()
+    middle = random_distribution(rng, sc.op.n_inputs).probs
+
+    def call(name, scenario, weights):
+        try:
+            if name == "cost":
+                return _bits(expected_cost(scenario, weights))
+            if name == "ledgers":
+                return _bits(entropy_ledgers(scenario, weights))
+            if name == "reverse":
+                return _bits(reverse_operation(scenario))
+            return _bits(evaluate_cycle(scenario, middle if name == "cycle-mismatched" else None))
+        except CostError as exc:  # ledgers of INF weights, compared by class and message
+            return type(exc), str(exc)
+
+    shared = {"optimal": optimal_weights(sc), "drawn": make_weights(sc, raw)}
+    for name, which in calls:
+        fresh = _copy_scenario(sc)
+        cold = optimal_weights(fresh) if which == "optimal" else make_weights(fresh, raw)
+        assert call(name, sc, shared[which]) == call(name, fresh, cold), (name, which)

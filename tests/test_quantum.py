@@ -239,7 +239,13 @@ class TestMixtureIdentity:
 
     @pytest.mark.parametrize(
         "blocks, env_dim, message",
-        [((40, 40), 1, "exceeds cap"), ((2, 2), 17, "exceeds cap"), ((0, 2), 4, "block outside")],
+        [
+            ((40, 40), 1, "exceeds cap"),
+            ((2, 2), 17, "exceeds cap"),
+            ((0, 2), 4, "block outside"),
+            ((2, 2), 0, "env_dim must be at least 1, got 0"),
+            ((2, 2), -3, "env_dim must be at least 1, got -3"),
+        ],
     )
     def test_default_setup_checks_dimensions_before_building(
         self, monkeypatch, blocks, env_dim, message
