@@ -11,7 +11,9 @@ Each subcommand imports the layers it runs when it runs, so start-up
 pays only for those.
 
 Exit codes: 0 ok, 2 unparseable input, 3 validation failure, 4 runtime
-failure.
+failure.  A fault of the program (``numpy.linalg.LinAlgError``,
+``RecursionError``, ``NotImplementedError``, or any other exception)
+propagates with its traceback, so Python exits 1.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
 EXIT_RUNTIME = 4
+
+# Subclasses of ValueError and RuntimeError that mean a fault of the program, never of its input.
+_PROGRAM_ERRORS = (np.linalg.LinAlgError, RecursionError, NotImplementedError)
 
 
 def _common_flags(parser: argparse.ArgumentParser):
@@ -351,6 +356,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except _PROGRAM_ERRORS:
+        raise  # a fault of the program, not of its input: traceback and exit 1
     except (ScenarioParseError, FileNotFoundError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE

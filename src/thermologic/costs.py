@@ -302,6 +302,17 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
 
 def _price(scenario: Scenario, weights: WeightVector) -> CostReport:
     rows, cols, finite, work, heat = _priced_transitions(scenario, weights)
+    return _report(scenario, TransitionColumns(rows, cols, None, work, heat, finite))
+
+
+def _report(scenario: Scenario, columns: TransitionColumns) -> CostReport:
+    """The report of ``scenario`` on priced ``columns``, whose ``joint`` is not read.
+
+    Work and heat depend on the weights, the operation and the thermo
+    tables but not on the input statistics, so the columns priced for one
+    scenario serve another that differs only in its input distribution.
+    """
+    rows, cols, _, work, heat, finite = columns
     joint = scenario.input_dist.probs[rows] * scenario.op.matrix[rows, cols]
     columns = TransitionColumns(rows, cols, joint, work, heat, finite)
     for column in columns:

@@ -38,6 +38,7 @@ from .costs import (
     CostReport,
     INFINITE_COST,
     WeightVector,
+    _report,
     expected_cost,
     is_infinite,
     make_weights,
@@ -58,6 +59,7 @@ from .thermo import (
     NATURAL_UNITS,
     Scenario,
     StateThermo,
+    ThermoTable,
     UnitSystem,
     mixture_free_energy,
     state_arrays,
@@ -615,22 +617,29 @@ def evaluate_cycle(cycle: Scenario, middle_input=None) -> CycleEvaluation:
 
     ``cycle`` is the scenario whose input statistics are the design
     weights, as :func:`build_reversible_cycle` returns; any scenario
-    serves, with its own input distribution as the weights.  With no
-    ``middle_input`` the middle leg is ``cycle`` itself and the total
-    vanishes.  Otherwise the opening and closing legs are derived for the
-    actual statistics (they define the cycle for that input) while the
-    middle leg keeps the designed weights, so the total reduces to the
+    serves, with its own input distribution as the weights.  The middle
+    leg is priced once per cycle, as ``expected_cost(cycle,
+    optimal_weights(cycle))``.  With no ``middle_input`` that report is
+    the middle leg and the total vanishes.  Otherwise the opening and
+    closing legs are derived for the actual statistics (they define the
+    cycle for that input) while the middle leg keeps the designed
+    weights: its transitions cost what they cost in the designed leg,
+    weighted by the actual statistics, so the total reduces to the
     suboptimal-implementation excess.  The opening leg is one row from
     the standard state (energy ``k T_R / 2``, zero entropy) to the
     inputs; the closing leg is one column from every output back to it.
+    The legs share the cycle's thermo tables, and the two outer legs
+    share one standard-state table, so each table's arrays are made once.
     """
     mid = cycle if middle_input is None else replace(
         cycle, input_dist=DiscreteDistribution(middle_input)
     )
+    designed = expected_cost(cycle, optimal_weights(cycle))
+    middle = designed if mid is cycle else _report(mid, designed.columns)
     op = cycle.op
     standard = ("standard",)
     t_ref = cycle.reference_temperature
-    standard_state = (StateThermo(0.5 * cycle.units.k_B * t_ref, 0.0, t_ref),)
+    standard_state = ThermoTable((StateThermo(0.5 * cycle.units.k_B * t_ref, 0.0, t_ref),))
     opener = replace(
         cycle,
         input_dist=DiscreteDistribution([1.0]),
@@ -652,7 +661,7 @@ def evaluate_cycle(cycle: Scenario, middle_input=None) -> CycleEvaluation:
     )
     costs = (
         expected_cost(opener, make_weights(opener, [1.0])),
-        expected_cost(mid, make_weights(mid, cycle.input_dist.probs)),
+        middle,
         expected_cost(closer, make_weights(closer, out_dist.probs)),
     )
     if any(is_infinite(c.expected_work) for c in costs):

@@ -4,14 +4,17 @@ Each logical state carries a mean energy, an entropy (stored in units of
 the Boltzmann constant) and a preparation temperature.  A
 :class:`Scenario` bundles an input distribution, an operation, the
 per-state thermodynamic tables and a reference temperature; it is the
-unit of work for the cost and protocol machinery.  Each table is turned
-into read-only energy, entropy and free-energy arrays once
-(:func:`state_arrays`), and the mixture free energy of a distribution
-over states has one implementation (:func:`mixture_free_energy`).
+unit of work for the cost and protocol machinery.  A scenario holds each
+table as a :class:`ThermoTable`, a tuple that keeps its read-only energy,
+entropy and free-energy arrays (:func:`state_arrays`), made once per
+table and temperature, not once per scenario: every scenario built from
+the same table object (by ``dataclasses.replace``, as a reverse or as a
+cycle leg) shares them.  The mixture free energy of a distribution over
+states has one implementation (:func:`mixture_free_energy`).
 
 A scenario is immutable, so it computes each derived value once, on first
-access, and keeps it: its output distribution, the two state arrays and
-the eight bound terms of a bounds-only cost report
+access, and keeps it: its output distribution, its two tables' state
+arrays and the eight bound terms of a bounds-only cost report
 (:attr:`Scenario.bound_terms`).  The cost layer keeps what it derives
 from a scenario by weak reference, for as long as the scenario lives:
 its optimal weights, and the cost report of each weight vector it is
@@ -66,6 +69,7 @@ __all__ = [
     "NATURAL_UNITS",
     "SI_UNITS",
     "StateThermo",
+    "ThermoTable",
     "StateArrays",
     "state_arrays",
     "mixture_free_energy",
@@ -138,14 +142,42 @@ class StateArrays(NamedTuple):
     free_energy: np.ndarray  # E - k T_R S
 
 
-def state_arrays(thermo, kt: float) -> StateArrays:
-    """Energy, entropy and free energy ``E - kt S`` of each state in ``thermo``."""
+class ThermoTable(tuple):
+    """A tuple of :class:`StateThermo` that keeps its :class:`StateArrays`, one set per ``kt``.
+
+    It equals the tuple it was built from.  A copy or an unpickled table
+    starts without arrays; slices and sums are plain tuples.
+    """
+
+    @cached_property
+    def _arrays(self) -> dict[float, StateArrays]:
+        return {}
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
+
+
+def _tabulate(thermo, kt: float) -> StateArrays:
     table = np.array([[st.energy for st in thermo], [st.entropy for st in thermo]], dtype=float)
     table.setflags(write=False)
     energy, entropy = table
     free_energy = energy - kt * entropy
     free_energy.setflags(write=False)
     return StateArrays(energy, entropy, free_energy)
+
+
+def state_arrays(thermo, kt: float) -> StateArrays:
+    """Energy, entropy and free energy ``E - kt S`` of each state in ``thermo``.
+
+    A :class:`ThermoTable` makes them once per ``kt`` and returns the same
+    arrays on every later call; any other sequence gets fresh ones.
+    """
+    if not isinstance(thermo, ThermoTable):
+        return _tabulate(thermo, kt)
+    arrays = thermo._arrays.get(kt)
+    if arrays is None:
+        arrays = thermo._arrays[kt] = _tabulate(thermo, kt)
+    return arrays
 
 
 def mixture_free_energy(probs: np.ndarray, free_energy: np.ndarray, kt: float) -> float:
@@ -168,8 +200,8 @@ class Scenario:
 
     input_dist: DiscreteDistribution
     op: LogicalOperation
-    input_thermo: tuple[StateThermo, ...]
-    output_thermo: tuple[StateThermo, ...]
+    input_thermo: ThermoTable  # any sequence of StateThermo, wrapped once
+    output_thermo: ThermoTable
     reference_temperature: float
     units: UnitSystem = NATURAL_UNITS
 
@@ -179,8 +211,10 @@ class Scenario:
             raise ThermoError(f"reference temperature must be finite and positive, got {t_ref!r}")
         if len(self.input_dist) != self.op.n_inputs:
             raise ArityMismatchError("input distribution arity does not match operation")
-        object.__setattr__(self, "input_thermo", tuple(self.input_thermo))
-        object.__setattr__(self, "output_thermo", tuple(self.output_thermo))
+        for name in ("input_thermo", "output_thermo"):
+            table = getattr(self, name)
+            if not isinstance(table, ThermoTable):
+                object.__setattr__(self, name, ThermoTable(table))
         if len(self.input_thermo) != self.op.n_inputs:
             raise ArityMismatchError("input thermo table arity does not match operation")
         if len(self.output_thermo) != self.op.n_outputs:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 from hypothesis import strategies as st
 
+from thermologic.costs import CostReport
 from thermologic.logic import DiscreteDistribution, LogicalOperation
 from thermologic.thermo import Scenario, StateThermo
 
@@ -53,6 +55,70 @@ def permutation_operation(perm: tuple[int, ...]) -> LogicalOperation:
     for i, j in enumerate(perm):
         m[i, j] = 1.0
     return LogicalOperation(m)
+
+
+STRUCTURES = ("dense", "sparse", "permutation", "reset")
+
+
+def structured_scenario(seed: int, structure: str, dead_input: bool) -> Scenario:
+    """A scenario of 3 to 6 inputs whose operation has one of ``STRUCTURES``.
+
+    ``dead_input`` gives input 0 probability zero.
+    """
+    rng = np.random.default_rng(seed)
+    n_in = int(rng.integers(3, 7))  # a zero weight on input 0 and on the last leaves one
+    n_out = n_in if structure in ("dense", "permutation") else int(rng.integers(1, 7))
+    if structure == "permutation":
+        op = permutation_operation(tuple(rng.permutation(n_in).tolist()))
+    elif structure == "reset":
+        op = LogicalOperation(np.eye(n_out)[np.zeros(n_in, dtype=int)])
+    else:
+        rows = rng.dirichlet(np.ones(n_out), size=n_in)
+        if structure == "sparse":
+            rows[rng.random(rows.shape) < 0.5] = 0.0
+            rows[np.arange(n_in), rng.integers(0, n_out, n_in)] += 0.5
+        op = LogicalOperation(rows / rows.sum(axis=1, keepdims=True))
+    probs = random_distribution(rng, n_in).probs.copy()
+    if dead_input:
+        probs[0] = 0.0
+    return Scenario(
+        input_dist=DiscreteDistribution(probs / probs.sum()),
+        op=op,
+        input_thermo=random_thermo(rng, n_in),
+        output_thermo=random_thermo(rng, n_out),
+        reference_temperature=float(rng.uniform(0.5, 2.0)),
+    )
+
+
+def bits(value):
+    """Every float of a result as ``float.hex`` and every array as its bytes, recursively."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (tuple, list)):
+        return type(value).__name__, tuple(bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        if isinstance(value, CostReport):
+            fields.append(value.transitions)
+        return type(value).__name__, tuple(bits(v) for v in fields)
+    return repr(value)
+
+
+def copy_scenario(sc):
+    """An equal scenario that shares no array and no thermo table with ``sc``."""
+    op = sc.op
+    return Scenario(
+        DiscreteDistribution(sc.input_dist.probs.copy()),
+        LogicalOperation(
+            op.matrix.copy(), input_labels=op.input_labels, output_labels=op.output_labels
+        ),
+        tuple(sc.input_thermo),
+        tuple(sc.output_thermo),
+        sc.reference_temperature,
+        sc.units,
+    )
 
 
 # Values that sit on or just past the edges of the validation rules.

@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import thermologic
@@ -336,6 +337,25 @@ class TestExitCodes:
         inputs = [] if payload is None else [write(tmp_path, "in.json", payload)]
         out = tmp_path / "o"
         assert main([*command, *inputs, "--out", str(out)]) == code
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "error",
+        [np.linalg.LinAlgError, RecursionError, NotImplementedError],
+        ids=lambda error: error.__name__,
+    )
+    def test_program_errors_propagate_and_are_not_mapped(self, tmp_path, monkeypatch, error):
+        # LinAlgError is a ValueError and the other two are RuntimeErrors, so
+        # each used to read as a validation (3) or runtime (4) failure.
+        from thermologic import quantum
+
+        def fail(*args, **kwargs):
+            raise error("raised inside the computation")
+
+        monkeypatch.setattr(quantum, "run_trials", fail)
+        out = tmp_path / "o"
+        with pytest.raises(error, match="raised inside the computation"):
+            main(["qbound", "--trials", "2", "--out", str(out)])
         assert not out.exists()
 
     @pytest.mark.parametrize("env_dim", [0, -3])

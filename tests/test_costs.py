@@ -13,7 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    STRUCTURES,
     assert_same_outcome,
+    bits,
+    copy_scenario,
     edge_probability_arrays,
     outcome,
     permutation_operation,
@@ -21,11 +24,11 @@ from helpers import (
     random_operation,
     random_scenario,
     random_thermo,
+    structured_scenario,
 )
 from thermologic import costs
 from thermologic.costs import (
     CostError,
-    CostReport,
     INFINITE_COST,
     TransitionImpossibleError,
     expected_cost,
@@ -535,43 +538,16 @@ def test_minimax_results_are_pinned(case):
     assert _pin(result) == MINIMAX_PINS[case]
 
 
-def _priced_scenario(seed: int, structure: str, dead_input: bool) -> Scenario:
-    rng = np.random.default_rng(seed)
-    n_in = int(rng.integers(3, 7))  # a zero weight on input 0 and on the last leaves one
-    n_out = n_in if structure in ("dense", "permutation") else int(rng.integers(1, 7))
-    if structure == "permutation":
-        op = permutation_operation(tuple(rng.permutation(n_in).tolist()))
-    elif structure == "reset":
-        op = LogicalOperation(np.eye(n_out)[np.zeros(n_in, dtype=int)])
-    else:
-        rows = rng.dirichlet(np.ones(n_out), size=n_in)
-        if structure == "sparse":
-            rows[rng.random(rows.shape) < 0.5] = 0.0
-            rows[np.arange(n_in), rng.integers(0, n_out, n_in)] += 0.5
-        op = LogicalOperation(rows / rows.sum(axis=1, keepdims=True))
-    probs = random_distribution(rng, n_in).probs.copy()
-    if dead_input:
-        probs[0] = 0.0
-    return Scenario(
-        input_dist=DiscreteDistribution(probs / probs.sum()),
-        op=op,
-        input_thermo=random_thermo(rng, n_in),
-        output_thermo=random_thermo(rng, n_out),
-        reference_temperature=float(rng.uniform(0.5, 2.0)),
-    )
-
-
-
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    structure=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    structure=st.sampled_from(STRUCTURES),
     dead_input=st.booleans(),
 )
 def test_minimax_value_is_its_worst_case_and_dominates_w_equals_p(seed, structure, dead_input):
     """The value is the worst realisable transition at the returned weights,
     and never above the worst one at ``w = P``."""
-    sc = _priced_scenario(seed, structure, dead_input)
+    sc = structured_scenario(seed, structure, dead_input)
     result = minimax_weights(sc, seed=seed, max_iterations=200)
     at_result = _worst_work(sc, make_weights(sc, result.weights))
     assert result.value == pytest.approx(at_result, rel=1e-12, abs=1e-12)
@@ -580,7 +556,7 @@ def test_minimax_value_is_its_worst_case_and_dominates_w_equals_p(seed, structur
 @settings(max_examples=80, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    structure=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    structure=st.sampled_from(STRUCTURES),
     dead_input=st.booleans(),
     zero_live_weight=st.booleans(),
 )
@@ -590,7 +566,7 @@ def test_shared_pricing_is_exact(seed, structure, dead_input, zero_live_weight):
     Each row is also recomputed here with scalar floats in the order of
     the closed form in the module docstring, and compared with ``==``.
     """
-    sc = _priced_scenario(seed, structure, dead_input)
+    sc = structured_scenario(seed, structure, dead_input)
     rng = np.random.default_rng(seed)
     raw = rng.dirichlet(np.ones(sc.op.n_inputs))
     if dead_input:
@@ -762,37 +738,6 @@ def test_weight_validation_matches_the_reference_rules(weights, seed, dead, arit
 # --- One pricing per (scenario, weights) pair --------------------------------
 
 
-def _bits(value):
-    """Every float of a result as ``float.hex`` and every array as its bytes, recursively."""
-    if isinstance(value, float):
-        return value.hex()
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, (tuple, list)):
-        return type(value).__name__, tuple(_bits(v) for v in value)
-    if dataclasses.is_dataclass(value):
-        fields = [getattr(value, f.name) for f in dataclasses.fields(value)]
-        if isinstance(value, CostReport):
-            fields.append(value.transitions)
-        return type(value).__name__, tuple(_bits(v) for v in fields)
-    return repr(value)
-
-
-def _copy_scenario(sc):
-    """An equal scenario that shares no object with ``sc``."""
-    op = sc.op
-    return Scenario(
-        DiscreteDistribution(sc.input_dist.probs.copy()),
-        LogicalOperation(
-            op.matrix.copy(), input_labels=op.input_labels, output_labels=op.output_labels
-        ),
-        sc.input_thermo,
-        sc.output_thermo,
-        sc.reference_temperature,
-        sc.units,
-    )
-
-
 class TestPricingMemo:
     def _scenario(self, seed=31):
         rng = np.random.default_rng(seed)
@@ -830,12 +775,12 @@ class TestPricingMemo:
         for other in variants:
             got = expected_cost(other, w)
             assert got is not report
-            fresh = _copy_scenario(other)
-            assert _bits(got) == _bits(expected_cost(fresh, make_weights(fresh, w.weights)))
-            assert _bits(got) != _bits(report)
+            fresh = copy_scenario(other)
+            assert bits(got) == bits(expected_cost(fresh, make_weights(fresh, w.weights)))
+            assert bits(got) != bits(report)
         twin = make_weights(sc, w.weights)
         again = expected_cost(sc, twin)
-        assert again is not report and _bits(again) == _bits(report)
+        assert again is not report and bits(again) == bits(report)
         assert expected_cost(sc, w) is report
 
     def test_reports_live_only_while_both_keys_live(self):
@@ -864,12 +809,12 @@ class TestPricingMemo:
         assert copy.weights.tobytes() == w.weights.tobytes()
         assert copy.weight_independent == w.weight_independent
         again = expected_cost(sc, copy)
-        assert again is not report and _bits(again) == _bits(report)
+        assert again is not report and bits(again) == bits(report)
 
     def test_threads_sharing_keys_get_the_cold_values(self):
         scenarios = [self._scenario(seed) for seed in range(40, 48)]
-        copies = [_copy_scenario(sc) for sc in scenarios]
-        want = [_bits(expected_cost(sc, optimal_weights(sc))) for sc in copies]
+        copies = [copy_scenario(sc) for sc in scenarios]
+        want = [bits(expected_cost(sc, optimal_weights(sc))) for sc in copies]
         got, errors = [], []
 
         def work():
@@ -892,7 +837,7 @@ class TestPricingMemo:
         assert not any(t.is_alive() for t in threads) and errors == []
         assert len(got) == 6 * len(scenarios)
         for sc, report in got:
-            assert _bits(report) == want[scenarios.index(sc)]
+            assert bits(report) == want[scenarios.index(sc)]
 
 
 _MEMO_CALLS = ("cost", "ledgers", "reverse", "cycle", "cycle-mismatched")
@@ -901,7 +846,7 @@ _MEMO_CALLS = ("cost", "ledgers", "reverse", "cycle", "cycle-mismatched")
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
-    structure=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    structure=st.sampled_from(STRUCTURES),
     dead_input=st.booleans(),
     zero_live_weight=st.booleans(),
     calls=st.lists(
@@ -913,7 +858,7 @@ _MEMO_CALLS = ("cost", "ledgers", "reverse", "cycle", "cycle-mismatched")
 def test_shared_reports_are_the_cold_values(seed, structure, dead_input, zero_live_weight, calls):
     """Any interleaving of the pricing callers on shared scenario and weights
     gives what each call gives alone on fresh, equal copies."""
-    sc = _priced_scenario(seed, structure, dead_input)
+    sc = structured_scenario(seed, structure, dead_input)
     rng = np.random.default_rng(seed)
     raw = rng.dirichlet(np.ones(sc.op.n_inputs))
     if zero_live_weight:
@@ -924,17 +869,17 @@ def test_shared_reports_are_the_cold_values(seed, structure, dead_input, zero_li
     def call(name, scenario, weights):
         try:
             if name == "cost":
-                return _bits(expected_cost(scenario, weights))
+                return bits(expected_cost(scenario, weights))
             if name == "ledgers":
-                return _bits(entropy_ledgers(scenario, weights))
+                return bits(entropy_ledgers(scenario, weights))
             if name == "reverse":
-                return _bits(reverse_operation(scenario))
-            return _bits(evaluate_cycle(scenario, middle if name == "cycle-mismatched" else None))
+                return bits(reverse_operation(scenario))
+            return bits(evaluate_cycle(scenario, middle if name == "cycle-mismatched" else None))
         except CostError as exc:  # ledgers of INF weights, compared by class and message
             return type(exc), str(exc)
 
     shared = {"optimal": optimal_weights(sc), "drawn": make_weights(sc, raw)}
     for name, which in calls:
-        fresh = _copy_scenario(sc)
+        fresh = copy_scenario(sc)
         cold = optimal_weights(fresh) if which == "optimal" else make_weights(fresh, raw)
         assert call(name, sc, shared[which]) == call(name, fresh, cold), (name, which)

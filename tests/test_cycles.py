@@ -7,15 +7,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    STRUCTURES,
+    bits,
+    copy_scenario,
     permutation_operation,
     random_distribution,
     random_operation,
     random_scenario,
     random_thermo,
+    structured_scenario,
 )
-from thermologic import cycles, logic, thermo
-from thermologic.costs import CostError, expected_cost, is_infinite, make_weights, optimal_weights
+from thermologic import costs, cycles, logic, thermo
+from thermologic.costs import (
+    INFINITE_COST,
+    CostError,
+    expected_cost,
+    is_infinite,
+    make_weights,
+    optimal_weights,
+)
 from thermologic.cycles import (
+    CycleEvaluation,
     DegenerateCycleError,
     build_reversible_cycle,
     entropy_ledgers,
@@ -679,3 +691,156 @@ def test_conditional_mutual_information_is_a_kl_divergence(seed, dense, sparse_p
         conditional = (p_in[:, None] * m)[:, :, None] * (m.T @ joint)[None] / p_out[None, :, None]
     want = _kl(joint[:, None, :] * m[:, :, None], conditional)
     assert report.conditional_mutual_information_nats == pytest.approx(want, abs=1e-12)
+
+
+# --- One array set per thermo table, one pricing per designed middle leg ----
+
+
+def _reference_evaluate_cycle(cycle, middle_input=None):
+    """``evaluate_cycle`` as first written: each leg priced with its own ``make_weights`` vector."""
+    mid = cycle if middle_input is None else replace(
+        cycle, input_dist=DiscreteDistribution(middle_input)
+    )
+    op = cycle.op
+    standard = ("standard",)
+    t_ref = cycle.reference_temperature
+    standard_state = (StateThermo(0.5 * cycle.units.k_B * t_ref, 0.0, t_ref),)
+    opener = replace(
+        cycle,
+        input_dist=DiscreteDistribution([1.0]),
+        op=LogicalOperation(
+            mid.input_dist.probs[None, :], input_labels=standard, output_labels=op.input_labels
+        ),
+        input_thermo=standard_state,
+        output_thermo=cycle.input_thermo,
+    )
+    out_dist = mid.output_dist
+    closer = replace(
+        cycle,
+        input_dist=out_dist,
+        op=LogicalOperation(
+            np.ones((op.n_outputs, 1)), input_labels=op.output_labels, output_labels=standard
+        ),
+        input_thermo=cycle.output_thermo,
+        output_thermo=standard_state,
+    )
+    legs = (
+        expected_cost(opener, make_weights(opener, [1.0])),
+        expected_cost(mid, make_weights(mid, cycle.input_dist.probs)),
+        expected_cost(closer, make_weights(closer, out_dist.probs)),
+    )
+    if any(is_infinite(c.expected_work) for c in legs):
+        total_work = total_heat = INFINITE_COST
+    else:
+        total_work = math.fsum(c.expected_work for c in legs)
+        total_heat = math.fsum(c.expected_heat for c in legs)
+    return CycleEvaluation(leg_costs=legs, total_work=total_work, total_heat=total_heat)
+
+
+def test_an_accounting_sequence_tabulates_each_table_once_and_prices_the_design_once(
+    monkeypatch,
+):
+    """Scenario, reverse, matched and mismatched cycle, uncertain and partial
+    operations: the scenario's two tables and one standard-state table per
+    evaluation are tabulated, each once, and the designed middle leg is
+    priced once for both evaluations."""
+    rng = np.random.default_rng(36)
+    sc = random_scenario(rng, max_states=5)
+    n_in = sc.op.n_inputs
+    tabulated, priced = [], []
+    tabulate, price = thermo._tabulate, costs._priced_transitions
+
+    def counted_tabulate(table, kt):
+        tabulated.append((table, kt))
+        return tabulate(table, kt)
+
+    def counted_price(scenario, weights, pairs=None):
+        priced.append((scenario, weights))
+        return price(scenario, weights, pairs)
+
+    monkeypatch.setattr(thermo, "_tabulate", counted_tabulate)
+    monkeypatch.setattr(costs, "_priced_transitions", counted_price)
+    w = optimal_weights(sc)
+    expected_cost(sc, w)
+    reverse = reverse_operation(sc)
+    assert reverse.pruned_inputs == reverse.pruned_outputs == ()
+    cycle = build_reversible_cycle(
+        sc.op, w.weights, sc.input_thermo, sc.output_thermo, sc.reference_temperature
+    )
+    matched = evaluate_cycle(cycle)
+    mismatched = evaluate_cycle(cycle, middle_input=random_distribution(rng, n_in).probs)
+    tables = (sc.input_thermo, sc.output_thermo, sc.reference_temperature)
+    other = random_operation(rng, n_in, sc.op.n_outputs)
+    uncertain_operation_cost([(sc.op, 0.4), (other, 0.6)], sc.input_dist, *tables)
+    partial_operation_cost(sc.input_dist.probs[:, None] * [0.3, 0.7], sc.op, *tables)
+
+    keys = [(id(table), kt) for table, kt in tabulated]
+    assert len(keys) == len(set(keys)) == 4
+    assert [kt for _, kt in tabulated] == [sc.kT] * 4
+    scenario_tables = [t for t, _ in tabulated if t is sc.input_thermo or t is sc.output_thermo]
+    standard_tables = [t for t, _ in tabulated if len(t) == 1 and t[0].entropy == 0.0]
+    assert len(scenario_tables) == 2 and len(standard_tables) == 2
+
+    design = optimal_weights(cycle)
+    assert [pair for pair in priced if pair[0] is cycle] == [(cycle, design)]
+    assert len(priced) == 7  # sc, the reverse leg, three matched and two mismatched legs
+    designed, shifted = matched.leg_costs[1], mismatched.leg_costs[1]
+    assert designed is expected_cost(cycle, design)
+    for name in ("inputs", "outputs", "work", "heat", "finite"):
+        assert getattr(shifted.columns, name) is getattr(designed.columns, name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(STRUCTURES),
+    dead_input=st.booleans(),
+    zero_design=st.booleans(),
+)
+def test_shared_tables_and_legs_match_the_per_leg_reference(
+    seed, structure, dead_input, zero_design
+):
+    """Every field of both cycle evaluations, and the reverse, uncertain and
+    partial reports on shared tables, equal in ``float.hex`` what the
+    per-leg reference and fresh tables give.
+
+    ``zero_design`` puts a design weight of zero under a live middle input,
+    so the mismatched middle leg is ``INF``; ``dead_input`` gives input 0
+    probability zero in the scenario and in the middle statistics.
+    """
+    sc = structured_scenario(seed, structure, dead_input)
+    rng = np.random.default_rng(seed)
+    n_in, n_out = sc.op.n_inputs, sc.op.n_outputs
+    design = rng.dirichlet(np.ones(n_in))
+    if zero_design:
+        design[-1] = 0.0
+    middle = random_distribution(rng, n_in).probs.copy()
+    if dead_input:
+        middle[0] = 0.0
+    design, middle = design / design.sum(), middle / middle.sum()
+    expected_cost(sc, optimal_weights(sc))  # the tables' arrays exist before the cycle runs
+    cycle = build_reversible_cycle(
+        sc.op, design, sc.input_thermo, sc.output_thermo, sc.reference_temperature
+    )
+    got = (evaluate_cycle(cycle), evaluate_cycle(cycle, middle))
+    want = (
+        _reference_evaluate_cycle(copy_scenario(cycle)),
+        _reference_evaluate_cycle(copy_scenario(cycle), middle),
+    )
+    assert bits(got) == bits(want)
+    assert is_infinite(got[1].total_work) == zero_design
+
+    assert bits(reverse_operation(sc)) == bits(reverse_operation(copy_scenario(sc)))
+    other = random_operation(rng, n_in, n_out)
+    branches = [(sc.op, 0.25), (other, 0.75)]
+    joint = sc.input_dist.probs[:, None] * rng.dirichlet(np.ones(3), size=n_in)
+    fresh = copy_scenario(sc)
+    for t_ref in (sc.reference_temperature, 2.0 * sc.reference_temperature):
+        shared = (sc.input_thermo, sc.output_thermo, t_ref)
+        cold = (tuple(fresh.input_thermo), tuple(fresh.output_thermo), t_ref)
+        assert bits(uncertain_operation_cost(branches, sc.input_dist, *shared)) == bits(
+            uncertain_operation_cost(branches, sc.input_dist, *cold)
+        )
+        assert bits(partial_operation_cost(joint, sc.op, *shared)) == bits(
+            partial_operation_cost(joint, sc.op, *cold)
+        )

@@ -1,4 +1,9 @@
+import copy
+import dataclasses
 import math
+import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -29,6 +34,7 @@ from thermologic.thermo import (
     Scenario,
     StateThermo,
     ThermoError,
+    ThermoTable,
     UnitSystem,
     aggregate_baths,
     make_model,
@@ -282,3 +288,105 @@ class TestScenarioCache:
             assert values.dtype == float and values.shape == (5,)
             with pytest.raises(ValueError):
                 values[0] = 0.0
+
+
+class TestThermoTable:
+    def _scenario(self, t_ref=1.7):
+        rng = np.random.default_rng(37)
+        given_in, given_out = random_thermo(rng, 3), random_thermo(rng, 4)
+        sc = Scenario(
+            random_distribution(rng, 3), random_operation(rng, 3, 4), given_in, given_out, t_ref
+        )
+        return sc, given_in, given_out
+
+    def test_a_scenario_table_is_the_tuple_it_was_given(self):
+        sc, given_in, given_out = self._scenario()
+        for table, given_table in ((sc.input_thermo, given_in), (sc.output_thermo, given_out)):
+            assert type(given_table) is tuple
+            assert isinstance(table, ThermoTable) and isinstance(table, tuple)
+            assert table == given_table and tuple(table) == given_table
+            assert hash(table) == hash(given_table)
+        assert type(sc.input_thermo[1:]) is tuple
+        assert type(sc.input_thermo + sc.output_thermo) is tuple
+
+    @pytest.mark.parametrize(
+        "clone",
+        [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy, copy.copy],
+        ids=["pickle", "deepcopy", "copy"],
+    )
+    def test_a_table_survives_pickle_and_copies_as_a_table(self, clone):
+        sc, _, _ = self._scenario()
+        arrays = sc.input_arrays
+        table = clone(sc.input_thermo)
+        assert type(table) is ThermoTable and table == sc.input_thermo
+        again = state_arrays(table, sc.kT)
+        assert again is not arrays and again is state_arrays(table, sc.kT)
+        for new, old in zip(again, arrays):
+            assert not new.flags.writeable and new.tobytes() == old.tobytes()
+        scenario = pickle.loads(pickle.dumps(sc))
+        assert type(scenario.output_thermo) is ThermoTable
+        assert scenario.output_thermo == sc.output_thermo
+
+    def test_replace_keeps_the_table_and_its_arrays(self):
+        sc, _, _ = self._scenario()
+        arrays = (sc.input_arrays, sc.output_arrays)
+        rng = np.random.default_rng(38)
+        other = dataclasses.replace(sc, input_dist=random_distribution(rng, 3))
+        assert other.input_thermo is sc.input_thermo and other.output_thermo is sc.output_thermo
+        assert (other.input_arrays, other.output_arrays) == arrays
+        assert other.input_arrays is arrays[0] and other.output_arrays is arrays[1]
+        assert state_arrays(sc.input_thermo, sc.kT) is arrays[0]
+        plain = tuple(sc.input_thermo)
+        assert state_arrays(plain, sc.kT) is not state_arrays(plain, sc.kT)
+
+    def test_table_arrays_are_read_only(self):
+        sc, _, _ = self._scenario()
+        for arrays in (sc.input_arrays, sc.output_arrays):
+            for values in arrays:
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
+
+    def test_each_temperature_gets_its_own_free_energies(self):
+        sc, given_in, _ = self._scenario(t_ref=1.7)
+        hot = dataclasses.replace(sc, reference_temperature=3.4)
+        assert hot.input_thermo is sc.input_thermo
+        cold_free, hot_free = sc.input_arrays.free_energy, hot.input_arrays.free_energy
+        assert cold_free.tolist() == [st.energy - 1.7 * st.entropy for st in given_in]
+        assert hot_free.tolist() == [st.energy - 3.4 * st.entropy for st in given_in]
+        assert cold_free.tolist() != hot_free.tolist()
+        assert state_arrays(sc.input_thermo, 1.7) is sc.input_arrays
+        assert state_arrays(sc.input_thermo, 3.4) is hot.input_arrays
+
+    def test_threads_sharing_tables_get_the_cold_arrays(self):
+        rng = np.random.default_rng(39)
+        tables = [ThermoTable(random_thermo(rng, n)) for n in range(1, 9)]
+        temperatures = (0.5, 1.0, 1.7)
+        want = {
+            (index, kt): [a.tobytes() for a in state_arrays(tuple(table), kt)]
+            for index, table in enumerate(tables)
+            for kt in temperatures
+        }
+        got, errors = [], []
+
+        def work():
+            try:
+                for index, table in enumerate(tables):
+                    for kt in temperatures:
+                        got.append(((index, kt), [a.tobytes() for a in state_arrays(table, kt)]))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 6 * len(want)
+        for key, arrays in got:
+            assert arrays == want[key]
