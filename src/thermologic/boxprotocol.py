@@ -49,7 +49,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .costs import WeightVector, expected_cost
-from .logic import _frozen_array, _logs
+from .logic import _Frozen, _frozen, _logs
 from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 
 HIGH_TEMPERATURE_MARGIN = 10.0
@@ -221,7 +221,7 @@ class LedgerColumns(NamedTuple):
 def _columns(table) -> LedgerColumns:
     """Columns of an ``(n, 9)`` table of row fields in :class:`LedgerRow` order."""
     table = np.reshape(table, (-1, 9)).T
-    return LedgerColumns(*_frozen_array(table[:3], int), *_frozen_array(table[3:]))
+    return LedgerColumns(*_frozen(table[:3].astype(int)), *_frozen(table[3:].astype(float)))
 
 
 @dataclass(frozen=True)
@@ -239,7 +239,7 @@ class BoxLayout:
         return math.fsum(p.width for p in self.partitions)
 
 
-class ProtocolLedger:
+class ProtocolLedger(_Frozen):
     """The rows of one run, stored as :class:`LedgerColumns`.
 
     ``ProtocolLedger(rows, layouts, warnings)`` is the one constructor: it

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DEFAULT_SEED
-from .logic import ArityMismatchError, _logs, classify
+from .logic import ArityMismatchError, _Frozen, _frozen, _logs, classify
 from .thermo import Scenario
 
 STALL_TOL = 1e-10  # minimize_expected_work: a step gaining less than this counts as stalled
@@ -91,7 +91,7 @@ def is_infinite(value) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector:
+class WeightVector(_Frozen):
     """Partition weights over input states plus the derived output weights.
 
     ``infinite_inputs`` lists inputs that were given zero weight while
@@ -111,9 +111,7 @@ class WeightVector:
     def __post_init__(self):
         # Read-only copies: the caller's arrays stay theirs and writable.
         for name in ("weights", "output_weights"):
-            arr = np.array(getattr(self, name), dtype=float)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _frozen(np.array(getattr(self, name), dtype=float)))
 
     @property
     def flagged_infinite(self) -> bool:
@@ -200,7 +198,7 @@ class TransitionColumns(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class CostReport:
+class CostReport(_Frozen):
     """Per-transition costs, their expectations, and the attainable bounds.
 
     Entropy-like fields are in units of k_B; energies are in scenario
@@ -314,9 +312,7 @@ def _report(scenario: Scenario, columns: TransitionColumns) -> CostReport:
     """
     rows, cols, _, work, heat, finite = columns
     joint = scenario.input_dist.probs[rows] * scenario.op.matrix[rows, cols]
-    columns = TransitionColumns(rows, cols, joint, work, heat, finite)
-    for column in columns:
-        column.setflags(write=False)
+    columns = _frozen(TransitionColumns(rows, cols, joint, work, heat, finite))
     if not finite.all() and (joint[~finite] > 0.0).any():
         expected_work = expected_heat = INFINITE_COST
     else:
@@ -331,7 +327,7 @@ def _report(scenario: Scenario, columns: TransitionColumns) -> CostReport:
 
 
 @dataclass(frozen=True, eq=False)
-class OptimizationResult:
+class OptimizationResult(_Frozen):
     weights: np.ndarray
     value: float
     iterations: int
@@ -424,7 +420,7 @@ def minimize_expected_work(
             best_f, best_w, best_iters, best_converged = f, w, iteration, converged
     assert best_w is not None
     return OptimizationResult(
-        weights=best_w,
+        weights=_frozen(best_w),
         value=base + k_t * best_f,
         iterations=best_iters,
         converged=best_converged,
@@ -499,10 +495,10 @@ def minimax_weights(
         if any(reset):
             W[reset] = uniform
     values, idx, _ = worst(p_in[None])
-    best_w, best_value = p_in.copy(), float(values[0, idx[0]])
+    best_w, best_value = p_in, float(values[0, idx[0]])
     for value, w in zip(best_values, best_W):
         if value < best_value:
             best_value, best_w = value, w
     return OptimizationResult(
-        weights=best_w, value=best_value, iterations=max_iterations, converged=True
+        weights=_frozen(best_w.copy()), value=best_value, iterations=max_iterations, converged=True
     )

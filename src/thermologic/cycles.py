@@ -17,7 +17,7 @@ correlations with a bystander system.  Each source's excess cycle cost is
 a KL-divergence-shaped quantity, returned alongside the raw
 thermodynamic sums so the two routes can be compared.  The box cycle and
 the three sources work in natural units (k_B = 1), so ``kT`` is the
-temperature they are given.
+temperature they are given, which must be finite and positive.
 
 A closed cycle around an implemented operation is the :class:`Scenario`
 whose input statistics are the design weights: the one scenario for
@@ -47,7 +47,9 @@ from .costs import (
 from .logic import (
     DiscreteDistribution,
     LogicalOperation,
+    _Frozen,
     _entropy_nats,
+    _frozen,
     _logs,
     _posterior,
     _prune_outputs,
@@ -92,6 +94,13 @@ __all__ = [
 
 class DegenerateCycleError(ValueError):
     pass
+
+
+def _kt(temperature: float) -> float:
+    """``k T`` in natural units (k_B = 1), once ``temperature`` is checked finite and positive."""
+    if not 0.0 < temperature < math.inf:  # NaN fails too
+        raise DegenerateCycleError(f"temperature must be finite and positive, got {temperature!r}")
+    return temperature
 
 
 @dataclass(frozen=True)
@@ -194,9 +203,7 @@ def rle_le_cycle(
             raise DegenerateCycleError(f"{name} must lie strictly inside (0, 1), got {value!r}")
     if model not in ("uniform", "adiabatic_equilibrium"):
         raise DegenerateCycleError(f"unknown cycle model {model!r}")
-    if not 0.0 < temperature < math.inf:  # NaN fails too
-        raise DegenerateCycleError(f"temperature must be finite and positive, got {temperature!r}")
-    kt = temperature
+    kt = _kt(temperature)
     q, q_prime = 1.0 - p, 1.0 - p_prime
 
     if model == "uniform":
@@ -269,7 +276,7 @@ class EntropyColumns(NamedTuple):
 
 
 @dataclass(frozen=True, eq=False)
-class EntropyLedger:
+class EntropyLedger(_Frozen):
     """The three entropy ledgers for one implemented operation (units of k)."""
 
     columns: EntropyColumns
@@ -309,9 +316,7 @@ def entropy_ledgers(scenario: Scenario, weights: WeightVector) -> EntropyLedger:
     rows, cols = priced.inputs[live], priced.outputs[live]
     s_in, s_out = scenario.input_arrays.entropy, scenario.output_arrays.entropy
     values = s_out[cols] - s_in[rows] + priced.heat[live] / kt
-    columns = EntropyColumns(rows, cols, values, scenario.op.matrix[rows, cols])
-    for column in columns:
-        column.setflags(write=False)
+    columns = _frozen(EntropyColumns(rows, cols, values, scenario.op.matrix[rows, cols]))
     average = report.state_entropy_change + report.expected_heat / kt
     gibbs = report.entropy_change + report.expected_heat / kt
     return EntropyLedger(
@@ -414,6 +419,7 @@ def suboptimal_cycle_cost(
     p_in = actual_input.probs
     if p_in.size != op.n_inputs:
         raise CostError("input distribution arity does not match operation")
+    kt = _kt(reference_temperature)
     reversible = classify(op).reversible
     if np.any((w == 0.0) & (p_in > 0.0)):
         return SuboptimalCycleCost(
@@ -421,7 +427,6 @@ def suboptimal_cycle_cost(
         )
     w_out = w @ op.matrix
     p_out = p_in @ op.matrix
-    kt = reference_temperature
     joint = p_in[:, None] * op.matrix
     rows, cols = np.nonzero(joint)
     ratio = p_in[rows] * w_out[cols] / (p_out[cols] * w[rows])
@@ -473,7 +478,7 @@ def uncertain_operation_cost(
     if len(input_thermo) != n_in or len(output_thermo) != n_out:
         raise CostError("thermo table arity mismatch")
     p_in = input_dist.probs
-    kt = reference_temperature
+    kt = _kt(reference_temperature)
     free_in = state_arrays(input_thermo, kt).free_energy
     free_out = state_arrays(output_thermo, kt).free_energy
 
@@ -543,7 +548,7 @@ def partial_operation_cost(
         raise CostError("joint prior arity does not match operation")
     if len(input_thermo) != op.n_inputs or len(output_thermo) != op.n_outputs:
         raise CostError("thermo table arity mismatch")
-    kt = reference_temperature
+    kt = _kt(reference_temperature)
     m = op.matrix
     p_in = joint.sum(axis=1)
     p_bystander = joint.sum(axis=0)

@@ -10,9 +10,12 @@ entropy, and the standard catalogue of one-bit operations (identity, NOT,
 reset-to-zero, unset-from-zero, randomise, and the general one-bit map
 they all specialise).
 
-All values are immutable after construction and every function is pure.
-A :class:`LogicalOperation` computes two things once, on first access,
-and keeps them: its :attr:`~LogicalOperation.classification` (what
+All values are immutable after construction and every function is pure:
+their arrays are read-only.  A copy (``copy.copy`` or ``copy.deepcopy``)
+or an unpickled value makes its arrays read-only again, and starts
+without the memos that the cost layer keeps by object.  A
+:class:`LogicalOperation` computes two things once, on first access, and
+keeps them: its :attr:`~LogicalOperation.classification` (what
 :func:`classify` returns) and its :attr:`~LogicalOperation.support`, the
 read-only row-major indices of its realisable transitions.
 """
@@ -98,10 +101,21 @@ class ZeroProbabilityOutputError(LogicError):
         )
 
 
-def _frozen_array(values, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
+def _frozen(value):
+    """``value``, with every array in it or in the tuples, lists and dicts it holds made read-only."""
+    if isinstance(value, np.ndarray):
+        value.setflags(write=False)
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            _frozen(item)
+    return value
+
+
+class _Frozen:
+    """Base of the values that hold arrays: unpickling and copying make them read-only again."""
+
+    def __setstate__(self, state):
+        self.__dict__.update(_frozen(state))
 
 
 def _in_unit_range(arr: np.ndarray) -> bool:
@@ -111,9 +125,7 @@ def _in_unit_range(arr: np.ndarray) -> bool:
 
 def _clipped(arr: np.ndarray) -> np.ndarray:
     """``arr`` clipped to ``[0, 1]`` in place and made read-only."""
-    arr.clip(0.0, 1.0, out=arr)
-    arr.setflags(write=False)
-    return arr
+    return _frozen(arr.clip(0.0, 1.0, out=arr))
 
 
 def _index_labels(n: int) -> tuple[str, ...]:
@@ -121,7 +133,7 @@ def _index_labels(n: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteDistribution:
+class DiscreteDistribution(_Frozen):
     """Probability distribution over an ordered finite set of states.
 
     Entries must lie in ``[0, 1]`` and sum to one within ``PROB_ATOL``.
@@ -159,7 +171,7 @@ class DiscreteDistribution:
 
 
 @dataclass(frozen=True, eq=False)
-class LogicalOperation:
+class LogicalOperation(_Frozen):
     """Row-stochastic conditional-probability map from inputs to outputs.
 
     ``matrix[i, j]`` is the probability that input state ``i`` yields
@@ -222,14 +234,11 @@ class LogicalOperation:
     @cached_property
     def support(self) -> tuple[np.ndarray, np.ndarray]:
         """Read-only ``(inputs, outputs)`` index arrays of the non-zero entries, row-major."""
-        rows, cols = self.matrix.nonzero()
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        return rows, cols
+        return _frozen(self.matrix.nonzero())
 
 
 @dataclass(frozen=True, eq=False)
-class JointDistribution:
+class JointDistribution(_Frozen):
     """Joint probability table over (input, output) pairs."""
 
     matrix: np.ndarray

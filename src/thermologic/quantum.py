@@ -38,6 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .logic import _Frozen, _frozen
+
 EIG_ATOL = 1e-10
 MAX_JOINT_DIM = 64
 RANK_TOL = 1e-12  # canonicalize: eigenvalues at or below this are off the support
@@ -76,13 +78,8 @@ class SetupError(QuantumError):
     pass
 
 
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(_Frozen):
     """Hermitian, unit-trace, positive-semidefinite matrix."""
 
     matrix: np.ndarray
@@ -106,7 +103,7 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class HamiltonianSpec:
+class HamiltonianSpec(_Frozen):
     """Real spectrum of a Hamiltonian diagonal in the computational basis."""
 
     energies: np.ndarray
@@ -208,7 +205,7 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class CanonicalizedState:
+class CanonicalizedState(_Frozen):
     """Spectrum-preserving rotation of a state into canonical form."""
 
     hamiltonian: HamiltonianSpec
@@ -247,7 +244,7 @@ def canonicalize(
     unitary = vecs.conj().T  # maps each eigenvector onto a computational axis
     return CanonicalizedState(
         hamiltonian=HamiltonianSpec(energies),
-        unitary=unitary,
+        unitary=_frozen(unitary),
         support_dim=int(support.sum()),
     )
 
@@ -277,7 +274,7 @@ def _check_joint_dim(system_dim: int, env_dim: int) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class TrialSetup:
+class TrialSetup(_Frozen):
     """Fixed data shared by every trial in a sweep.
 
     What every trial reads and no unitary changes (the initial states,
@@ -413,7 +410,7 @@ def default_setup(
 
 
 @dataclass(frozen=True, eq=False)
-class TrialResult:
+class TrialResult(_Frozen):
     index: int
     work: float
     bound: float
@@ -447,7 +444,7 @@ class _TrialColumns(NamedTuple):
         if setup.target_output_probs is None:
             respects = [None] * len(respects)
         scalars = (column.tolist() for column in self[:-2])
-        rows = zip(*scalars, self.output_block_weights, respects)
+        rows = zip(*scalars, _frozen(self.output_block_weights), respects)
         return tuple(TrialResult(first_index + k, *row) for k, row in enumerate(rows))
 
 

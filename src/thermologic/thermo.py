@@ -19,7 +19,9 @@ arrays and the eight bound terms of a bounds-only cost report
 from a scenario by weak reference, for as long as the scenario lives:
 its optimal weights, and the cost report of each weight vector it is
 priced with, which lives no longer than that vector
-(:func:`~thermologic.costs.expected_cost`).
+(:func:`~thermologic.costs.expected_cost`).  A copy or an unpickled
+scenario holds read-only arrays too, and starts without those memos, so
+it is priced afresh.
 
 Four standard assumption sets are provided as constructors
 (:func:`make_model`) and as report-only checks (:func:`validate`).  Each
@@ -51,7 +53,9 @@ from .logic import (
     DiscreteDistribution,
     LogicalOperation,
     ArityMismatchError,
+    _Frozen,
     _entropy_nats,
+    _frozen,
     _logs,
     propagate,
 )
@@ -159,11 +163,8 @@ class ThermoTable(tuple):
 
 def _tabulate(thermo, kt: float) -> StateArrays:
     table = np.array([[st.energy for st in thermo], [st.entropy for st in thermo]], dtype=float)
-    table.setflags(write=False)
-    energy, entropy = table
-    free_energy = energy - kt * entropy
-    free_energy.setflags(write=False)
-    return StateArrays(energy, entropy, free_energy)
+    energy, entropy = _frozen(table)
+    return StateArrays(energy, entropy, _frozen(energy - kt * entropy))
 
 
 def state_arrays(thermo, kt: float) -> StateArrays:
@@ -195,7 +196,7 @@ def mixture_free_energy(probs: np.ndarray, free_energy: np.ndarray, kt: float) -
 
 
 @dataclass(frozen=True, eq=False)
-class Scenario:
+class Scenario(_Frozen):
     """A logical transformation of information with full thermodynamic data."""
 
     input_dist: DiscreteDistribution
@@ -453,9 +454,11 @@ def aggregate_baths(deposits) -> tuple[float, float]:
     pairs = [(float(q), float(t)) for q, t in deposits]
     if not pairs:
         raise ThermoError("no deposits given")
-    for _, t in pairs:
-        if t <= 0.0:
-            raise ThermoError("bath temperatures must be positive")
+    for q, t in pairs:
+        if not math.isfinite(q):
+            raise ThermoError(f"bath heats must be finite, got {q!r}")
+        if not 0.0 < t < math.inf:  # NaN fails too
+            raise ThermoError(f"bath temperatures must be finite and positive, got {t!r}")
     if len(pairs) == 1:
         return pairs[0]
     q_total = math.fsum(q for q, _ in pairs)

@@ -54,6 +54,13 @@ PARTIAL_CONFIG = {
     "operation": RTZ_SCENARIO["operation"],
 }
 
+# Explicit state tables for the two-state cycle configs; without them each
+# state is built at T_R, which rejects a bad T_R on its own.
+FLAT_TABLES = {
+    "input_thermo": [{"E": 0.5, "S": 0.0, "T": 1.0}] * 2,
+    "output_thermo": [{"E": 0.5, "S": 0.0, "T": 1.0}] * 2,
+}
+
 
 def write(tmp_path, name, payload):
     path = tmp_path / name
@@ -287,6 +294,12 @@ class TestExitCodes:
             (["cycle", "build", "--middle-input", ""], RTZ_SCENARIO, 2),
             (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, branches=[{"probability": 1.0}]), 2),
             (["cycle", "partial"], dict(PARTIAL_CONFIG, joint_prior="x"), 2),
+            (
+                ["cycle", "uncertain"],
+                dict(UNCERTAIN_CONFIG, **FLAT_TABLES, reference_temperature=-2.0),
+                3,
+            ),
+            (["cycle", "partial"], dict(PARTIAL_CONFIG, **FLAT_TABLES, reference_temperature=-2.0), 3),
             (["qbound", "--config"], {"env_dim": "x"}, 2),
             (["qbound", "--trials", "-5"], None, 3),
             (["qbound", "--config"], {"trials": -5}, 3),
@@ -318,6 +331,8 @@ class TestExitCodes:
             "cycle-build-middle-empty",
             "cycle-uncertain",
             "cycle-partial",
+            "cycle-uncertain-negative-temperature",
+            "cycle-partial-negative-temperature",
             "qbound",
             "qbound-negative-trials-flag",
             "qbound-negative-trials-config",

@@ -538,6 +538,19 @@ def test_minimax_results_are_pinned(case):
     assert _pin(result) == MINIMAX_PINS[case]
 
 
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_optimiser_weights_are_read_only_and_their_own(structure):
+    # On a permutation every weight ties, so minimax keeps w = P; elsewhere a start wins.
+    sc = structured_scenario(3, structure, dead_input=False)
+    for result in (
+        minimize_expected_work(sc, max_iterations=20, restarts=1),
+        minimax_weights(sc, max_iterations=20),
+    ):
+        assert not result.weights.flags.writeable
+        assert result.weights.flags.owndata
+        assert result.weights is not sc.input_dist.probs
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -553,6 +553,37 @@ def test_non_finite_probabilities_are_rejected(call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize(
+    "temperature", [-2.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"]
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t: uncertain_operation_cost(
+            [(rtz(), 0.5), (identity_op(2), 0.5)],
+            DiscreteDistribution([0.5, 0.5]),
+            flat_thermo(2),
+            flat_thermo(2),
+            reference_temperature=t,
+        ),
+        lambda t: partial_operation_cost(
+            [[0.5, 0.0], [0.0, 0.5]], rtz(), flat_thermo(2), flat_thermo(2), reference_temperature=t
+        ),
+        lambda t: suboptimal_cycle_cost(
+            rtz(), [0.5, 0.5], DiscreteDistribution([0.9, 0.1]), reference_temperature=t
+        ),
+        # a zero weight on a live input: the temperature is checked before the sentinel returns
+        lambda t: suboptimal_cycle_cost(
+            rtz(), [1.0, 0.0], DiscreteDistribution([0.5, 0.5]), reference_temperature=t
+        ),
+    ],
+    ids=["uncertain", "partial", "suboptimal", "suboptimal-infinite"],
+)
+def test_cycle_sources_need_a_finite_positive_temperature(call, temperature):
+    with pytest.raises(DegenerateCycleError, match="temperature must be finite and positive"):
+        call(temperature)
+
+
 def _kl(p, q) -> float:
     """``sum p ln(p / q)`` over the entries where ``p > 0``, written out term by term."""
     pairs = zip(np.ravel(p).tolist(), np.ravel(q).tolist())

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,17 +9,25 @@ from hypothesis import strategies as st
 
 from helpers import (
     assert_same_outcome,
+    bits,
     edge_probability_arrays,
     outcome,
     permutation_operation,
     random_distribution,
     random_operation,
+    random_scenario,
     random_thermo,
 )
-from thermologic import logic
+from thermologic import logic, quantum
 from thermologic.boxprotocol import run_protocol
-from thermologic.costs import expected_cost, optimal_weights
-from thermologic.cycles import reverse_operation
+from thermologic.costs import (
+    expected_cost,
+    make_weights,
+    minimax_weights,
+    minimize_expected_work,
+    optimal_weights,
+)
+from thermologic.cycles import entropy_ledgers, reverse_operation
 from thermologic.logic import (
     PROB_ATOL,
     ArityMismatchError,
@@ -32,6 +42,7 @@ from thermologic.logic import (
     compose,
     identity_op,
     idn,
+    joint_distribution,
     not_op,
     one_bit,
     propagate,
@@ -467,3 +478,94 @@ def test_classification_from_the_support_matches_the_dense_rule(values):
         reversible=bool(np.all(np.count_nonzero(m > PROB_ATOL, axis=0) <= 1)),
     )
     assert op.classification == dense
+
+
+CLONES = {
+    "pickle-2": lambda value: pickle.loads(pickle.dumps(value, protocol=2)),
+    "pickle-5": lambda value: pickle.loads(pickle.dumps(value, protocol=5)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _reachable_arrays(value, seen):
+    """Every ndarray reachable from ``value`` through package objects, tuples, lists and dicts."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+        return
+    items = []
+    if isinstance(value, dict):
+        items = list(value.values())
+    elif isinstance(value, (tuple, list)):
+        items = list(value)
+    if type(value).__module__.startswith("thermologic."):
+        items += list(getattr(value, "__dict__", {}).values())
+    for item in items:
+        yield from _reachable_arrays(item, seen)
+
+
+def _array_values(seed):
+    """One value of each type that holds arrays, with its cached values computed."""
+    rng = np.random.default_rng(seed)
+    sc = random_scenario(rng)
+    w = make_weights(sc, sc.input_dist.probs)
+    report = expected_cost(sc, w)
+    # Fill every cache first, so that the clones carry cached values too.
+    report.transitions
+    sc.op.classification
+    ledger = entropy_ledgers(sc, optimal_weights(sc))
+    ledger.individual
+    protocol = run_protocol(sc, optimal_weights(sc))
+    protocol.rows
+    h = quantum.HamiltonianSpec(rng.uniform(-1.0, 1.0, 3))
+    t_ref = float(rng.uniform(0.5, 2.0))
+    rho = quantum.gibbs_state(h, t_ref)
+    setup = quantum.default_setup(env_dim=2, reference_temperature=t_ref)
+    trial = quantum.run_trials(setup, 1, seed).results[0]  # computes the setup's cached arrays
+    return {
+        "DiscreteDistribution": sc.input_dist,
+        "LogicalOperation": sc.op,
+        "JointDistribution": joint_distribution(sc.op, sc.input_dist),
+        "WeightVector": w,
+        "CostReport": report,
+        "OptimizationResult": minimize_expected_work(sc, max_iterations=3, restarts=0),
+        "minimax OptimizationResult": minimax_weights(sc, max_iterations=3),
+        "Scenario": sc,
+        "EntropyLedger": ledger,
+        "ProtocolLedger": protocol,
+        "DensityMatrix": rho,
+        "HamiltonianSpec": h,
+        "CanonicalizedState": quantum.canonicalize(rho, t_ref, 0.5),
+        "TrialSetup": setup,
+        "TrialResult": trial,
+    }
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_clones_keep_every_array_read_only_and_price_alike(clone, seed):
+    for name, value in _array_values(seed).items():
+        arrays = list(_reachable_arrays(clone(value), set()))
+        assert arrays, name
+        writable = [a.shape for a in arrays if a.flags.writeable]
+        assert not writable, (name, writable)
+
+    sc = random_scenario(np.random.default_rng(seed))
+    w = make_weights(sc, sc.input_dist.probs)
+    report = expected_cost(sc, w)
+    sc2, w2 = clone(sc), clone(w)
+    again = expected_cost(sc2, w2)
+    assert again is not report and bits(again) == bits(report)
+
+    # A clone priced once must not be writable afterwards, or the memo would go stale.
+    s3 = clone(sc)
+    w3 = make_weights(s3, sc.input_dist.probs)
+    expected_cost(s3, w3)
+    with pytest.raises(ValueError, match="read-only"):
+        s3.op.matrix[0] = s3.op.matrix[0][::-1].copy()
+    with pytest.raises(ValueError, match="read-only"):
+        s3.input_dist.probs[0] = 0.9

@@ -516,3 +516,14 @@ class TestCachedSetup:
         again = verify_bound(setup, unitary)
         assert (again.work, again.slack) == (first.work, first.slack)
         assert setup.initial_system.matrix[1, 1] == 0.5
+
+
+def test_result_arrays_are_read_only():
+    setup = default_setup(reference_temperature=0.8)
+    results = run_trials(setup, 3, seed=4).results
+    dim = setup.system_h.dim * setup.env_h.dim
+    results += (verify_bound(setup, haar_unitary(dim, np.random.default_rng(4))),)
+    for result in results:
+        assert not result.output_block_weights.flags.writeable
+    rho = gibbs_state(HamiltonianSpec(np.linspace(0.0, 2.0, 4)), 0.7)
+    assert not canonicalize(rho, 0.7, 0.5).unitary.flags.writeable

@@ -248,6 +248,22 @@ class TestAggregateBaths:
         with pytest.raises(ThermoError):
             aggregate_baths([(1.0, 0.0)])
 
+    @pytest.mark.parametrize(
+        "deposits",
+        [
+            [(1.0, -1.0)],
+            [(1.0, math.nan), (2.0, 1.0)],
+            [(1.0, math.inf), (2.0, 1.0)],
+            [(math.nan, 1.0), (2.0, 1.0)],
+            [(math.inf, 1.0), (2.0, 1.0)],
+            [(-math.inf, 1.0)],
+        ],
+        ids=["negative-t", "nan-t", "inf-t", "nan-q", "inf-q", "single-inf-q"],
+    )
+    def test_non_finite_deposits_and_negative_temperatures_rejected(self, deposits):
+        with pytest.raises(ThermoError):
+            aggregate_baths(deposits)
+
     def test_single_bath_keeps_bound_form(self):
         # replacing (Q, T_R) by the aggregate of one deposit changes nothing
         sc = make_model("uniform", skeleton(rtz(), [0.5, 0.5], energy_offset=0.0))
