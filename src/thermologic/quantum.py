@@ -20,6 +20,8 @@ unitary leaves at S(rho_S) + S(gamma_E); each draw is checked to be
 unitary to :data:`EIG_ATOL`, which is what the invariant assumes.
 Trials are evaluated in chunks, each one stacked array computation: one
 draw, one QR, and batched products, partial traces and marginal spectra.
+The chunk-sized stacks are allocated once per sweep and reused by every
+chunk; each sweep has its own, so sweeps may run in separate threads.
 
 Everything here is in natural units (k_B = 1): temperatures are energies,
 and entropies are in nats.  Every Hamiltonian is diagonal in the
@@ -189,14 +191,47 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
     raise QuantumError("keep must be 0 or 1")
 
 
-def _haar_unitaries(count: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A stack of ``count`` Haar unitaries: the draws of ``count`` :func:`haar_unitary` calls."""
-    normals = rng.standard_normal((count, 2, dim, dim))
-    z = (normals[:, 0] + 1j * normals[:, 1]) / math.sqrt(2.0)
+class _Workspace(NamedTuple):
+    """Scratch stacks for up to ``len(draws)`` trials of one dimension.
+
+    A sweep allocates one and reuses it for every chunk, so a chunk
+    allocates only what the QR allocates itself.  Each stack is
+    overwritten by the next chunk, so no array of it is ever returned.
+    """
+
+    draws: np.ndarray  # the normals, then |U^dagger U - I| in the first half
+    stack: np.ndarray  # z, then U^dagger U, then U rho
+    conjugates: np.ndarray  # conj(U), read transposed as the adjoints
+    rho_final: np.ndarray
+
+    @classmethod
+    def allocate(cls, count: int, dim: int) -> _Workspace:
+        stacks = (np.empty((count, dim, dim), dtype=complex) for _ in range(3))
+        return cls(np.empty((count, 2, dim, dim)), *stacks)
+
+    def head(self, count: int) -> _Workspace:
+        """The leading ``count`` trials of each stack."""
+        return _Workspace(*(array[:count] for array in self))
+
+
+def _haar_unitaries(
+    count: int, dim: int, rng: np.random.Generator, workspace: _Workspace | None = None
+) -> np.ndarray:
+    """A stack of ``count`` Haar unitaries: the draws of ``count`` :func:`haar_unitary` calls.
+
+    The Ginibre stack is built in ``workspace``, which must hold exactly
+    ``count`` trials of dimension ``dim``; the unitaries are a new array.
+    """
+    ws = _Workspace.allocate(count, dim) if workspace is None else workspace
+    normals = rng.standard_normal(out=ws.draws)
+    z = ws.stack
+    z.real, z.imag = normals[:, 0], normals[:, 1]
+    z /= math.sqrt(2.0)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
-    return q * phases[:, None, :]
+    q *= phases[:, None, :]
+    return q
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -268,6 +303,11 @@ def block_mixture(
     return DensityMatrix(out)
 
 
+def _is_distribution(probs: np.ndarray) -> bool:
+    """Every entry non-negative and the sum within 1e-9 of one; NaN fails."""
+    return bool((probs >= 0.0).all()) and abs(float(probs.sum()) - 1.0) <= 1e-9
+
+
 def _check_joint_dim(system_dim: int, env_dim: int) -> None:
     if system_dim * env_dim > MAX_JOINT_DIM:
         raise SetupError(f"joint dimension exceeds cap {MAX_JOINT_DIM}")
@@ -297,7 +337,7 @@ class TrialSetup(_Frozen):
 
     def __post_init__(self):
         probs = np.asarray(self.input_probs, dtype=float)
-        if not (probs >= 0.0).all() or abs(float(probs.sum()) - 1.0) > 1e-9:  # NaN fails too
+        if not _is_distribution(probs):
             raise SetupError("input probabilities must form a distribution")
         object.__setattr__(self, "input_probs", _frozen(probs.copy()))
         states = tuple(_frozen(np.array(state, dtype=complex)) for state in self.input_states)
@@ -317,6 +357,8 @@ class TrialSetup(_Frozen):
             t = np.asarray(self.target_output_probs, dtype=float)
             if t.size != len(self.blocks):
                 raise SetupError("target output probabilities must match block count")
+            if not _is_distribution(t):
+                raise SetupError("target output probabilities must form a distribution")
             object.__setattr__(self, "target_output_probs", _frozen(t.copy()))
         self.initial_system  # built now: the block states must align, fit and mix to a state
 
@@ -448,19 +490,27 @@ class _TrialColumns(NamedTuple):
         return tuple(TrialResult(first_index + k, *row) for k, row in enumerate(rows))
 
 
-def _verify(setup: TrialSetup, unitaries: np.ndarray) -> _TrialColumns:
+def _verify(
+    setup: TrialSetup, unitaries: np.ndarray, workspace: _Workspace | None = None
+) -> _TrialColumns:
     """Evaluate a stack of unitaries against the work bound, its two lemmas and their identity.
 
     What does not depend on the unitary is read from the setup's cached
     properties, the joint entropy included, so each draw must be unitary.
+    The intermediate stacks are written into ``workspace``, which must
+    hold exactly one trial per unitary; every returned column is a new array.
     """
     ds, de = setup.system_h.dim, setup.env_h.dim
     t_ref = setup.reference_temperature
-    adjoints = unitaries.conj().swapaxes(-1, -2)
-    deviation = np.abs(adjoints @ unitaries - np.eye(ds * de)).max()
+    ws = _Workspace.allocate(len(unitaries), ds * de) if workspace is None else workspace
+    adjoints = np.conjugate(unitaries, out=ws.conjugates).swapaxes(-1, -2)
+    residual = np.matmul(adjoints, unitaries, out=ws.stack)
+    residual.reshape(len(residual), -1)[:, :: ds * de + 1] -= 1.0  # the diagonals
+    deviation = np.abs(residual, out=ws.draws[:, 0]).max()
     if not deviation <= EIG_ATOL:  # NaN fails too
         raise SetupError(f"matrix is not unitary: |U^dagger U - I| = {deviation:.3e}")
-    rho_final = unitaries @ setup.initial_joint @ adjoints
+    rotated = np.matmul(unitaries, setup.initial_joint, out=ws.stack)
+    rho_final = np.matmul(rotated, adjoints, out=ws.rho_final)
 
     sys_final = partial_trace(rho_final, (ds, de), keep=0)
     env_final = partial_trace(rho_final, (ds, de), keep=1)
@@ -540,9 +590,12 @@ def run_trials(setup: TrialSetup, trials: int, seed: int) -> TrialBatchResult:
     dim = setup.system_h.dim * setup.env_h.dim
     chunk = max(1, CHUNK_ELEMENTS // dim**2)
     columns = _TrialColumns.empty(trials, len(setup.blocks))
+    workspace = _Workspace.allocate(min(chunk, trials), dim)
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        for column, part in zip(columns, _verify(setup, _haar_unitaries(stop - start, dim, rng))):
+        ws = workspace.head(stop - start)
+        unitaries = _haar_unitaries(stop - start, dim, rng, ws)
+        for column, part in zip(columns, _verify(setup, unitaries, ws)):
             column[start:stop] = part
     scale = 1.0 + np.abs(columns.work) + np.abs(columns.bound)
     return TrialBatchResult(

@@ -461,8 +461,16 @@ def aggregate_baths(deposits) -> tuple[float, float]:
             raise ThermoError(f"bath temperatures must be finite and positive, got {t!r}")
     if len(pairs) == 1:
         return pairs[0]
-    q_total = math.fsum(q for q, _ in pairs)
-    denom = math.fsum(q / t for q, t in pairs)
+    try:
+        q_total = math.fsum(q for q, _ in pairs)
+        denom = math.fsum(q / t for q, t in pairs)
+    except (OverflowError, ValueError):  # finite terms whose sum overflows, or inf - inf
+        raise DegenerateBathError("heat sums overflow: no effective temperature") from None
     if denom == 0.0:
         raise DegenerateBathError("undefined effective temperature: deposits cancel")
-    return q_total, q_total / denom
+    temperature = q_total / denom
+    if not 0.0 < temperature < math.inf:  # NaN fails too
+        raise DegenerateBathError(
+            f"effective temperature must be finite and positive, got {temperature!r}"
+        )
+    return q_total, temperature

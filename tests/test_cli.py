@@ -313,6 +313,7 @@ class TestExitCodes:
             (["cost"], dict(RTZ_SCENARIO, modle={"kind": "uniform"}), 2),
             (["qbound", "--blocks", "2,x"], None, 2),
             (["qbound", "--env-dim", "-3"], None, 3),
+            (["qbound", "--config"], dict(QBOUND_CONFIG, target_output_probs=[2.0, -1.0]), 3),
             # make_model would divide by k T_R = 0
             (["cost"], dict(with_model({"kind": "equilibrium"}), reference_temperature=0.0), 3),
             *(
@@ -344,6 +345,7 @@ class TestExitCodes:
             "cost-unknown-key",
             "qbound-blocks",
             "qbound-env-dim-negative",
+            "qbound-target-not-a-distribution",
             "cost-equilibrium-zero-temperature",
             *(f"cost-{name}" for name in UNREAD_MODEL_KEYS),
         ],

@@ -1,6 +1,9 @@
 import copy
+import importlib
+import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -569,3 +572,30 @@ def test_clones_keep_every_array_read_only_and_price_alike(clone, seed):
         s3.op.matrix[0] = s3.op.matrix[0][::-1].copy()
     with pytest.raises(ValueError, match="read-only"):
         s3.input_dist.probs[0] = 0.9
+
+
+ARRAY_FIELD = re.compile(r"\b(np\.ndarray|TransitionColumns|EntropyColumns|LedgerColumns|StateArrays)\b")
+
+
+def _array_holding_classes():
+    """Each class of the six computing layers with a field annotated as an array or array columns.
+
+    The column NamedTuples themselves are left out: they are the arrays'
+    containers, and their holders freeze them.
+    """
+    for layer in ("logic", "thermo", "costs", "boxprotocol", "cycles", "quantum"):
+        module = importlib.import_module(f"thermologic.{layer}")
+        for cls in vars(module).values():
+            if not inspect.isclass(cls) or cls.__module__ != module.__name__ or issubclass(cls, tuple):
+                continue
+            fields = [str(a) for k in cls.__mro__ for a in inspect.get_annotations(k).values()]
+            if any(ARRAY_FIELD.search(field) for field in fields):
+                yield cls
+
+
+def test_every_type_with_array_fields_is_frozen_and_cloned():
+    holders = {cls.__name__: cls for cls in _array_holding_classes()}
+    assert {"DiscreteDistribution", "CostReport", "EntropyLedger", "TrialResult"} <= holders.keys()
+    assert [name for name, cls in holders.items() if not issubclass(cls, logic._Frozen)] == []
+    # ... and the clone property above builds one of each.
+    assert sorted(holders.keys() - _array_values(0).keys()) == []

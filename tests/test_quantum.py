@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import bits
 from thermologic import quantum
 from thermologic.quantum import (
     MAX_TRIALS,
@@ -202,6 +203,13 @@ class TestMixtureIdentity:
         with pytest.raises(SetupError):
             default_setup((2, 2), 4, 1.0, input_probs=[bad, 0.5])
 
+    @pytest.mark.parametrize(
+        "target", [[math.nan, 0.5], [2.0, -1.0], [math.inf, 0.0]], ids=["nan", "negative", "inf"]
+    )
+    def test_target_output_probs_must_form_a_distribution(self, target):
+        with pytest.raises(SetupError, match="target output probabilities must form a distribution"):
+            default_setup((2, 2), 4, 1.0, [0.5, 0.5], target)
+
     def test_blocks_must_not_overlap(self):
         h = HamiltonianSpec(np.zeros(4))
         with pytest.raises(SetupError):
@@ -336,6 +344,32 @@ class TestVerifyBound:
         trials = 3 * max(1, quantum.CHUNK_ELEMENTS // dim**2) + 1  # three full chunks and one trial
         batch = run_trials(setup, trials, seed=3)
         assert len(batch.results) == trials and batch.total_violations == 0
+
+
+def test_chunk_size_does_not_change_a_sweep(monkeypatch):
+    # A sweep reuses one workspace for all its chunks; the last, partial one
+    # uses its leading trials.  How the trials split must not show in any bit.
+    setup = default_setup((2, 2), 4, 1.0, [0.6, 0.4], [0.5, 0.5])  # d = 16
+    default = quantum.CHUNK_ELEMENTS
+    draw = quantum._haar_unitaries
+    chunks = []
+    monkeypatch.setattr(
+        quantum, "_haar_unitaries", lambda count, *args: chunks.append(count) or draw(count, *args)
+    )
+    sweeps = {}
+    for elements, split in ((256, [1] * 11), (1024, [4, 4, 3]), (default, [11])):
+        monkeypatch.setattr(quantum, "CHUNK_ELEMENTS", elements)
+        chunks.clear()
+        sweeps[elements] = run_trials(setup, 11, seed=7)
+        assert chunks == split
+    first = bits(sweeps[256])
+    assert bits(sweeps[1024]) == first == bits(sweeps[default])
+
+    # A later sweep of the same dimension must leave every earlier result as it was.
+    run_trials(default_setup((1, 3), 4, 0.7, [0.3, 0.7]), 11, seed=8)
+    assert all(bits(batch) == first for batch in sweeps.values())
+    for batch in sweeps.values():
+        assert not any(r.output_block_weights.flags.writeable for r in batch.results)
 
 
 class TestIdentity:

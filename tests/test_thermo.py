@@ -244,6 +244,20 @@ class TestAggregateBaths:
         with pytest.raises(DegenerateBathError):
             aggregate_baths([(1.0, 1.0), (-1.0, 1.0)])
 
+    @pytest.mark.parametrize(
+        "deposits",
+        [
+            [(2.0, 1.0), (-1.0, 0.1)],  # effective temperature -0.125
+            [(1.0, 1e-320), (1.0, 1.0)],  # 1 / 1e-320 overflows, so the temperature reads 0
+            [(1e308, 1.0), (1e308, 1.0)],  # finite heats whose total overflows
+            [(1.0, 1e-320), (-1.0, 1e-320)],  # inf - inf
+        ],
+        ids=["negative-temperature", "zero-temperature", "heat-overflow", "inf-minus-inf"],
+    )
+    def test_no_finite_positive_effective_temperature_is_degenerate(self, deposits):
+        with pytest.raises(DegenerateBathError):
+            aggregate_baths(deposits)
+
     def test_nonpositive_temperature_rejected(self):
         with pytest.raises(ThermoError):
             aggregate_baths([(1.0, 0.0)])
