@@ -35,8 +35,10 @@ temperature; step 9 records the output state's own energy.  The ledger
 stores its rows as columns (:class:`LedgerColumns`), built with array
 expressions in the scalar order of operations, and warns for each well of
 steps 1-4 and 6-8 outside that regime (steps 5 and 9 keep the wells of
-steps 4 and 8).  :func:`squarewell_props` gives the exact level sums, with
-no truncation at any width, as a validity oracle.
+steps 4 and 8).  The columns of a (scenario, weights) pair are built once
+and kept by the weights, so :func:`reconcile` compares a ledger with them
+without running the stages again.  :func:`squarewell_props` gives the
+exact level sums, with no truncation at any width, as a validity oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import WeightVector, expected_cost
+from .costs import WeightVector, _once_per_pair, expected_cost
 from .logic import _Frozen, _frozen, _logs
 from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 
@@ -250,6 +252,8 @@ class ProtocolLedger(_Frozen):
     ``(i, j)`` (steps 4-5) and output ``j`` (steps 6-9, no input index).
     """
 
+    columns: LedgerColumns
+
     def __init__(self, rows, layouts, warnings):
         self.__dict__.update(rows=tuple(rows), layouts=tuple(layouts), warnings=tuple(warnings))
         self.columns = _columns([[-1 if v is None else v for v in vars(r).values()] for r in rows])
@@ -344,7 +348,18 @@ class ProtocolLedger(_Frozen):
 
 
 def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
-    """Drive the nine-stage implementation and record the full ledger."""
+    """Drive the nine-stage implementation and record the full ledger.
+
+    Both arguments are immutable, so the columns are built once per pair
+    and kept by ``weights`` for as long as both live, as
+    :func:`~thermologic.costs.expected_cost` keeps its report.  Each call
+    returns a new ledger over them, with its own ``rows``, ``layouts`` and
+    ``warnings``.
+    """
+    return ProtocolLedger._of_columns(_once_per_pair(scenario, weights, _ledger_columns), scenario)
+
+
+def _ledger_columns(scenario: Scenario, weights: WeightVector) -> LedgerColumns:
     w_in = weights.weights
     w_out = weights.output_weights
     p_in = scenario.input_dist.probs
@@ -405,7 +420,7 @@ def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
             work=st.energy - 0.5 * k * st.temperature, energy=st.energy)
 
     table = np.insert(np.reshape(fields, (-1, 9)), split, branches, axis=0)
-    return ProtocolLedger._of_columns(_columns(table), scenario)
+    return _columns(table)
 
 
 @dataclass(frozen=True)
@@ -422,16 +437,17 @@ class ReconcileReport:
 def reconcile(
     ledger: ProtocolLedger, scenario: Scenario, weights: WeightVector
 ) -> ReconcileReport:
-    """Check a ledger against an independent recomputation and the closed forms.
+    """Check a ledger against the pair's own columns and the closed forms.
 
-    A fresh ledger is rebuilt from the scenario and weights and compared
-    column by column, and the first row that differs is located (catching
-    injected or corrupted stages).  Then the trajectory totals are compared
-    against the expected-cost report's per-transition closed forms and the
-    expectation against its expected work and heat.
+    The ledger is compared column by column with the pair's columns, made
+    once per pair (see :func:`run_protocol`), and the first row that
+    differs is located (catching injected or corrupted stages).  Then the
+    trajectory totals are compared against the expected-cost report's
+    per-transition closed forms and the expectation against its expected
+    work and heat.
 
     Weights that put zero on an input the scenario may occupy raise
-    :class:`ProtocolAbortError` from the recomputation, so the expected
+    :class:`ProtocolAbortError` from :func:`run_protocol`, so the expected
     cost compared here is always finite.  A transition can still be
     unbounded in the closed forms when the ledger was built with other
     weights than ``weights`` and those zero an unoccupied input; that

@@ -98,9 +98,10 @@ class WeightVector(_Frozen):
     still occurring with positive probability; any expectation involving
     them is flagged as infinitely expensive rather than rejected.
 
-    Both arrays are read-only, so a vector keeps the cost reports that
-    :func:`expected_cost` makes with it, one per scenario, each for as
-    long as its scenario lives.
+    Both arrays are read-only, so a vector keeps what is built from it and
+    a scenario (the :func:`expected_cost` report, the ledger columns of
+    :func:`~thermologic.boxprotocol.run_protocol`), each for as long as
+    its scenario lives.
     """
 
     weights: np.ndarray
@@ -118,14 +119,26 @@ class WeightVector(_Frozen):
         return bool(self.infinite_inputs)
 
     @cached_property
-    def _reports(self) -> weakref.WeakKeyDictionary:
+    def _per_pair(self) -> weakref.WeakKeyDictionary:
         return weakref.WeakKeyDictionary()
 
     def __getstate__(self):
         # The memo holds weak references, which do not pickle; a copy starts empty.
         state = dict(self.__dict__)
-        state.pop("_reports", None)
+        state.pop("_per_pair", None)
         return state
+
+
+def _once_per_pair(scenario: Scenario, weights: WeightVector, build):
+    """``build(scenario, weights)``, made once and kept by ``weights`` while both live.
+
+    A build that raises keeps nothing, so the next call raises again.
+    """
+    made = weights._per_pair.get(scenario) or {}
+    if build not in made:
+        made[build] = build(scenario, weights)
+        weights._per_pair[scenario] = made
+    return made[build]
 
 
 def make_weights(scenario: Scenario, weights) -> WeightVector:
@@ -292,10 +305,7 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
     scenario with the same vector again returns the same report.  Equal
     content in another object is priced afresh.
     """
-    report = weights._reports.get(scenario)
-    if report is None:
-        report = weights._reports[scenario] = _price(scenario, weights)
-    return report
+    return _once_per_pair(scenario, weights, _price)
 
 
 def _price(scenario: Scenario, weights: WeightVector) -> CostReport:

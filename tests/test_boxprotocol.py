@@ -1,12 +1,27 @@
+import copy
 import dataclasses
+import gc
 import math
+import pickle
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_distribution, random_operation, random_scenario, random_thermo
+from helpers import (
+    STRUCTURES,
+    bits,
+    copy_scenario,
+    random_distribution,
+    random_operation,
+    random_scenario,
+    random_thermo,
+    structured_scenario,
+)
 from thermologic.boxprotocol import (
     LedgerRow,
     ProtocolAbortError,
@@ -20,7 +35,13 @@ from thermologic.boxprotocol import (
     width_for_entropy,
     zero_entropy_width,
 )
-from thermologic.costs import expected_cost, make_weights, optimal_weights, transition_cost
+from thermologic.costs import (
+    WeightVector,
+    expected_cost,
+    make_weights,
+    optimal_weights,
+    transition_cost,
+)
 from thermologic.logic import DiscreteDistribution, LogicalOperation, identity_op, rtz
 from thermologic.thermo import ModelSkeleton, Scenario, UnitSystem, make_model
 
@@ -632,3 +653,177 @@ def test_reconcile_reports_are_pinned(how):
             ledger = ProtocolLedger(tuple(tampered(ledger.rows, how)), ledger.layouts, ledger.warnings)
         # repr compares every float bit for bit, and NaN equal to NaN
         assert repr(reconcile(ledger, sc, weights)) == repr(PINNED_REPORTS[name, how])
+
+
+class TestLedgerMemo:
+    """``run_protocol`` builds a pair's columns once; every ledger is new."""
+
+    def pair(self, seed=70):
+        rng = np.random.default_rng(seed)
+        sc = random_scenario(rng)
+        return sc, make_weights(sc, rng.dirichlet(np.ones(sc.op.n_inputs)))
+
+    def test_each_call_returns_a_new_ledger_over_the_same_columns(self):
+        sc, w = self.pair()
+        first, second = run_protocol(sc, w), run_protocol(sc, w)
+        assert first is not second
+        assert first.columns is second.columns
+        assert first.rows == second.rows and first.rows is not second.rows
+
+    def test_equal_content_in_new_objects_is_built_afresh(self):
+        sc, w = self.pair()
+        columns = run_protocol(sc, w).columns
+        for other_sc, other_w in ((copy_scenario(sc), w), (sc, make_weights(sc, w.weights))):
+            got = run_protocol(other_sc, other_w).columns
+            assert got is not columns
+            assert bits(got) == bits(columns)
+
+    def test_reassigned_columns_are_checked_against_the_pairs_own(self):
+        sc, w = self.pair()
+        ledger = run_protocol(sc, w)
+        columns = ledger.columns
+        k = int(np.flatnonzero(columns.step == 7)[0])
+        work = columns.work.copy()
+        work[k] += 1e-3
+        ledger.columns = columns._replace(work=work)
+        report = reconcile(ledger, sc, w)
+        assert not report.ok
+        assert report.first_divergent_step == (7, None, int(columns.output[k]))
+        # The memo keeps the true columns, and a new ledger over them reconciles.
+        again = run_protocol(sc, w)
+        assert again.columns is columns
+        assert reconcile(again, sc, w).ok
+
+    def test_columns_live_only_while_both_keys_live(self):
+        sc, w = self.pair()
+        work = weakref.ref(run_protocol(sc, w).columns.work)
+        gc.collect()
+        assert work() is not None
+        del w
+        gc.collect()
+        assert work() is None
+
+        w = make_weights(sc, sc.input_dist.probs)
+        work = weakref.ref(run_protocol(sc, w).columns.work)
+        del sc
+        gc.collect()
+        assert work() is None and w.weights.size > 0
+
+    @pytest.mark.parametrize("clone", ["pickle", "copy", "deepcopy"])
+    def test_a_copied_vector_starts_without_the_ledger(self, clone):
+        sc, w = self.pair()
+        columns = run_protocol(sc, w).columns
+        twin = {
+            "pickle": lambda: pickle.loads(pickle.dumps(w)),
+            "copy": lambda: copy.copy(w),
+            "deepcopy": lambda: copy.deepcopy(w),
+        }[clone]()
+        got = run_protocol(sc, twin).columns
+        assert got is not columns
+        assert bits(got) == bits(columns)
+        assert run_protocol(sc, twin).columns is got
+
+    def test_a_failed_build_raises_again(self):
+        sc, _ = self.pair()
+        raw = np.ones(sc.op.n_inputs)
+        raw[0] = 0.0
+        w = make_weights(sc, raw / raw.sum())
+        for _ in range(2):
+            with pytest.raises(ProtocolAbortError, match="zero weight"):
+                run_protocol(sc, w)
+        # The pair's report is still priced, once.
+        assert expected_cost(sc, w) is expected_cost(sc, w)
+
+    def test_threads_sharing_keys_get_the_cold_columns(self):
+        scenarios = [random_scenario(np.random.default_rng(seed)) for seed in range(71, 79)]
+        copies = [copy_scenario(sc) for sc in scenarios]
+        want = [bits(run_protocol(sc, optimal_weights(sc)).columns) for sc in copies]
+        got, errors = [], []
+
+        def work():
+            try:
+                for sc in scenarios:
+                    got.append((sc, run_protocol(sc, optimal_weights(sc)).columns))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and errors == []
+        assert len(got) == 6 * len(scenarios)
+        for sc, columns in got:
+            assert bits(columns) == want[scenarios.index(sc)]
+
+
+_LEDGER_CALLS = (
+    "run_protocol", "reconcile", "trajectory_totals", "expected_totals", "expected_cost"
+)
+_VECTORS = ("optimal", "drawn", "foreign")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(STRUCTURES),
+    dead_input=st.booleans(),
+    zero_live_weight=st.booleans(),
+    calls=st.lists(
+        st.tuples(
+            st.sampled_from(_LEDGER_CALLS), st.sampled_from(_VECTORS), st.sampled_from(_VECTORS)
+        ),
+        min_size=1,
+        max_size=10,
+    ),
+)
+def test_shared_ledgers_are_the_cold_values(seed, structure, dead_input, zero_live_weight, calls):
+    """Any interleaving of the ledger callers on shared scenario and weights
+    gives what each call gives alone on fresh, equal copies.
+
+    ``reconcile`` checks the ledger of its first vector against its second;
+    a ``foreign`` vector was built for another scenario of the same shape.
+    """
+    sc = structured_scenario(seed, structure, dead_input)
+    rng = np.random.default_rng(seed)
+    raw = rng.dirichlet(np.ones(sc.op.n_inputs))
+    if zero_live_weight:
+        raw[-1] = 0.0  # the last input is live, so the protocol aborts
+    raw /= raw.sum()
+    other = dataclasses.replace(sc, op=random_operation(rng, sc.op.n_inputs, sc.op.n_outputs))
+    shared = {
+        "optimal": optimal_weights(sc),
+        "drawn": make_weights(sc, raw),
+        "foreign": make_weights(other, rng.dirichlet(np.ones(sc.op.n_inputs))),
+    }
+
+    def call(name, scenario, weights, checked):
+        try:
+            if name == "expected_cost":
+                return bits(expected_cost(scenario, weights))
+            ledger = run_protocol(scenario, weights)
+            if name == "run_protocol":
+                return bits(ledger.columns), ledger.warnings
+            if name == "reconcile":
+                return bits(reconcile(ledger, scenario, checked))
+            if name == "trajectory_totals":
+                return bits(sorted(ledger.trajectory_totals().items()))
+            return bits(ledger.expected_totals(scenario))
+        except ProtocolAbortError as exc:  # compared by message
+            return str(exc)
+
+    def cold(w):
+        return WeightVector(
+            w.weights.copy(), w.output_weights.copy(), w.infinite_inputs, w.weight_independent
+        )
+
+    for name, which, checked in calls:
+        fresh, colds = copy_scenario(sc), {key: cold(w) for key, w in shared.items()}
+        got = call(name, sc, shared[which], shared[checked])
+        assert got == call(name, fresh, colds[which], colds[checked]), (name, which, checked)
