@@ -217,9 +217,9 @@ class CostReport(_Frozen):
     Entropy-like fields are in units of k_B; energies are in scenario
     energy units.  ``entropy_change`` is the full mixture change and
     decomposes as ``state_entropy_change + shannon_change_bits * ln 2``.
-    Expectation fields and ``columns`` are ``None`` in bounds-only
-    reports; expectations are the infinite-cost sentinel when a zero
-    weight covers a live input.
+    The eight bound fields are the scenario's
+    :attr:`~thermologic.thermo.Scenario.bound_terms`; the expectations
+    are the infinite-cost sentinel when a zero weight covers a live input.
     """
 
     mean_energy_change: float
@@ -230,15 +230,13 @@ class CostReport(_Frozen):
     heat_bound: float
     bath_entropy_bound: float
     nibdf_bound: float
-    columns: TransitionColumns | None = None
-    expected_work: object = None
-    expected_heat: object = None
+    columns: TransitionColumns
+    expected_work: object  # float or INFINITE_COST
+    expected_heat: object
 
     @cached_property
-    def transitions(self) -> tuple[TransitionCost, ...] | None:
+    def transitions(self) -> tuple[TransitionCost, ...]:
         """One :class:`TransitionCost` per row of ``columns``, built on first access."""
-        if self.columns is None:
-            return None
         inputs, outputs, joint, work, heat, finite = (c.tolist() for c in self.columns)
         works = [w if f else INFINITE_COST for w, f in zip(work, finite)]
         heats = [h if f else INFINITE_COST for h, f in zip(heat, finite)]
@@ -246,8 +244,13 @@ class CostReport(_Frozen):
 
 
 def glp_bounds(scenario: Scenario) -> CostReport:
-    """Bounds-only report: minimal work, heat, bath entropy and mixing cost."""
-    return CostReport(*scenario.bound_terms)
+    """The report at the optimal weights ``w = P``, which attain every bound.
+
+    Its bound fields are the minimal work, heat, bath entropy and mixing
+    cost.  It is the pair's one report (see :func:`expected_cost`), so
+    after pricing the optimum this costs a lookup.
+    """
+    return expected_cost(scenario, optimal_weights(scenario))
 
 
 def _priced_transitions(scenario: Scenario, weights: WeightVector, pairs=None):
@@ -328,12 +331,7 @@ def _report(scenario: Scenario, columns: TransitionColumns) -> CostReport:
     else:
         expected_work = math.fsum((joint * work)[finite].tolist())
         expected_heat = math.fsum((joint * heat)[finite].tolist())
-    return CostReport(
-        *scenario.bound_terms,
-        columns=columns,
-        expected_work=expected_work,
-        expected_heat=expected_heat,
-    )
+    return CostReport(*scenario.bound_terms, columns, expected_work, expected_heat)
 
 
 @dataclass(frozen=True, eq=False)

@@ -50,6 +50,7 @@ from .logic import (
     _Frozen,
     _entropy_nats,
     _frozen,
+    _is_distribution,
     _logs,
     _posterior,
     _prune_outputs,
@@ -64,7 +65,6 @@ from .thermo import (
     ThermoTable,
     UnitSystem,
     mixture_free_energy,
-    state_arrays,
 )
 
 LEDGER_TOL = 1e-9  # entropy_ledgers: values within this of zero or of their bound count as equal
@@ -137,11 +137,6 @@ class BoxCycleReport:
             ),
             "bath": math.fsum(s.bath_entropy_change for s in self.stages),
         }
-
-
-def _is_distribution(p: np.ndarray) -> bool:
-    """Entries at least 0 summing to 1; NaN fails the range test, +inf the sum."""
-    return bool((p >= 0.0).all()) and abs(math.fsum(p.ravel().tolist()) - 1.0) <= 1e-9
 
 
 def _expected_log_ratio(weights: np.ndarray, ratios: np.ndarray) -> float:
@@ -464,6 +459,9 @@ def uncertain_operation_cost(
     vanishing exactly when the output statistics do not depend on the
     branch.  Both the thermodynamic sum and the information form are
     returned so they can be checked against each other.
+
+    The natural-units :class:`Scenario` of the first branch checks the
+    input distribution and the tables, and tabulates the tables.
     """
     ops = [op for op, _ in branches]
     gamma = np.asarray([prob for _, prob in branches], dtype=float)
@@ -471,16 +469,13 @@ def uncertain_operation_cost(
         raise CostError("at least one branch is required")
     if not _is_distribution(gamma):
         raise CostError("branch probabilities must form a distribution")
-    n_in = ops[0].n_inputs
-    n_out = ops[0].n_outputs
-    if any(op.n_inputs != n_in or op.n_outputs != n_out for op in ops):
+    if any(op.matrix.shape != ops[0].matrix.shape for op in ops):
         raise CostError("all branches must share input and output state sets")
-    if len(input_thermo) != n_in or len(output_thermo) != n_out:
-        raise CostError("thermo table arity mismatch")
-    p_in = input_dist.probs
     kt = _kt(reference_temperature)
-    free_in = state_arrays(input_thermo, kt).free_energy
-    free_out = state_arrays(output_thermo, kt).free_energy
+    scenario = Scenario(input_dist, ops[0], input_thermo, output_thermo, kt)
+    p_in = input_dist.probs
+    free_in = scenario.input_arrays.free_energy
+    free_out = scenario.output_arrays.free_energy
 
     input_value = mixture_free_energy(p_in, free_in, kt)
     out_by_branch = np.array([p_in @ op.matrix for op in ops])
@@ -538,6 +533,9 @@ def partial_operation_cost(
     an excess of ``k T_R`` times the conditional mutual information
     between the input and the bystander given the output, which vanishes
     for product priors and for logically reversible operations.
+
+    The natural-units :class:`Scenario` of ``op`` and the input marginal
+    checks the tables and tabulates them.
     """
     joint = np.asarray(joint_prior, dtype=float)
     if joint.ndim != 2:
@@ -546,16 +544,15 @@ def partial_operation_cost(
         raise CostError("joint prior must be a probability table")
     if joint.shape[0] != op.n_inputs:
         raise CostError("joint prior arity does not match operation")
-    if len(input_thermo) != op.n_inputs or len(output_thermo) != op.n_outputs:
-        raise CostError("thermo table arity mismatch")
     kt = _kt(reference_temperature)
     m = op.matrix
     p_in = joint.sum(axis=1)
+    scenario = Scenario(DiscreteDistribution(p_in), op, input_thermo, output_thermo, kt)
     p_bystander = joint.sum(axis=0)
     p_out = p_in @ m
     out_joint = m.T @ joint  # (output, bystander)
-    free_in = state_arrays(input_thermo, kt).free_energy
-    free_out = state_arrays(output_thermo, kt).free_energy
+    free_in = scenario.input_arrays.free_energy
+    free_out = scenario.output_arrays.free_energy
 
     forward_work = mixture_free_energy(p_out, free_out, kt) - mixture_free_energy(
         p_in, free_in, kt

@@ -123,6 +123,11 @@ def _in_unit_range(arr: np.ndarray) -> bool:
     return bool(arr.min() >= -PROB_ATOL and arr.max() <= 1.0 + PROB_ATOL)
 
 
+def _is_distribution(p: np.ndarray) -> bool:
+    """Entries at least 0 whose ``fsum`` is within 1e-9 of 1; NaN fails the first, +inf the sum."""
+    return bool((p >= 0.0).all()) and abs(math.fsum(p.ravel().tolist()) - 1.0) <= 1e-9
+
+
 def _clipped(arr: np.ndarray) -> np.ndarray:
     """``arr`` clipped to ``[0, 1]`` in place and made read-only."""
     return _frozen(arr.clip(0.0, 1.0, out=arr))

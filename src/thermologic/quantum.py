@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .logic import _Frozen, _frozen
+from .logic import _Frozen, _frozen, _is_distribution
 
 EIG_ATOL = 1e-10
 MAX_JOINT_DIM = 64
@@ -301,11 +301,6 @@ def block_mixture(
             raise SetupError("block state shape does not match its block")
         out[start : start + size, start : start + size] += p * state
     return DensityMatrix(out)
-
-
-def _is_distribution(probs: np.ndarray) -> bool:
-    """Every entry non-negative and the sum within 1e-9 of one; NaN fails."""
-    return bool((probs >= 0.0).all()) and abs(float(probs.sum()) - 1.0) <= 1e-9
 
 
 def _check_joint_dim(system_dim: int, env_dim: int) -> None:

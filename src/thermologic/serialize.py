@@ -367,12 +367,8 @@ def format_float(value: float) -> str:
 
 
 def render_energy(value, divisor: float) -> str:
-    """Energy cell: sentinel-aware, divided into the report unit."""
-    from .costs import is_infinite
-
-    if is_infinite(value):
-        return "INF"
-    return format_float(value / divisor)
+    """Energy cell: :func:`energy_value` as text."""
+    return _cell(energy_value(value, divisor))
 
 
 def energy_value(value, divisor: float):
@@ -380,6 +376,11 @@ def energy_value(value, divisor: float):
     from .costs import is_infinite
 
     return "INF" if is_infinite(value) else value / divisor
+
+
+def _cell(value) -> str:
+    """A report value as CSV text: strings as they are, floats by :func:`format_float`."""
+    return value if isinstance(value, str) else format_float(value)
 
 
 def _write_csv(path, rows) -> None:
@@ -399,27 +400,12 @@ def write_json(path, payload) -> str:
 
 
 def cost_report_rows(report: CostReport, scenario: Scenario, divisor: float):
-    rows = [("input", "output", "joint_probability", "work", "heat")]
-    for tr in report.transitions or ():
-        rows.append(
-            (
-                scenario.op.input_labels[tr.input_index],
-                scenario.op.output_labels[tr.output_index],
-                format_float(tr.joint_probability),
-                render_energy(tr.work, divisor),
-                render_energy(tr.heat, divisor),
-            )
-        )
-    rows.append(
-        (
-            "<expected>",
-            "",
-            format_float(1.0),
-            render_energy(report.expected_work, divisor),
-            render_energy(report.expected_heat, divisor),
-        )
-    )
-    return rows
+    """The cost CSV: the transitions and expectations of :func:`cost_report_dict`."""
+    data = cost_report_dict(report, scenario, divisor, unit="")
+    fields = ("input", "output", "joint_probability", "work", "heat")
+    rows = [tuple(_cell(tr[name]) for name in fields) for tr in data["transitions"]]
+    expected = ("<expected>", "", 1.0, data["expected_work"], data["expected_heat"])
+    return [fields, *rows, tuple(map(_cell, expected))]
 
 
 def write_cost_csv(report: CostReport, scenario: Scenario, path, divisor: float):
@@ -447,7 +433,7 @@ def cost_report_dict(report: CostReport, scenario: Scenario, divisor: float, uni
                 "work": energy_value(tr.work, divisor),
                 "heat": energy_value(tr.heat, divisor),
             }
-            for tr in (report.transitions or ())
+            for tr in report.transitions
         ],
     }
 

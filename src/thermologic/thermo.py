@@ -14,7 +14,7 @@ states has one implementation (:func:`mixture_free_energy`).
 
 A scenario is immutable, so it computes each derived value once, on first
 access, and keeps it: its output distribution, its two tables' state
-arrays and the eight bound terms of a bounds-only cost report
+arrays and the eight bound terms that every cost report of it carries
 (:attr:`Scenario.bound_terms`).  The cost layer keeps what it derives
 from a scenario by weak reference, for as long as the scenario lives:
 its optimal weights, and the cost report of each weight vector it is
@@ -235,7 +235,7 @@ class Scenario(_Frozen):
 
     @cached_property
     def bound_terms(self) -> tuple[float, ...]:
-        """The eight fields of a bounds-only :class:`~thermologic.costs.CostReport`, in order."""
+        """The eight bound fields, in order, of each :class:`~thermologic.costs.CostReport`."""
         k = self.units.k_B
         t_ref = self.reference_temperature
         p_in = self.input_dist.probs

@@ -300,6 +300,8 @@ class TestExitCodes:
                 3,
             ),
             (["cycle", "partial"], dict(PARTIAL_CONFIG, **FLAT_TABLES, reference_temperature=-2.0), 3),
+            # three input probabilities for branches of two inputs
+            (["cycle", "uncertain"], dict(UNCERTAIN_CONFIG, input={"probs": [0.2, 0.3, 0.5]}), 3),
             (["qbound", "--config"], {"env_dim": "x"}, 2),
             (["qbound", "--trials", "-5"], None, 3),
             (["qbound", "--config"], {"trials": -5}, 3),
@@ -334,6 +336,7 @@ class TestExitCodes:
             "cycle-partial",
             "cycle-uncertain-negative-temperature",
             "cycle-partial-negative-temperature",
+            "cycle-uncertain-input-arity",
             "qbound",
             "qbound-negative-trials-flag",
             "qbound-negative-trials-config",

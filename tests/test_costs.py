@@ -264,6 +264,40 @@ class TestGlpBounds:
             assert report.expected_heat == pytest.approx(report.heat_bound, abs=1e-9)
 
 
+_BOUND_FIELDS = (
+    "mean_energy_change",
+    "entropy_change",
+    "state_entropy_change",
+    "shannon_change_bits",
+    "work_bound",
+    "heat_bound",
+    "bath_entropy_bound",
+    "nibdf_bound",
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(STRUCTURES),
+    dead_input=st.booleans(),
+)
+def test_glp_bounds_is_the_optimal_report_and_attains_its_bounds(seed, structure, dead_input):
+    """The bounds are those of the one report at ``w = P``, whose expected
+    work and heat attain them."""
+    sc = structured_scenario(seed, structure, dead_input)
+    report = glp_bounds(sc)
+    assert report is expected_cost(sc, optimal_weights(sc))
+    assert bits(tuple(getattr(report, name) for name in _BOUND_FIELDS)) == bits(sc.bound_terms)
+    joint = report.columns.joint
+    for value, bound, cost in (
+        (report.expected_work, report.work_bound, report.columns.work),
+        (report.expected_heat, report.heat_bound, report.columns.heat),
+    ):
+        scale = math.fsum((joint * np.abs(cost)).tolist()) + abs(bound)
+        assert abs(value - bound) <= 1e-12 * (1.0 + scale)
+
+
 class TestNumericOptimizer:
     def test_matches_analytic_on_random_irreversible_op(self):
         rng = np.random.default_rng(7)

@@ -584,6 +584,47 @@ def test_cycle_sources_need_a_finite_positive_temperature(call, temperature):
         call(temperature)
 
 
+def _uncertain(probs, n_in=2, n_out=2):
+    return uncertain_operation_cost(
+        [(rtz(), 0.5), (identity_op(2), 0.5)],
+        DiscreteDistribution(probs),
+        flat_thermo(n_in),
+        flat_thermo(n_out),
+    )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _uncertain([1.0]),
+        lambda: _uncertain([0.2, 0.3, 0.5]),
+        lambda: _uncertain([0.5, 0.5], n_in=3),
+        lambda: _uncertain([0.5, 0.5], n_out=3),
+        lambda: partial_operation_cost([[0.5], [0.5]], rtz(), flat_thermo(3), flat_thermo(2)),
+        lambda: partial_operation_cost([[0.5], [0.5]], rtz(), flat_thermo(2), flat_thermo(3)),
+    ],
+    ids=[
+        "uncertain-one-input",
+        "uncertain-three-inputs",
+        "uncertain-input-table",
+        "uncertain-output-table",
+        "partial-input-table",
+        "partial-output-table",
+    ],
+)
+def test_cycle_sources_check_arities_through_their_scenario(call):
+    """An input distribution or a table that does not fit the operation is
+    rejected by the :class:`Scenario` the source builds, never indexed."""
+    with pytest.raises(logic.ArityMismatchError, match="arity does not match operation"):
+        call()
+
+
+@pytest.mark.parametrize("joint_prior", [[[1.0]], [[0.2], [0.3], [0.5]]], ids=["one", "three"])
+def test_partial_operation_checks_its_joint_prior_rows_itself(joint_prior):
+    with pytest.raises(CostError, match="joint prior arity does not match operation"):
+        partial_operation_cost(joint_prior, rtz(), flat_thermo(2), flat_thermo(2))
+
+
 def _kl(p, q) -> float:
     """``sum p ln(p / q)`` over the entries where ``p > 0``, written out term by term."""
     pairs = zip(np.ravel(p).tolist(), np.ravel(q).tolist())
