@@ -118,8 +118,8 @@ class SquareWell:
     units: UnitSystem = NATURAL_UNITS
 
     def __post_init__(self):
-        if self.width <= 0.0 or self.temperature <= 0.0:
-            raise ValueError("width and temperature must be positive")
+        if not (0.0 < self.width < math.inf and 0.0 < self.temperature < math.inf):
+            raise ValueError("width and temperature must be finite and positive")
 
     @property
     def ground_energy(self) -> float:

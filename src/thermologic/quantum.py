@@ -25,7 +25,8 @@ chunk; each sweep has its own, so sweeps may run in separate threads.
 
 Everything here is in natural units (k_B = 1): temperatures are energies,
 and entropies are in nats.  Every Hamiltonian is diagonal in the
-computational basis, so canonical states are diagonal too.
+computational basis and is read as its energies, so canonical states are
+diagonal too and a mean energy needs only the diagonal of a state.
 
 Dimensions are deliberately small (joint dimension capped at 64), so
 dense products, QR and eigendecompositions of the marginals suffice.
@@ -57,7 +58,6 @@ __all__ = [
     "HamiltonianSpec",
     "gibbs_state",
     "vn_entropy",
-    "relative_entropy",
     "partial_trace",
     "haar_unitary",
     "CanonicalizedState",
@@ -90,6 +90,8 @@ class DensityMatrix(_Frozen):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise QuantumError("density matrix must be square")
+        if not np.isfinite(m).all():
+            raise QuantumError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > EIG_ATOL:
             raise QuantumError("density matrix is not Hermitian")
         if abs(np.trace(m).real - 1.0) > EIG_ATOL or abs(np.trace(m).imag) > EIG_ATOL:
@@ -114,14 +116,13 @@ class HamiltonianSpec(_Frozen):
         e = np.asarray(self.energies, dtype=float)
         if e.ndim != 1 or e.size == 0:
             raise QuantumError("energies must form a non-empty vector")
+        if not np.isfinite(e).all():
+            raise QuantumError("energies must be finite")
         object.__setattr__(self, "energies", _frozen(e.copy()))
 
     @property
     def dim(self) -> int:
         return self.energies.size
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.energies).astype(complex)
 
 
 def _positive_finite(temperature: float) -> bool:
@@ -155,27 +156,15 @@ def vn_entropy(rho: DensityMatrix | np.ndarray) -> float:
     return float(_entropies(m))
 
 
-def _trace_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Real part of tr(a b) over the last two axes: a mean energy when ``a`` is a
-    Hamiltonian and ``b`` a state (or a stack of states)."""
-    return np.trace(a @ b, axis1=-2, axis2=-1).real
+def _expectation(values: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Re tr(diag(values) rho) over the last two axes: a mean energy when ``values``
+    is a spectrum and ``rho`` a state (or a stack of states).
 
-
-def relative_entropy(rho: np.ndarray, sigma_log: np.ndarray) -> float:
-    """tr rho (ln rho - ln sigma) given ln(sigma) as a matrix."""
-    rho = np.asarray(rho, dtype=complex)
-    return float(_relative_entropy(rho, vn_entropy(rho), sigma_log))
-
-
-def _relative_entropy(rho: np.ndarray, entropy, sigma_log: np.ndarray) -> np.ndarray:
-    """:func:`relative_entropy` given the entropy of ``rho``, so its spectrum is taken once."""
-    return -entropy - _trace_product(rho, sigma_log)
-
-
-def _log_gibbs(hamiltonian: HamiltonianSpec, temperature: float) -> np.ndarray:
-    exponents = _gibbs_exponents(hamiltonian, temperature)
-    log_pop = exponents - math.log(float(np.exp(exponents).sum()))
-    return np.diag(log_pop).astype(complex)
+    The complex products are summed before ``.real`` is taken, as in
+    ``np.trace(np.diag(values) @ rho).real``; summing the real parts alone
+    would regroup numpy's pairwise sum and could change the last bits.
+    """
+    return (np.diagonal(rho, axis1=-2, axis2=-1) * values).sum(axis=-1).real
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarray:
@@ -313,13 +302,13 @@ class TrialSetup(_Frozen):
     """Fixed data shared by every trial in a sweep.
 
     What every trial reads and no unitary changes (the initial states,
-    the Hamiltonian matrices, the initial energies, the initial system
-    and joint entropies, and the log of the environment's canonical
-    state) is a cached property: built on first use, once per setup,
-    and read-only.  The
-    initial system state is built on construction, so bad block states
-    fail there.  The input arrays are stored as read-only copies, so the
-    cache cannot go stale.
+    the initial energies, the initial system and joint entropies, and
+    the log of the environment's canonical populations) is a cached
+    property: built on first use, once per setup, and read-only.  Each
+    Hamiltonian is read as its energies, the diagonal it has in the
+    computational basis.  The initial system state is built on
+    construction, so bad block states fail there.  The input arrays are
+    stored as read-only copies, so the cache cannot go stale.
     """
 
     system_h: HamiltonianSpec
@@ -373,19 +362,11 @@ class TrialSetup(_Frozen):
         return _frozen(np.kron(self.initial_system.matrix, self.initial_environment.matrix))
 
     @cached_property
-    def system_hamiltonian(self) -> np.ndarray:
-        return _frozen(self.system_h.matrix())
-
-    @cached_property
-    def env_hamiltonian(self) -> np.ndarray:
-        return _frozen(self.env_h.matrix())
-
-    @cached_property
     def initial_energies(self) -> tuple[float, float]:
         """Mean energies of the initial system and environment."""
         return (
-            float(_trace_product(self.system_hamiltonian, self.initial_system.matrix)),
-            float(_trace_product(self.env_hamiltonian, self.initial_environment.matrix)),
+            float(_expectation(self.system_h.energies, self.initial_system.matrix)),
+            float(_expectation(self.env_h.energies, self.initial_environment.matrix)),
         )
 
     @cached_property
@@ -400,8 +381,9 @@ class TrialSetup(_Frozen):
 
     @cached_property
     def env_log_gibbs(self) -> np.ndarray:
-        """ln of the environment's canonical state, as a matrix."""
-        return _frozen(_log_gibbs(self.env_h, self.reference_temperature))
+        """ln of the environment's canonical populations."""
+        exponents = _gibbs_exponents(self.env_h, self.reference_temperature)
+        return _frozen(exponents - math.log(float(np.exp(exponents).sum())))
 
 
 def default_setup(
@@ -511,8 +493,8 @@ def _verify(
     env_final = partial_trace(rho_final, (ds, de), keep=1)
 
     e_sys_0, e_env_0 = setup.initial_energies
-    e_sys_1 = _trace_product(setup.system_hamiltonian, sys_final)
-    e_env_1 = _trace_product(setup.env_hamiltonian, env_final)
+    e_sys_1 = _expectation(setup.system_h.energies, sys_final)
+    e_env_1 = _expectation(setup.env_h.energies, env_final)
     work = (e_sys_1 - e_sys_0) + (e_env_1 - e_env_0)
 
     s_final = _entropies(sys_final)
@@ -521,7 +503,7 @@ def _verify(
 
     s_env = _entropies(env_final)
     subadd = s_final + s_env - setup.joint_entropy
-    rel_ent = _relative_entropy(env_final, s_env, setup.env_log_gibbs)
+    rel_ent = -s_env - _expectation(setup.env_log_gibbs, env_final)
 
     weights = np.stack(
         [

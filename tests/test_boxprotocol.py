@@ -86,6 +86,16 @@ class TestSquareWell:
         assert all(a > b for a, b in zip(diffs, diffs[1:]))
         assert diffs[-1] < 1e-3
 
+    @pytest.mark.parametrize(
+        "width, temperature",
+        [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, math.inf)],
+        ids=["nan-width", "inf-width", "nan-temperature", "inf-temperature"],
+    )
+    def test_non_finite_width_or_temperature_is_rejected(self, width, temperature):
+        for call in (SquareWell, squarewell_props):
+            with pytest.raises(ValueError, match="width and temperature must be finite and positive"):
+                call(width, temperature)
+
     def test_validity_threshold(self):
         # flag flips where kT crosses 10 * pi hbar^2 / (2 e m l^2)
         well_cold = SquareWell(width=1.0, temperature=1.0)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import bits
 from thermologic import quantum
@@ -18,7 +21,6 @@ from thermologic.quantum import (
     gibbs_state,
     haar_unitary,
     partial_trace,
-    relative_entropy,
     run_trials,
     verify_bound,
     vn_entropy,
@@ -109,6 +111,48 @@ def test_temperature_must_be_finite_and_positive(call, temperature):
         call(temperature)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DensityMatrix(np.full((2, 2), math.nan)),
+        lambda: gibbs_state(HamiltonianSpec([math.nan, 1.0]), 1.0),
+        lambda: HamiltonianSpec([math.inf, 0.0]),
+        lambda: canonicalize(DensityMatrix(np.diag([0.75, 0.25]).astype(complex)), 1.0, math.nan),
+        lambda: run_trials(
+            TrialSetup(
+                system_h=HamiltonianSpec(np.array([0.0, 0.4, math.nan, 1.3])),
+                env_h=HamiltonianSpec(np.linspace(0.0, 1.0, 2)),
+                blocks=((0, 2), (2, 2)),
+                input_probs=np.array([0.5, 0.5]),
+                input_states=(np.eye(2) / 2.0, np.eye(2) / 2.0),
+                reference_temperature=1.0,
+            ),
+            3,
+            seed=1,
+        ),
+    ],
+    ids=["density-matrix-nan", "energies-nan", "energies-inf", "target-energy-nan", "sweep"],
+)
+def test_non_finite_entries_are_rejected(call):
+    with pytest.raises(QuantumError, match="must be finite"):
+        call()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_expectation_is_the_trace_of_the_diagonal_product(data):
+    """The diagonal contraction rounds exactly as the dense product Re tr(diag(v) rho)."""
+    dim = data.draw(st.integers(1, 16))
+    count = data.draw(st.integers(1, 4))
+    entry = st.floats(-1e3, 1e3)
+    values = data.draw(arrays(float, dim, elements=entry))
+    parts = data.draw(arrays(float, (2, count, dim, dim), elements=entry))
+    z = parts[0] + 1j * parts[1]
+    rho = z + z.conj().swapaxes(-1, -2)  # Hermitian, so its diagonal is real
+    want = np.trace(np.diag(values) @ rho, axis1=-2, axis2=-1).real
+    assert bits(quantum._expectation(values, rho)) == bits(want)
+
+
 class TestCanonicalize:
     def test_maximally_mixed_gives_degenerate_spectrum(self):
         rho = DensityMatrix(np.eye(3, dtype=complex) / 3.0)
@@ -142,7 +186,7 @@ class TestCanonicalize:
         target = gibbs_state(result.hamiltonian, 0.8)
         assert np.max(np.abs(rotated - target.matrix)) < 1e-10
         assert abs(vn_entropy(rotated) - vn_entropy(rho)) < 1e-10
-        mean = float(np.real(np.trace(result.hamiltonian.matrix() @ target.matrix)))
+        mean = float(np.real(np.trace(np.diag(result.hamiltonian.energies) @ target.matrix)))
         assert mean == pytest.approx(1.7, abs=1e-10)
 
     def test_rank_deficient_input_restricts_to_support(self):
@@ -418,7 +462,7 @@ def _verify_per_trial(setup, unitary, index):
     rho_final = unitary @ np.kron(rho_sys, rho_env) @ unitary.conj().T
     sys_final = partial_trace(rho_final, (ds, de), keep=0)
     env_final = partial_trace(rho_final, (ds, de), keep=1)
-    h_sys, h_env = setup.system_h.matrix(), setup.env_h.matrix()
+    h_sys, h_env = np.diag(setup.system_h.energies), np.diag(setup.env_h.energies)
     e_sys_0 = float(np.real(np.trace(h_sys @ rho_sys)))
     e_sys_1 = float(np.real(np.trace(h_sys @ sys_final)))
     e_env_0 = float(np.real(np.trace(h_env @ rho_env)))
@@ -526,8 +570,6 @@ class TestCachedSetup:
             setup.initial_system.matrix,
             setup.initial_environment.matrix,
             setup.initial_joint,
-            setup.system_hamiltonian,
-            setup.env_hamiltonian,
             setup.env_log_gibbs,
         ]
         for arr in arrays:
