@@ -37,13 +37,18 @@ expressions in the scalar order of operations, and warns for each well of
 steps 1-4 and 6-8 outside that regime (steps 5 and 9 keep the wells of
 steps 4 and 8).  The columns of a (scenario, weights) pair are built once
 and kept by the weights, so :func:`reconcile` compares a ledger with them
-without running the stages again.  :func:`squarewell_props` gives the
-exact level sums, with no truncation at any width, as a validity oracle.
+without running the stages again.  A ledger's rows are built in one pass
+from its columns.  :meth:`ProtocolLedger.trajectory_totals` still walks
+:meth:`~ProtocolLedger.branch_rows` once per branch on every call, which
+the benchmark's ``boxprotocol.rows_scanned`` count assumes.
+:func:`squarewell_props` gives the exact level sums, with no truncation
+at any width, as a validity oracle.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -57,6 +62,12 @@ from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 HIGH_TEMPERATURE_MARGIN = 10.0
 DUAL_TERMS = 5  # b <= 1: the first term left out, e^{-36 pi^2 / b}, is below e^{-355}
 DIRECT_TERMS = 40  # b > 1: the first term left out, e^{-1680 b}, is below e^{-1680}
+# The b = E_1 / kT that the level sums represent: past either end a term of one
+# series overflows.  The factor 2 leaves room for rounding.
+SPACING_RANGE = (
+    2.0 * math.pi**2 * DUAL_TERMS**2 / sys.float_info.max,
+    sys.float_info.max / (2.0 * (DIRECT_TERMS**2 - 1)),
+)
 RECONCILE_TOL = 1e-9  # reconcile: trajectory and expected totals against the closed forms
 RECONCILE_STEP_TOL = 1e-12  # reconcile: each row against its recomputation
 
@@ -99,12 +110,12 @@ def entropy_for_width(width: float, temperature: float, units: UnitSystem = NATU
     return math.log(width / zero_entropy_width(temperature, units))
 
 
-def _high_temperature_ok(width: float, temperature: float, units: UnitSystem) -> bool:
+def _high_temperature_ok(width_squared: float, temperature: float, units: UnitSystem) -> bool:
     threshold = (
         HIGH_TEMPERATURE_MARGIN
         * math.pi
         * units.hbar**2
-        / (2.0 * math.e * units.mass * width**2)
+        / (2.0 * math.e * units.mass * width_squared)
     )
     return units.k_B * temperature >= threshold
 
@@ -123,11 +134,25 @@ class SquareWell:
 
     @property
     def ground_energy(self) -> float:
-        return self.units.hbar**2 * math.pi**2 / (8.0 * self.units.mass * self.width**2)
+        return self.units.hbar**2 * math.pi**2 / (8.0 * self.units.mass * self._width_squared)
 
     @property
     def high_temperature_ok(self) -> bool:
-        return _high_temperature_ok(self.width, self.temperature, self.units)
+        return _high_temperature_ok(self._width_squared, self.temperature, self.units)
+
+    @property
+    def _width_squared(self) -> float:
+        """``width**2``; ``ValueError`` where that is not a finite positive float."""
+        try:
+            squared = self.width**2
+        except OverflowError:  # float ** raises where float * gives inf
+            squared = math.inf
+        if not 0.0 < squared < math.inf:
+            raise ValueError(
+                f"width {self.width!r} is outside the range whose square is a finite "
+                "positive float"
+            )
+        return squared
 
 
 @dataclass(frozen=True)
@@ -178,15 +203,30 @@ def squarewell_props(
     high-temperature forms are ``k T / 2`` and ``k ln(width / d0)`` with
     ``d0`` the zero-entropy width.  The validity flag marks whether the
     high-temperature regime applies at all.
+
+    Raises ``ValueError`` for a width or temperature that :class:`SquareWell`
+    rejects, and for a finite one whose ``b = E_1 / kT`` lies outside
+    :data:`SPACING_RANGE` or whose high-temperature entropy is not a finite
+    float; nothing is summed then.
     """
     well = SquareWell(width, temperature, units)
     k = units.k_B
-    energy_kt, entropy = _level_sums(well.ground_energy / (k * temperature))
+    try:
+        b = well.ground_energy / (k * temperature)
+        entropy_high_t = entropy_for_width(width, temperature, units)
+    except (ArithmeticError, ValueError):  # width**2 or a product left the float range
+        b = entropy_high_t = math.nan
+    if not (SPACING_RANGE[0] <= b <= SPACING_RANGE[1] and math.isfinite(entropy_high_t)):
+        raise ValueError(
+            f"width {width!r} at temperature {temperature!r} is outside the range "
+            "that the level sums represent"
+        )
+    energy_kt, entropy = _level_sums(b)
     return WellProperties(
         energy=k * temperature * energy_kt,
         entropy=entropy,
         energy_high_t=0.5 * k * temperature,
-        entropy_high_t=entropy_for_width(width, temperature, units),
+        entropy_high_t=entropy_high_t,
         high_temperature_ok=well.high_temperature_ok,
     )
 
@@ -266,10 +306,29 @@ class ProtocolLedger(_Frozen):
 
     @cached_property
     def rows(self) -> tuple[LedgerRow, ...]:
-        return tuple(
-            LedgerRow(step, None if i < 0 else i, None if j < 0 else j, *values)
-            for step, i, j, *values in zip(*(column.tolist() for column in self.columns))
-        )
+        """The rows, built in one pass over the columns.
+
+        Each frozen row is made as ``copy`` and ``pickle`` restore one: a
+        bare instance given its field dict, here item by item in field
+        order, so that the dict shares the class's key table as an
+        ``__init__``-built row's does.  ``LedgerRow`` has no
+        ``__post_init__``, so this skips no check.
+        """
+        c = self.columns
+        inputs = [None if i < 0 else i for i in c.input.tolist()]
+        outputs = [None if j < 0 else j for j in c.output.tolist()]
+        new = object.__new__
+        rows = []
+        for step, i, j, width, energy, entropy, temperature, work, heat in zip(
+            c.step.tolist(), inputs, outputs, *(column.tolist() for column in c[3:])
+        ):
+            row = new(LedgerRow)
+            f = row.__dict__
+            f["step"], f["input_index"], f["output_index"] = step, i, j
+            f["width"], f["energy"], f["entropy"] = width, energy, entropy
+            f["temperature"], f["work"], f["heat"] = temperature, work, heat
+            rows.append(row)
+        return tuple(rows)
 
     @cached_property
     def layouts(self) -> tuple[tuple[int, BoxLayout], ...]:
@@ -283,7 +342,9 @@ class ProtocolLedger(_Frozen):
         """One warning per well outside the high-temperature regime, sorted."""
         c, op = self.columns, self._scenario.op
         checked = np.flatnonzero((c.step != 5) & (c.step != 9) & (c.width > 0.0))
-        ok = _high_temperature_ok(c.width[checked], c.temperature[checked], self._scenario.units)
+        ok = _high_temperature_ok(
+            c.width[checked] ** 2, c.temperature[checked], self._scenario.units
+        )
         flagged = [column[checked[~ok]].tolist() for column in c[:4] + (c.temperature,)]
         warnings = set()
         for step, i, j, width, temperature in zip(*flagged):
@@ -300,7 +361,10 @@ class ProtocolLedger(_Frozen):
         return tuple(sorted(warnings))
 
     def layout(self, step: int) -> BoxLayout:
-        return dict(self.layouts)[step]
+        """The box at stage ``step``; a step outside 1-8 raises ``KeyError``."""
+        if step not in range(1, 9):
+            raise KeyError(step)
+        return self.layouts[step - 1][1]
 
     @cached_property
     def _legs(self) -> tuple[dict, dict, dict]:
@@ -313,6 +377,11 @@ class ProtocolLedger(_Frozen):
             elif row.input_index is None:
                 outputs.setdefault(row.output_index, []).append(row)
         return inputs, branches, outputs
+
+    @cached_property
+    def _pairs(self) -> tuple[tuple[int, int], ...]:
+        """The branch keys of :attr:`_legs`, sorted."""
+        return tuple(sorted(self._legs[1]))
 
     def branch_rows(self, input_index: int, output_index: int) -> tuple[LedgerRow, ...]:
         inputs, branches, outputs = self._legs
@@ -332,19 +401,17 @@ class ProtocolLedger(_Frozen):
         return math.fsum([r.work for r in rows]), math.fsum([r.heat for r in rows])
 
     def trajectory_totals(self) -> dict[tuple[int, int], tuple[float, float]]:
-        return {pair: self.branch_total(*pair) for pair in sorted(self._legs[1])}
+        return {pair: self.branch_total(*pair) for pair in self._pairs}
 
     def expected_totals(self, scenario: Scenario) -> tuple[float, float]:
         """Expectation of the trajectory totals over the joint distribution."""
-        p_in = scenario.input_dist.probs
-        matrix = scenario.op.matrix
-        work_terms = []
-        heat_terms = []
-        for (i, j), (work, heat) in self.trajectory_totals().items():
-            joint = p_in[i] * matrix[i, j]
-            work_terms.append(joint * work)
-            heat_terms.append(joint * heat)
-        return math.fsum(work_terms), math.fsum(heat_terms)
+        totals = self.trajectory_totals()
+        ii, jj = np.array(list(totals), dtype=int).reshape(-1, 2).T
+        joint = (scenario.input_dist.probs[ii] * scenario.op.matrix[ii, jj]).tolist()
+        return (
+            math.fsum([p * work for p, (work, _) in zip(joint, totals.values())]),
+            math.fsum([p * heat for p, (_, heat) in zip(joint, totals.values())]),
+        )
 
 
 def run_protocol(scenario: Scenario, weights: WeightVector) -> ProtocolLedger:
@@ -367,6 +434,7 @@ def _ledger_columns(scenario: Scenario, weights: WeightVector) -> LedgerColumns:
     units = scenario.units
     k = units.k_B
     t_ref = scenario.reference_temperature
+    d0 = zero_entropy_width(t_ref, units)  # shared by every well at T_R
 
     blocked = np.flatnonzero((w_in == 0.0) & (p_in > 0.0))
     if blocked.size:
@@ -385,7 +453,7 @@ def _ledger_columns(scenario: Scenario, weights: WeightVector) -> LedgerColumns:
     d2 = []
     for i, st in enumerate(scenario.input_thermo):
         d1 = width_for_entropy(st.entropy, st.temperature, units)
-        d2.append(width_for_entropy(st.entropy, t_ref, units))
+        d2.append(d0 * math.exp(st.entropy))
         add(1, i, -1, d1, st.temperature, st.entropy, work=0.5 * k * st.temperature - st.energy)
         add(2, i, -1, d2[i], t_ref, st.entropy, work=0.5 * k * (t_ref - st.temperature))
 
@@ -393,7 +461,7 @@ def _ledger_columns(scenario: Scenario, weights: WeightVector) -> LedgerColumns:
     for i in np.flatnonzero(w_in).tolist():  # a zero-weight input is compressed away
         d3 = w_in[i] * total_width
         iso = k * t_ref * math.log(d2[i] / d3)
-        add(3, i, -1, d3, t_ref, entropy_for_width(d3, t_ref, units), iso, iso)
+        add(3, i, -1, d3, t_ref, math.log(d3 / d0), iso, iso)
 
     # Steps 4 and 5: a pair of rows per branch of a live input, in row-major order.
     rows, cols = scenario.op.support
@@ -403,17 +471,17 @@ def _ledger_columns(scenario: Scenario, weights: WeightVector) -> LedgerColumns:
     branches = np.zeros((2 * ii.size, 9))
     branches[:, [0, 4, 6]] = (4.0, 0.5 * k * t_ref, t_ref)
     branches[1::2, 0] = 5.0
-    entropy = _logs(width / zero_entropy_width(t_ref, units))
+    entropy = _logs(width / d0)
     branches[:, [1, 2, 3, 5]] = np.repeat(np.column_stack((ii, jj, width, entropy)), 2, axis=0)
     split = len(fields) // 9
 
     for j in np.flatnonzero(w_out).tolist():  # an unreachable output has no partition
         st = scenario.output_thermo[j]
         d6 = w_out[j] * total_width
-        d7 = width_for_entropy(st.entropy, t_ref, units)
+        d7 = d0 * math.exp(st.entropy)
         d8 = d7 * math.sqrt(t_ref / st.temperature)
         iso = k * t_ref * math.log(d6 / d7)
-        add(6, -1, j, d6, t_ref, entropy_for_width(d6, t_ref, units))
+        add(6, -1, j, d6, t_ref, math.log(d6 / d0))
         add(7, -1, j, d7, t_ref, st.entropy, iso, iso)
         add(8, -1, j, d8, st.temperature, st.entropy, work=0.5 * k * (st.temperature - t_ref))
         add(9, -1, j, d8, st.temperature, st.entropy,

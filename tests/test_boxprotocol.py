@@ -96,6 +96,19 @@ class TestSquareWell:
             with pytest.raises(ValueError, match="width and temperature must be finite and positive"):
                 call(width, temperature)
 
+    @pytest.mark.parametrize(
+        "width, temperature",
+        [(1e-200, 1.0), (1e200, 1.0), (1.0, 1e-320), (1.0, 1e308), (0.01, 1e308)],
+        ids=["narrow", "wide", "cold", "hot", "hot-narrow"],
+    )
+    def test_extreme_finite_width_or_temperature_is_rejected(self, width, temperature):
+        # Rejected before any sum overflows: a RuntimeWarning fails the test.
+        with pytest.raises(ValueError, match="outside the range"):
+            squarewell_props(width, temperature)
+        if temperature == 1.0:  # the regime threshold divides by width**2
+            with pytest.raises(ValueError, match="outside the range"):
+                SquareWell(width, temperature).high_temperature_ok
+
     def test_validity_threshold(self):
         # flag flips where kT crosses 10 * pi hbar^2 / (2 e m l^2)
         well_cold = SquareWell(width=1.0, temperature=1.0)
@@ -287,6 +300,14 @@ class TestBookkeeping:
                 assert got == want
         # the last case's dead input 0 is compressed away at stage 3
         assert 0 not in {p.input_index for p in ledger.layout(3).partitions}
+
+    def test_layout_reads_stages_1_to_8_only(self):
+        ledger = run_protocol(self.scenario(), optimal_weights(self.scenario()))
+        for step, layout in ledger.layouts:
+            assert ledger.layout(step) is layout
+        for step in (0, 9, -1, 2.5):
+            with pytest.raises(KeyError):
+                ledger.layout(step)
 
     def test_steps_5_and_9_keep_the_wells_of_steps_4_and_8(self):
         # The regime check skips steps 5 and 9 because they repeat these wells.
@@ -565,6 +586,68 @@ def test_columns_match_the_scalar_rules(seed, kind, shape, dead_input, log_hbar)
                                         math.fsum(r.heat for r in legs))
     assert ledger.trajectory_totals() == trajectories
     assert reconcile(ledger, sc, w).ok
+
+
+FIELDS = [field.name for field in dataclasses.fields(LedgerRow)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["dense", "sparse", "permutation", "reset"]),
+    shape=st.tuples(st.integers(2, 6), st.integers(1, 6)),
+    dead_input=st.booleans(),
+)
+def test_bulk_built_rows_are_ordinary_ledger_rows(seed, kind, shape, dead_input):
+    rng = np.random.default_rng(seed)
+    n_in, n_out = shape
+    if kind == "permutation":
+        n_out = n_in
+    matrix = structured_operation(rng, n_in, n_out, kind).matrix
+    probs = rng.dirichlet(np.ones(n_in))
+    weights = rng.dirichlet(np.ones(n_in))
+    if dead_input:
+        # Input 0 is dead and weightless, and the one output only it reaches is unreachable.
+        matrix = np.column_stack((matrix, np.zeros(n_in)))
+        matrix[0] = 0.0
+        matrix[0, -1] = 1.0
+        probs[0] = weights[0] = 0.0
+    sc = Scenario(
+        input_dist=DiscreteDistribution(probs / probs.sum()),
+        op=LogicalOperation(matrix),
+        input_thermo=random_thermo(rng, n_in),
+        output_thermo=random_thermo(rng, matrix.shape[1]),
+        reference_temperature=float(rng.uniform(0.5, 2.0)),
+    )
+    w = make_weights(sc, weights / weights.sum())
+    ledger = run_protocol(sc, w)
+    reference, _ = reference_ledger(sc, w)
+    assert ledger.rows == tuple(reference)
+    if dead_input:
+        assert not any(r.step == 9 and r.output_index == n_out for r in ledger.rows)
+    for row in ledger.rows:
+        made = LedgerRow(*(getattr(row, name) for name in FIELDS))
+        assert type(row) is LedgerRow
+        assert row == made and hash(row) == hash(made) and repr(row) == repr(made)
+        assert list(vars(row).items()) == list(vars(made).items())
+        assert list(vars(row)) == FIELDS
+        assert dataclasses.replace(row, work=-1.0) == dataclasses.replace(made, work=-1.0)
+        for clone in (pickle.loads(pickle.dumps(row)), copy.deepcopy(row)):
+            assert clone == row and list(vars(clone)) == FIELDS
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            row.work = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del row.heat
+
+    # The loop expected_totals ran before, on numpy scalars of p_in and the matrix.
+    p_in = sc.input_dist.probs
+    work_terms, heat_terms = [], []
+    for (i, j), (work, heat) in ledger.trajectory_totals().items():
+        joint = p_in[i] * sc.op.matrix[i, j]
+        work_terms.append(joint * work)
+        heat_terms.append(joint * heat)
+    want = (math.fsum(work_terms), math.fsum(heat_terms))
+    assert [x.hex() for x in ledger.expected_totals(sc)] == [x.hex() for x in want]
 
 
 def pinned_scenarios():
