@@ -94,10 +94,23 @@ class ProtocolAbortError(RuntimeError):
 
 
 def zero_entropy_width(temperature: float, units: UnitSystem = NATURAL_UNITS) -> float:
-    """Width at which a square well in thermal equilibrium holds zero entropy."""
-    return math.sqrt(
-        math.pi * units.hbar**2 / (2.0 * math.e * units.mass * units.k_B * temperature)
-    )
+    """Width at which a square well in thermal equilibrium holds zero entropy.
+
+    Raises ``ValueError`` where that width is not a finite positive float,
+    as when ``hbar**2`` overflows or the denominator underflows.
+    """
+    try:
+        width = math.sqrt(
+            math.pi * units.hbar**2 / (2.0 * math.e * units.mass * units.k_B * temperature)
+        )
+    except (OverflowError, ZeroDivisionError):  # hbar**2 overflows, or the denominator is 0
+        width = math.nan
+    if not 0.0 < width < math.inf:
+        raise ValueError(
+            f"the zero-entropy width at temperature {temperature!r} with {units} is not a "
+            "finite positive float"
+        )
+    return width
 
 
 def width_for_entropy(entropy: float, temperature: float, units: UnitSystem = NATURAL_UNITS) -> float:

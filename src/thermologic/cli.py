@@ -198,23 +198,19 @@ def cmd_cycle_rle_le(args) -> int:
         "p": report.p,
         "p_prime": report.p_prime,
         "energy_unit": unit,
-        "stages": [
+        "legs": [
             {
-                "name": s.name,
-                "kind": s.kind,
-                "work": s.work / divisor,
-                "heat": s.heat / divisor,
-                "mean_state_entropy_change_k": s.mean_state_entropy_change,
-                "mixing_entropy_change_k": s.mixing_entropy_change,
-                "bath_entropy_change_k": s.bath_entropy_change,
+                "name": name,
+                "work": leg.expected_work / divisor,
+                "heat": leg.expected_heat / divisor,
+                "entropy_change_k": leg.entropy_change,
             }
-            for s in report.stages
+            for name, leg in zip(("unset", "reset", "restore"), report.evaluation.leg_costs)
         ],
         "net_work": report.net_work / divisor,
         "net_heat": report.net_heat / divisor,
         "kl_nats": report.kl_nats,
         "reversible": report.reversible,
-        "entropy_totals_k": report.entropy_totals,
     }
     write_json(_output_dir(args, "cycle rle-le", []) / "cycle.json", payload)
     print(f"net_work = {report.net_work / divisor:.6f} {unit}")
@@ -326,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     cycle = sub.add_parser("cycle", help="thermodynamic cycle analyses")
     cycle_sub = cycle.add_subparsers(dest="cycle_command", required=True)
-    p = command(cycle_sub, "rle-le", cmd_cycle_rle_le, "unset-then-reset box cycle")
+    p = command(cycle_sub, "rle-le", cmd_cycle_rle_le, "unset-then-reset cycle around a 2 -> 1 reset")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--p-prime", type=float, default=None)
     p.add_argument("--model", choices=("uniform", "adiabatic_equilibrium"), default="uniform")

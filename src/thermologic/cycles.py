@@ -8,20 +8,21 @@ systematically negative for indeterministic operations; the mixture
 ledger is non-negative always and vanishes exactly at the optimal
 weights.
 
-The module also provides the classic expand/partition/reset box cycle in
-both the uniform and the adiabatic-equilibrium computing models, generic
-reverse operations, and the three irreversibility sources that survive
-optimal implementation: weights tuned to the wrong input statistics,
-uncertainty about which operation acted, and operations that cannot see
-correlations with a bystander system.  Each source's excess cycle cost is
-a KL-divergence-shaped quantity, returned alongside the raw
-thermodynamic sums so the two routes can be compared.  The box cycle and
-the three sources work in natural units (k_B = 1), so ``kT`` is the
-temperature they are given, which must be finite and positive.
+The module also provides generic reverse operations and the three
+irreversibility sources that survive optimal implementation: weights
+tuned to the wrong input statistics, uncertainty about which operation
+acted, and operations that cannot see correlations with a bystander
+system.  Each source's excess cycle cost is a KL-divergence-shaped
+quantity, returned alongside the raw thermodynamic sums so the two
+routes can be compared.  The three sources and the randomise-then-reset
+cycle work in natural units (k_B = 1), so ``kT`` is the temperature they
+are given, which must be finite and positive.
 
 A closed cycle around an implemented operation is the :class:`Scenario`
 whose input statistics are the design weights: the one scenario for
 which those weights are optimal, and so the one whose cycle is free.
+Randomise-then-reset (:func:`rle_le_cycle`) is such a cycle around the
+2 -> 1 reset, in the uniform or the adiabatic-equilibrium model.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .logic import (
     DiscreteDistribution,
     LogicalOperation,
     _Frozen,
-    _entropy_nats,
     _frozen,
     _is_distribution,
     _logs,
@@ -60,10 +60,12 @@ from .logic import (
 )
 from .thermo import (
     NATURAL_UNITS,
+    ModelSkeleton,
     Scenario,
     StateThermo,
     ThermoTable,
     UnitSystem,
+    make_model,
     mixture_free_energy,
 )
 
@@ -71,9 +73,6 @@ LEDGER_TOL = 1e-9  # entropy_ledgers: values within this of zero or of their bou
 
 __all__ = [
     "DegenerateCycleError",
-    "CycleStage",
-    "BoxCycleReport",
-    "rle_le_cycle",
     "TransitionEntropy",
     "EntropyColumns",
     "EntropyLedger",
@@ -89,6 +88,8 @@ __all__ = [
     "build_reversible_cycle",
     "CycleEvaluation",
     "evaluate_cycle",
+    "ResetCycleReport",
+    "rle_le_cycle",
 ]
 
 
@@ -103,149 +104,9 @@ def _kt(temperature: float) -> float:
     return temperature
 
 
-@dataclass(frozen=True)
-class CycleStage:
-    """One box manipulation: its cost and its entropy bookkeeping (units of k)."""
-
-    name: str
-    kind: str  # "move", "split" or "merge"
-    work: float
-    heat: float
-    mean_state_entropy_change: float
-    mixing_entropy_change: float
-    bath_entropy_change: float
-
-
-@dataclass(frozen=True, eq=False)
-class BoxCycleReport:
-    model: str
-    p: float
-    p_prime: float
-    stages: tuple[CycleStage, ...]
-    net_work: float
-    net_heat: float
-    kl_nats: float
-    reversible: bool
-
-    @property
-    def entropy_totals(self) -> dict[str, float]:
-        return {
-            "mean_state": math.fsum(s.mean_state_entropy_change for s in self.stages),
-            "mixing": math.fsum(s.mixing_entropy_change for s in self.stages),
-            "gibbs": math.fsum(
-                s.mean_state_entropy_change + s.mixing_entropy_change for s in self.stages
-            ),
-            "bath": math.fsum(s.bath_entropy_change for s in self.stages),
-        }
-
-
 def _expected_log_ratio(weights: np.ndarray, ratios: np.ndarray) -> float:
     """``sum weights * ln ratios``, the shape of every KL excess here, summed with ``fsum``."""
     return math.fsum((weights * _logs(ratios)).tolist())
-
-
-def _stage(name: str, kind: str, before, after, kt: float) -> CycleStage:
-    """Cost one manipulation of branch (probability, width) tables.
-
-    Isothermal moves keep branch probabilities and cost
-    ``kT sum p (ln w_before - ln w_after)`` as both work and bath heat;
-    splits and merges are free.  Log widths are differenced so that a
-    stage and its exact mirror cancel to the last bit.
-    """
-    work = 0.0
-    if kind == "move":
-        terms = [
-            p * (math.log(wb) - math.log(wa))
-            for (p, wb), (_, wa) in zip(before, after)
-            if p > 0.0
-        ]
-        work = kt * math.fsum(terms)
-    mean_before = math.fsum(p * math.log(w) for p, w in before if p > 0.0)
-    mean_after = math.fsum(p * math.log(w) for p, w in after if p > 0.0)
-    mixing_change = _entropy_nats(np.array([p for p, _ in after])) - _entropy_nats(
-        np.array([p for p, _ in before])
-    )
-    return CycleStage(
-        name=name,
-        kind=kind,
-        work=work,
-        heat=work,
-        mean_state_entropy_change=mean_after - mean_before,
-        mixing_entropy_change=mixing_change,
-        bath_entropy_change=work / kt,
-    )
-
-
-def rle_le_cycle(
-    p: float,
-    p_prime: float | None = None,
-    model: str = "uniform",
-    temperature: float = 1.0,
-) -> BoxCycleReport:
-    """Unset-then-reset box cycle: randomise to ``p``, erase assuming ``p_prime``.
-
-    In the uniform model the box starts and ends as a half-width standard
-    state; in the adiabatic-equilibrium model the certain state spans the
-    whole box and partitions track probabilities, so every stage of the
-    matched cycle is free.  Either way the net cost is ``kT`` times the
-    KL divergence between the true branch statistics ``(p, 1-p)`` and the
-    assumed ``(p_prime, 1-p_prime)``, vanishing only when they agree.
-    """
-    if p_prime is None:
-        p_prime = p
-    for name, value in (("p", p), ("p_prime", p_prime)):
-        if not 0.0 < value < 1.0:
-            raise DegenerateCycleError(f"{name} must lie strictly inside (0, 1), got {value!r}")
-    if model not in ("uniform", "adiabatic_equilibrium"):
-        raise DegenerateCycleError(f"unknown cycle model {model!r}")
-    kt = _kt(temperature)
-    q, q_prime = 1.0 - p, 1.0 - p_prime
-
-    if model == "uniform":
-        stages = (
-            _stage("expand reference state", "move", [(1.0, 0.5)], [(1.0, 1.0)], kt),
-            _stage("insert partition", "split", [(1.0, 1.0)], [(p, p), (q, q)], kt),
-            _stage("centre partition", "move", [(p, p), (q, q)], [(p, 0.5), (q, 0.5)], kt),
-            _stage(
-                "move partition to assumed split",
-                "move",
-                [(p, 0.5), (q, 0.5)],
-                [(p, p_prime), (q, q_prime)],
-                kt,
-            ),
-            _stage(
-                "remove partition", "merge", [(p, p_prime), (q, q_prime)], [(1.0, 1.0)], kt
-            ),
-            _stage("recompress reference state", "move", [(1.0, 1.0)], [(1.0, 0.5)], kt),
-        )
-    else:
-        stages = (
-            _stage("insert partition", "split", [(1.0, 1.0)], [(p, p), (q, q)], kt),
-            _stage(
-                "move partition to assumed split",
-                "move",
-                [(p, p), (q, q)],
-                [(p, p_prime), (q, q_prime)],
-                kt,
-            ),
-            _stage(
-                "remove partition", "merge", [(p, p_prime), (q, q_prime)], [(1.0, 1.0)], kt
-            ),
-        )
-
-    net_work = math.fsum(s.work for s in stages)
-    net_heat = math.fsum(s.heat for s in stages)
-    kl = _expected_log_ratio(np.array([p, q]), np.array([p / p_prime, q / q_prime]))
-    return BoxCycleReport(
-        model=model,
-        p=p,
-        p_prime=p_prime,
-        stages=stages,
-        net_work=net_work,
-        net_heat=net_heat,
-        kl_nats=kl,
-        reversible=abs(kl) <= 1e-12,
-    )
 
 
 @dataclass(frozen=True)
@@ -672,3 +533,61 @@ def evaluate_cycle(cycle: Scenario, middle_input=None) -> CycleEvaluation:
         total_work = math.fsum(c.expected_work for c in costs)
         total_heat = math.fsum(c.expected_heat for c in costs)
     return CycleEvaluation(leg_costs=costs, total_work=total_work, total_heat=total_heat)
+
+
+@dataclass(frozen=True, eq=False)
+class ResetCycleReport:
+    """An unset-then-reset cycle: its three legs and its net cost (energies in natural units)."""
+
+    model: str
+    p: float
+    p_prime: float
+    evaluation: CycleEvaluation  # legs: unset, reset, restore
+    kl_nats: float
+    net_work: float
+    net_heat: float
+    reversible: bool
+
+
+def rle_le_cycle(
+    p: float,
+    p_prime: float | None = None,
+    model: str = "uniform",
+    temperature: float = 1.0,
+) -> ResetCycleReport:
+    """Unset-then-reset cycle: randomise to ``p``, erase with a reset tuned to ``p_prime``.
+
+    The cycle is the :func:`evaluate_cycle` cycle around the 2 -> 1 reset,
+    whose tables ``model`` (``uniform`` or ``adiabatic_equilibrium``)
+    builds for the design statistics ``(p_prime, 1-p_prime)``.  Its legs
+    unset the standard state into the two inputs with the actual
+    statistics ``(p, 1-p)``, reset them with the implementation tuned to
+    ``p_prime``, and restore the standard state.  The net work and heat
+    are both ``kT`` times the KL divergence of the actual statistics from
+    the assumed ones, taken from its information form
+    (:func:`suboptimal_cycle_cost`), so they are exactly zero when the
+    two agree.
+    """
+    if p_prime is None:
+        p_prime = p
+    for name, value in (("p", p), ("p_prime", p_prime)):
+        if not 0.0 < value < 1.0:
+            raise DegenerateCycleError(f"{name} must lie strictly inside (0, 1), got {value!r}")
+    if model not in ("uniform", "adiabatic_equilibrium"):
+        raise DegenerateCycleError(f"unknown cycle model {model!r}")
+    kt = _kt(temperature)
+    reset = LogicalOperation(np.ones((2, 1)))
+    design = DiscreteDistribution([p_prime, 1.0 - p_prime])
+    actual = DiscreteDistribution([p, 1.0 - p])
+    cycle = make_model(model, ModelSkeleton(design, reset, kt))
+    kl = suboptimal_cycle_cost(reset, design.probs, actual).work
+    return ResetCycleReport(
+        model=model,
+        p=p,
+        p_prime=p_prime,
+        evaluation=evaluate_cycle(cycle, middle_input=actual.probs),
+        kl_nats=kl,
+        net_work=kt * kl,
+        net_heat=kt * kl,
+        reversible=abs(kl) <= 1e-12,
+    )

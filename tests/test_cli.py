@@ -29,6 +29,7 @@ RTZ_SCENARIO = {
     "output": {"labels": ["0", "1"]},
     "model": {"kind": "uniform", "E_R": 0.0, "S_R": 0.0},
 }
+README_SCENARIO = dict(RTZ_SCENARIO, baths=[{"temperature": 1.0}])
 
 EXPLICIT_SCENARIO = {
     "units": {"k_B": 1.0, "hbar": 1.0, "mass": 1.0},
@@ -287,6 +288,9 @@ class TestExitCodes:
             (["cost", "--weights", "0.5,x"], RTZ_SCENARIO, 2),
             (["optimize"], dict(RTZ_SCENARIO, input={"probs": [0.5, 0.6]}), 3),
             (["box-run", "--weights", "0.5,x"], RTZ_SCENARIO, 2),
+            # hbar**2 overflows; a mass this small makes the zero-entropy width infinite
+            (["box-run"], dict(README_SCENARIO, units={"hbar": 1e200}), 3),
+            (["box-run"], dict(README_SCENARIO, units={"mass": 1e-320}), 3),
             (["cycle", "rle-le", "--p", "0.5", "--temperature", "0"], None, 3),
             (["cycle", "build", "--middle-input", "0.5,x"], RTZ_SCENARIO, 2),
             # three middle-input probabilities for the two inputs of the scenario
@@ -328,6 +332,8 @@ class TestExitCodes:
             "cost",
             "optimize",
             "box-run",
+            "box-run-hbar-overflow",
+            "box-run-mass-underflow",
             "cycle-rle-le",
             "cycle-build",
             "cycle-build-middle-arity",
@@ -653,7 +659,6 @@ class TestReruns:
         assert files[0] == files[1]
 
 
-README_SCENARIO = dict(RTZ_SCENARIO, baths=[{"temperature": 1.0}])
 # Non-natural units; some of its wells are outside the high-temperature
 # regime and some are not, and its branch a->y is absent.
 WARNED_SCENARIO = {
@@ -1008,6 +1013,21 @@ class TestOtherCommands:
         stdout = capsys.readouterr().out
         assert "net_work = 0.000000 kT" in stdout
         assert "reversible = true" in stdout
+        payload = json.loads((out / "cycle.json").read_text())
+        assert [leg["name"] for leg in payload["legs"]] == ["unset", "reset", "restore"]
+        assert payload["net_heat"] == payload["net_work"]
+        reports = {}
+        for unit, flags in (("kT", []), ("scenario", ["--si"])):
+            run = tmp_path / unit
+            command = ["cycle", "rle-le", "--p", "0.5", "--p-prime", "0.25", "--temperature", "2"]
+            assert main([*command, *flags, "--out", str(run)]) == 0
+            reports[unit] = json.loads((run / "cycle.json").read_text())
+            assert reports[unit]["energy_unit"] == unit
+            assert reports[unit]["net_heat"] == reports[unit]["net_work"]
+        # kT = 2 is a power of two, so the two figures differ by exactly that factor.
+        assert reports["scenario"]["net_work"] == 2.0 * reports["kT"]["net_work"] > 0.0
+        for si, kt in zip(reports["scenario"]["legs"], reports["kT"]["legs"]):
+            assert si["work"] == 2.0 * kt["work"]
 
     def test_cycle_build(self, tmp_path, capsys):
         path = write(tmp_path, "s.json", RTZ_SCENARIO)
