@@ -32,7 +32,7 @@ import numpy as np
 
 from . import DEFAULT_SEED
 from .logic import ArityMismatchError, _Frozen, _frozen, _logs, classify
-from .thermo import Scenario
+from .thermo import Scenario, StateArrays
 
 STALL_TOL = 1e-10  # minimize_expected_work: a step gaining less than this counts as stalled
 
@@ -253,28 +253,50 @@ def glp_bounds(scenario: Scenario) -> CostReport:
     return expected_cost(scenario, optimal_weights(scenario))
 
 
-def _priced_transitions(scenario: Scenario, weights: WeightVector, pairs=None):
-    """Work and heat of realisable transitions, computed once as arrays.
+def _transition_columns(
+    k: float,
+    t_ref: float,
+    support: tuple[np.ndarray, np.ndarray],
+    weights: np.ndarray,
+    output_weights: np.ndarray,
+    table_in: StateArrays,
+    table_out: StateArrays,
+) -> TransitionColumns:
+    """Work and heat of the transitions ``support``, computed once as arrays.
 
-    ``pairs`` is an ``(inputs, outputs)`` pair of index arrays; by
-    default every transition with non-zero conditional probability, in
-    row-major order.  Returns ``(inputs, outputs, finite, work, heat)``:
+    ``support`` is an ``(inputs, outputs)`` pair of index arrays.  The
+    columns' ``joint`` is ``None`` (:func:`_report` fills it in), and
     ``finite`` is false where the input carries zero weight (unbounded
-    cost), and ``work`` and ``heat`` mean nothing there.  Elementwise arithmetic in
-    the order of the closed form, with :func:`math.log` for logarithms,
-    gives each element bit for bit as scalar floats would.
+    cost): ``work`` and ``heat`` mean nothing there.  Elementwise
+    arithmetic in the order of the closed form, with :func:`math.log` for
+    logarithms, gives each element bit for bit as scalar floats would.
     """
-    k = scenario.units.k_B
-    t_ref = scenario.reference_temperature
-    table_in, table_out = scenario.input_arrays, scenario.output_arrays
-    rows, cols = scenario.op.support if pairs is None else pairs
-    w_in = weights.weights[rows]
+    rows, cols = support
+    w_in = weights[rows]
     finite = w_in != 0.0
-    ratio = np.divide(weights.output_weights[cols], w_in, out=np.ones(w_in.size), where=finite)
+    ratio = np.divide(output_weights[cols], w_in, out=np.ones(w_in.size), where=finite)
     log_ratio = _logs(ratio)
     work = (table_out.free_energy[cols] - table_in.free_energy[rows]) + k * t_ref * log_ratio
     heat = t_ref * k * (table_in.entropy[rows] - table_out.entropy[cols] + log_ratio)
-    return rows, cols, finite, work, heat
+    return TransitionColumns(rows, cols, None, work, heat, finite)
+
+
+def _priced_transitions(scenario: Scenario, weights: WeightVector, pairs=None) -> TransitionColumns:
+    """:func:`_transition_columns` of ``scenario`` implemented with ``weights``.
+
+    ``pairs`` is an ``(inputs, outputs)`` pair of index arrays; by
+    default every transition with non-zero conditional probability, in
+    row-major order.
+    """
+    return _transition_columns(
+        scenario.units.k_B,
+        scenario.reference_temperature,
+        scenario.op.support if pairs is None else pairs,
+        weights.weights,
+        weights.output_weights,
+        scenario.input_arrays,
+        scenario.output_arrays,
+    )
 
 
 def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int, output_index: int):
@@ -292,12 +314,10 @@ def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int,
             f"transition {scenario.op.input_labels[i]!r} -> "
             f"{scenario.op.output_labels[j]!r} never occurs"
         )
-    _, _, finite, work, heat = _priced_transitions(
-        scenario, weights, (np.array([i]), np.array([j]))
-    )
-    if not finite[0]:
+    priced = _priced_transitions(scenario, weights, (np.array([i]), np.array([j])))
+    if not priced.finite[0]:
         return INFINITE_COST, INFINITE_COST
-    return float(work[0]), float(heat[0])
+    return float(priced.work[0]), float(priced.heat[0])
 
 
 def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
@@ -312,26 +332,33 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
 
 
 def _price(scenario: Scenario, weights: WeightVector) -> CostReport:
-    rows, cols, finite, work, heat = _priced_transitions(scenario, weights)
-    return _report(scenario, TransitionColumns(rows, cols, None, work, heat, finite))
+    return _report(
+        _priced_transitions(scenario, weights),
+        scenario.input_dist.probs,
+        scenario.op.matrix,
+        scenario.bound_terms,
+    )
 
 
-def _report(scenario: Scenario, columns: TransitionColumns) -> CostReport:
-    """The report of ``scenario`` on priced ``columns``, whose ``joint`` is not read.
+def _report(
+    columns: TransitionColumns, p_in: np.ndarray, matrix: np.ndarray, bound_terms: tuple
+) -> CostReport:
+    """The report of input statistics ``p_in`` on priced ``columns``, whose ``joint`` is not read.
 
     Work and heat depend on the weights, the operation and the thermo
     tables but not on the input statistics, so the columns priced for one
-    scenario serve another that differs only in its input distribution.
+    scenario serve another that differs only in its input distribution
+    (and so in its ``bound_terms``).
     """
     rows, cols, _, work, heat, finite = columns
-    joint = scenario.input_dist.probs[rows] * scenario.op.matrix[rows, cols]
+    joint = p_in[rows] * matrix[rows, cols]
     columns = _frozen(TransitionColumns(rows, cols, joint, work, heat, finite))
     if not finite.all() and (joint[~finite] > 0.0).any():
         expected_work = expected_heat = INFINITE_COST
     else:
         expected_work = math.fsum((joint * work)[finite].tolist())
         expected_heat = math.fsum((joint * heat)[finite].tolist())
-    return CostReport(*scenario.bound_terms, columns, expected_work, expected_heat)
+    return CostReport(*bound_terms, columns, expected_work, expected_heat)
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,9 +40,9 @@ from .costs import (
     INFINITE_COST,
     WeightVector,
     _report,
+    _transition_columns,
     expected_cost,
     is_infinite,
-    make_weights,
     optimal_weights,
 )
 from .logic import (
@@ -62,14 +62,17 @@ from .thermo import (
     NATURAL_UNITS,
     ModelSkeleton,
     Scenario,
+    StateArrays,
     StateThermo,
-    ThermoTable,
     UnitSystem,
+    _bound_terms,
     make_model,
     mixture_free_energy,
 )
 
 LEDGER_TOL = 1e-9  # entropy_ledgers: values within this of zero or of their bound count as equal
+
+_ONE = _frozen(np.ones(1))  # the standard state's one probability and one weight
 
 __all__ = [
     "DegenerateCycleError",
@@ -475,6 +478,27 @@ class CycleEvaluation:
     total_heat: object
 
 
+def _outer_leg(
+    cycle: Scenario,
+    p_in: np.ndarray,
+    matrix: np.ndarray,
+    table_in: StateArrays,
+    table_out: StateArrays,
+) -> CostReport:
+    """The report of an outer leg ``matrix``, implemented for its own input statistics ``p_in``.
+
+    Its output statistics are checked as :func:`~thermologic.logic.propagate` checks them.
+    """
+    k, t_ref = cycle.units.k_B, cycle.reference_temperature
+    output_weights = p_in @ matrix
+    p_out = DiscreteDistribution(output_weights).probs
+    columns = _transition_columns(
+        k, t_ref, matrix.nonzero(), p_in, output_weights, table_in, table_out
+    )
+    bounds = _bound_terms(k, t_ref, p_in, p_out, table_in, table_out)
+    return _report(columns, p_in, matrix, bounds)
+
+
 def evaluate_cycle(cycle: Scenario, middle_input=None) -> CycleEvaluation:
     """Total cost of a cycle for given (possibly mismatched) middle statistics.
 
@@ -491,41 +515,27 @@ def evaluate_cycle(cycle: Scenario, middle_input=None) -> CycleEvaluation:
     suboptimal-implementation excess.  The opening leg is one row from
     the standard state (energy ``k T_R / 2``, zero entropy) to the
     inputs; the closing leg is one column from every output back to it.
-    The legs share the cycle's thermo tables, and the two outer legs
-    share one standard-state table, so each table's arrays are made once.
+    Each outer leg is priced from those arrays and the cycle's tables,
+    implemented for its own statistics, by the kernels that price a
+    scenario.
     """
     mid = cycle if middle_input is None else replace(
         cycle, input_dist=DiscreteDistribution(middle_input)
     )
     designed = expected_cost(cycle, optimal_weights(cycle))
-    middle = designed if mid is cycle else _report(mid, designed.columns)
-    op = cycle.op
-    standard = ("standard",)
+    if mid is cycle:
+        middle = designed
+    else:
+        middle = _report(designed.columns, mid.input_dist.probs, cycle.op.matrix, mid.bound_terms)
     t_ref = cycle.reference_temperature
-    standard_state = ThermoTable((StateThermo(0.5 * cycle.units.k_B * t_ref, 0.0, t_ref),))
-    opener = replace(
-        cycle,
-        input_dist=DiscreteDistribution([1.0]),
-        op=LogicalOperation(
-            mid.input_dist.probs[None, :], input_labels=standard, output_labels=op.input_labels
-        ),
-        input_thermo=standard_state,
-        output_thermo=cycle.input_thermo,
-    )
-    out_dist = mid.output_dist
-    closer = replace(
-        cycle,
-        input_dist=out_dist,
-        op=LogicalOperation(
-            np.ones((op.n_outputs, 1)), input_labels=op.output_labels, output_labels=standard
-        ),
-        input_thermo=cycle.output_thermo,
-        output_thermo=standard_state,
-    )
+    # The state check rejects a k T_R / 2 that overflows; E - kT S at S = 0 as a table has it.
+    energy = StateThermo(0.5 * cycle.units.k_B * t_ref, 0.0, t_ref).energy
+    standard = StateArrays(np.array([energy]), np.zeros(1), np.array([energy - cycle.kT * 0.0]))
+    p_out = mid.output_dist.probs
     costs = (
-        expected_cost(opener, make_weights(opener, [1.0])),
+        _outer_leg(cycle, _ONE, mid.input_dist.probs[None, :], standard, cycle.input_arrays),
         middle,
-        expected_cost(closer, make_weights(closer, out_dist.probs)),
+        _outer_leg(cycle, p_out, np.ones((p_out.size, 1)), cycle.output_arrays, standard),
     )
     if any(is_infinite(c.expected_work) for c in costs):
         total_work = total_heat = INFINITE_COST

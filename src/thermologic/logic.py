@@ -358,7 +358,10 @@ def prune_zero_outputs(
 ) -> tuple[LogicalOperation, tuple[int, ...]]:
     """Drop output states that have zero probability under ``dist``.
 
-    Returns the reduced operation and the retained output indices.
+    Returns the reduced operation and the retained output indices.  An
+    input that never occurs may still reach a dropped output, and then its
+    row no longer sums to one: that is rejected with a message naming the
+    input, which :func:`prune_zero_inputs` drops first.
     """
     return _prune_outputs(op, propagate(op, dist))
 
@@ -370,11 +373,22 @@ def _prune_outputs(op: LogicalOperation, out: DiscreteDistribution):
         raise InvalidOperationError("all outputs have zero probability")
     if keep.size == op.n_outputs:
         return op, tuple(range(op.n_outputs))
-    reduced = LogicalOperation(
-        op.matrix[:, keep],
-        input_labels=op.input_labels,
-        output_labels=tuple(op.output_labels[j] for j in keep),
-    )
+    try:
+        reduced = LogicalOperation(
+            op.matrix[:, keep],
+            input_labels=op.input_labels,
+            output_labels=tuple(op.output_labels[j] for j in keep),
+        )
+    except InvalidOperationError as exc:
+        reaching = np.flatnonzero(op.matrix[:, out.probs == 0.0].any(axis=1))
+        if reaching.size == 0:
+            raise
+        labels = ", ".join(f"'{op.input_labels[i]}'" for i in reaching)
+        raise InvalidOperationError(
+            f"outputs with zero probability are reached from input(s) {labels}: dropping "
+            "them leaves those rows short of 1; prune zero-probability inputs first "
+            "(prune_zero_inputs)"
+        ) from exc
     return reduced, tuple(int(j) for j in keep)
 
 

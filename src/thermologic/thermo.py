@@ -195,6 +195,39 @@ def mixture_free_energy(probs: np.ndarray, free_energy: np.ndarray, kt: float) -
     return math.fsum((p * (free_energy[live[0]] + kt * _logs(p))).tolist())
 
 
+def _bound_terms(
+    k: float,
+    t_ref: float,
+    p_in: np.ndarray,
+    p_out: np.ndarray,
+    table_in: StateArrays,
+    table_out: StateArrays,
+) -> tuple[float, ...]:
+    """:attr:`Scenario.bound_terms` of input and output statistics on their tables' arrays."""
+    mean_e = math.fsum((p_out * table_out.energy).tolist()) - math.fsum(
+        (p_in * table_in.energy).tolist()
+    )
+    state_entropy = math.fsum((p_out * table_out.entropy).tolist()) - math.fsum(
+        (p_in * table_in.entropy).tolist()
+    )
+    h_in = _entropy_nats(p_in) / math.log(2.0)
+    h_out = _entropy_nats(p_out) / math.log(2.0)
+    shannon_bits = h_out - h_in
+    entropy_change = state_entropy + shannon_bits * math.log(2.0)
+    work_bound = mean_e - t_ref * k * entropy_change
+    heat_bound = -t_ref * k * entropy_change
+    return (
+        mean_e,
+        entropy_change,
+        state_entropy,
+        shannon_bits,
+        work_bound,
+        heat_bound,
+        -entropy_change,
+        -shannon_bits * math.log(2.0),
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Scenario(_Frozen):
     """A logical transformation of information with full thermodynamic data."""
@@ -236,32 +269,13 @@ class Scenario(_Frozen):
     @cached_property
     def bound_terms(self) -> tuple[float, ...]:
         """The eight bound fields, in order, of each :class:`~thermologic.costs.CostReport`."""
-        k = self.units.k_B
-        t_ref = self.reference_temperature
-        p_in = self.input_dist.probs
-        p_out = self.output_dist.probs
-        table_in, table_out = self.input_arrays, self.output_arrays
-        mean_e = math.fsum((p_out * table_out.energy).tolist()) - math.fsum(
-            (p_in * table_in.energy).tolist()
-        )
-        state_entropy = math.fsum((p_out * table_out.entropy).tolist()) - math.fsum(
-            (p_in * table_in.entropy).tolist()
-        )
-        h_in = _entropy_nats(p_in) / math.log(2.0)
-        h_out = _entropy_nats(p_out) / math.log(2.0)
-        shannon_bits = h_out - h_in
-        entropy_change = state_entropy + shannon_bits * math.log(2.0)
-        work_bound = mean_e - t_ref * k * entropy_change
-        heat_bound = -t_ref * k * entropy_change
-        return (
-            mean_e,
-            entropy_change,
-            state_entropy,
-            shannon_bits,
-            work_bound,
-            heat_bound,
-            -entropy_change,
-            -shannon_bits * math.log(2.0),
+        return _bound_terms(
+            self.units.k_B,
+            self.reference_temperature,
+            self.input_dist.probs,
+            self.output_dist.probs,
+            self.input_arrays,
+            self.output_arrays,
         )
 
     @property

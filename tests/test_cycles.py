@@ -10,6 +10,7 @@ from helpers import (
     STRUCTURES,
     bits,
     copy_scenario,
+    outcome,
     permutation_operation,
     random_distribution,
     random_operation,
@@ -39,13 +40,21 @@ from thermologic.cycles import (
     uncertain_operation_cost,
 )
 from thermologic.logic import (
+    PROB_ATOL,
     DiscreteDistribution,
     LogicalOperation,
     identity_op,
     rtz,
     ufz,
 )
-from thermologic.thermo import ModelSkeleton, Scenario, StateThermo, UnitSystem, make_model
+from thermologic.thermo import (
+    SI_UNITS,
+    ModelSkeleton,
+    Scenario,
+    StateThermo,
+    UnitSystem,
+    make_model,
+)
 
 LN2 = math.log(2.0)
 
@@ -831,14 +840,16 @@ def test_an_accounting_sequence_tabulates_each_table_once_and_prices_the_design_
     monkeypatch,
 ):
     """Scenario, reverse, matched and mismatched cycle, uncertain and partial
-    operations: the scenario's two tables and one standard-state table per
-    evaluation are tabulated, each once, and the designed middle leg is
-    priced once for both evaluations."""
+    operations: the scenario's two tables are the only tables tabulated,
+    each once, and the designed middle leg is priced once for both
+    evaluations.  The outer legs are priced from the cycle's arrays, not as
+    scenarios, by the transition kernel that prices every scenario."""
     rng = np.random.default_rng(36)
     sc = random_scenario(rng, max_states=5)
     n_in = sc.op.n_inputs
-    tabulated, priced = [], []
+    tabulated, priced, kernel = [], [], []
     tabulate, price = thermo._tabulate, costs._priced_transitions
+    columns = costs._transition_columns
 
     def counted_tabulate(table, kt):
         tabulated.append((table, kt))
@@ -848,8 +859,14 @@ def test_an_accounting_sequence_tabulates_each_table_once_and_prices_the_design_
         priced.append((scenario, weights))
         return price(scenario, weights, pairs)
 
+    def counted_columns(*args):
+        kernel.append(args)
+        return columns(*args)
+
     monkeypatch.setattr(thermo, "_tabulate", counted_tabulate)
     monkeypatch.setattr(costs, "_priced_transitions", counted_price)
+    for module in (costs, cycles):
+        monkeypatch.setattr(module, "_transition_columns", counted_columns)
     w = optimal_weights(sc)
     expected_cost(sc, w)
     reverse = reverse_operation(sc)
@@ -864,16 +881,15 @@ def test_an_accounting_sequence_tabulates_each_table_once_and_prices_the_design_
     uncertain_operation_cost([(sc.op, 0.4), (other, 0.6)], sc.input_dist, *tables)
     partial_operation_cost(sc.input_dist.probs[:, None] * [0.3, 0.7], sc.op, *tables)
 
-    keys = [(id(table), kt) for table, kt in tabulated]
-    assert len(keys) == len(set(keys)) == 4
-    assert [kt for _, kt in tabulated] == [sc.kT] * 4
-    scenario_tables = [t for t, _ in tabulated if t is sc.input_thermo or t is sc.output_thermo]
-    standard_tables = [t for t, _ in tabulated if len(t) == 1 and t[0].entropy == 0.0]
-    assert len(scenario_tables) == 2 and len(standard_tables) == 2
+    assert [(id(table), kt) for table, kt in tabulated] == [
+        (id(sc.input_thermo), sc.kT),
+        (id(sc.output_thermo), sc.kT),
+    ]
 
     design = optimal_weights(cycle)
     assert [pair for pair in priced if pair[0] is cycle] == [(cycle, design)]
-    assert len(priced) == 7  # sc, the reverse leg, three matched and two mismatched legs
+    assert len(priced) == 3  # sc, the reverse leg and the designed middle leg
+    assert len(kernel) == 7  # those three, and the two outer legs of each evaluation
     designed, shifted = matched.leg_costs[1], mismatched.leg_costs[1]
     assert designed is expected_cost(cycle, design)
     for name in ("inputs", "outputs", "work", "heat", "finite"):
@@ -934,3 +950,79 @@ def test_shared_tables_and_legs_match_the_per_leg_reference(
         assert bits(partial_operation_cost(joint, sc.op, *shared)) == bits(
             partial_operation_cost(joint, sc.op, *cold)
         )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(STRUCTURES),
+    units=st.sampled_from((UnitSystem(k_B=0.7), SI_UNITS)),
+    dead_input=st.booleans(),
+    dead=st.sampled_from((0.0, -0.0, -0.5 * PROB_ATOL)),
+    zero_design=st.booleans(),
+    edge=st.sampled_from((0, -1, 1)),
+    ulps=st.integers(-64, 64),
+)
+def test_outer_legs_match_the_per_leg_reference_in_any_units(
+    seed, structure, units, dead_input, dead, zero_design, edge, ulps
+):
+    """Both cycle evaluations equal the per-leg reference in ``float.hex``
+    in any units, and reject exactly the middle statistics it rejects.  Where
+    a negative middle entry is clipped, the reference names its opener's row
+    and this its output statistics, so only the rejection is compared.
+
+    ``edge`` scales the middle statistics so that their sum sits
+    ``ulps`` units in the last place from ``1 - PROB_ATOL`` (-1) or
+    ``1 + PROB_ATOL`` (1), where a check that sums them in another order
+    can decide otherwise.  With ``dead_input``, input 0 has probability
+    zero in the scenario, and in the middle statistics it is ``dead``: a
+    zero of either sign, or a negative entry that the distribution clips.
+    """
+    sc = replace(structured_scenario(seed, structure, dead_input), units=units)
+    rng = np.random.default_rng(seed)
+    n_in = sc.op.n_inputs
+    design = rng.dirichlet(np.ones(n_in))
+    if zero_design:
+        design[-1] = 0.0
+    middle = random_distribution(rng, n_in).probs.copy()
+    if dead_input:
+        middle[0] = 0.0
+    design, middle = design / design.sum(), middle / middle.sum()
+    if dead_input:
+        middle[0] = dead
+    if edge:
+        middle *= 1.0 + edge * (PROB_ATOL + ulps * 2.0**-52)
+    cycle = build_reversible_cycle(
+        sc.op, design, sc.input_thermo, sc.output_thermo, sc.reference_temperature, units
+    )
+    got = outcome(lambda: (evaluate_cycle(cycle), evaluate_cycle(cycle, middle)))
+    want = outcome(
+        lambda: (
+            _reference_evaluate_cycle(copy_scenario(cycle)),
+            _reference_evaluate_cycle(copy_scenario(cycle), middle),
+        )
+    )
+    rejected = isinstance(want[0], type)
+    assert isinstance(got[0], type) == rejected, (got, want)
+    if rejected:
+        assert issubclass(got[0], logic.LogicError) and issubclass(want[0], logic.LogicError)
+    else:
+        assert bits(got) == bits(want)
+        assert is_infinite(got[1].total_work) == zero_design
+
+
+def test_a_standard_state_energy_that_overflows_is_rejected_as_by_the_reference():
+    """k_B T_R / 2 must be finite: the standard state is still checked as a state.
+
+    With zero-entropy tables and a permutation, whose log ratios are all
+    zero, the middle leg is priced (as NaN) before that check.
+    """
+    sc = structured_scenario(7, "permutation", False)
+    n_in, n_out = sc.op.n_inputs, sc.op.n_outputs
+    cycle = build_reversible_cycle(
+        sc.op, sc.input_dist.probs, flat_thermo(n_in), flat_thermo(n_out), 1e10, UnitSystem(1e300)
+    )
+    with np.errstate(all="ignore"):  # k_B T_R overflows, and the tables' free energies are NaN
+        want = outcome(lambda: _reference_evaluate_cycle(cycle))
+        assert want[0] is thermo.ThermoError
+        assert outcome(lambda: evaluate_cycle(cycle)) == want

@@ -49,6 +49,7 @@ from thermologic.logic import (
     not_op,
     one_bit,
     propagate,
+    prune_zero_inputs,
     prune_zero_outputs,
     rnd,
     rtz,
@@ -279,6 +280,28 @@ def test_prune_drops_only_dead_outputs():
     reduced, kept = prune_zero_outputs(padded, d)
     assert kept == (0, 1)
     assert reduced.n_outputs == 2
+
+
+def test_a_dead_input_reaching_a_dead_output_is_named_and_pruned_first():
+    """Input '0' never occurs, yet half its row goes to output '2', which never occurs."""
+    op = LogicalOperation([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    d = DiscreteDistribution([0.0, 0.5, 0.5])
+    with pytest.raises(ZeroProbabilityOutputError, match="prune them first"):
+        bayes_invert(op, d)
+    with pytest.raises(InvalidOperationError) as err:
+        prune_zero_outputs(op, d)
+    message = str(err.value)
+    assert "input(s) '0'" in message and "prune_zero_inputs" in message
+    assert "'1'" not in message and "'2'" not in message
+
+    live_op, live_dist, kept_in = prune_zero_inputs(op, d)
+    reduced, kept_out = prune_zero_outputs(live_op, live_dist)
+    assert kept_in == (1, 2) and kept_out == (0, 1)
+    assert reduced.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    rng = np.random.default_rng(4)
+    reverse = reverse_operation(Scenario(d, op, random_thermo(rng, 3), random_thermo(rng, 3), 1.0))
+    assert reverse.pruned_inputs == ("0",) and reverse.pruned_outputs == ("2",)
+    assert reverse.operation.matrix.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def _reference_distribution(values):
