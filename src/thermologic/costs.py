@@ -31,7 +31,16 @@ from typing import NamedTuple
 import numpy as np
 
 from . import DEFAULT_SEED
-from .logic import ArityMismatchError, _Frozen, _frozen, _logs, classify
+from .logic import (
+    ArityMismatchError,
+    LogicalOperation,
+    _Frozen,
+    _PairMemo,
+    _frozen,
+    _logs,
+    _once_per_pair,
+    classify,
+)
 from .thermo import Scenario, StateArrays
 
 STALL_TOL = 1e-10  # minimize_expected_work: a step gaining less than this counts as stalled
@@ -91,7 +100,7 @@ def is_infinite(value) -> bool:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightVector(_Frozen):
+class WeightVector(_PairMemo):
     """Partition weights over input states plus the derived output weights.
 
     ``infinite_inputs`` lists inputs that were given zero weight while
@@ -118,28 +127,6 @@ class WeightVector(_Frozen):
     def flagged_infinite(self) -> bool:
         return bool(self.infinite_inputs)
 
-    @cached_property
-    def _per_pair(self) -> weakref.WeakKeyDictionary:
-        return weakref.WeakKeyDictionary()
-
-    def __getstate__(self):
-        # The memo holds weak references, which do not pickle; a copy starts empty.
-        state = dict(self.__dict__)
-        state.pop("_per_pair", None)
-        return state
-
-
-def _once_per_pair(scenario: Scenario, weights: WeightVector, build):
-    """``build(scenario, weights)``, made once and kept by ``weights`` while both live.
-
-    A build that raises keeps nothing, so the next call raises again.
-    """
-    made = weights._per_pair.get(scenario) or {}
-    if build not in made:
-        made[build] = build(scenario, weights)
-        weights._per_pair[scenario] = made
-    return made[build]
-
 
 def make_weights(scenario: Scenario, weights) -> WeightVector:
     """Validate raw weights against a scenario and derive output weights."""
@@ -163,6 +150,10 @@ def make_weights(scenario: Scenario, weights) -> WeightVector:
 
 # Each scenario's optimal weights, for as long as the scenario lives.
 _OPTIMAL: weakref.WeakKeyDictionary[Scenario, WeightVector] = weakref.WeakKeyDictionary()
+# The scenarios of each operation that have optimal weights, while both live.
+_OPTIMISED: weakref.WeakKeyDictionary[LogicalOperation, weakref.WeakSet] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def optimal_weights(scenario: Scenario) -> WeightVector:
@@ -172,7 +163,9 @@ def optimal_weights(scenario: Scenario) -> WeightVector:
     on the weights at all, which is reported via ``weight_independent``.
     A scenario is immutable, so it has one optimal vector: every call
     returns the same object, held weakly by the scenario, and a report
-    priced with it is priced once (see :func:`expected_cost`).
+    priced with it is priced once (see :func:`expected_cost`).  The
+    scenario is also recorded, weakly, under its operation, where
+    :func:`~thermologic.cycles.build_reversible_cycle` finds it.
     """
     weights = _OPTIMAL.get(scenario)
     if weights is None:
@@ -183,7 +176,34 @@ def optimal_weights(scenario: Scenario) -> WeightVector:
             infinite_inputs=(),
             weight_independent=classify(scenario.op).reversible,
         )
+        scenarios = _OPTIMISED.get(scenario.op)
+        if scenarios is None:
+            scenarios = _OPTIMISED[scenario.op] = weakref.WeakSet()
+        scenarios.add(scenario)
     return weights
+
+
+def _optimised_scenario(op, weights: np.ndarray, input_thermo, output_thermo, t_ref, units):
+    """A live scenario of these parts with optimal weights, whose input statistics are ``weights``.
+
+    The operation and both tables must be the same objects, the
+    temperature and units equal, and the statistics equal to ``weights``
+    bit for bit.  Such a scenario is the one these parts would build, so
+    everything priced from it is what a new one would give.  ``None``
+    if there is none.
+    """
+    for scenario in _OPTIMISED.get(op, ()):
+        probs = scenario.input_dist.probs
+        if (
+            scenario.input_thermo is input_thermo
+            and scenario.output_thermo is output_thermo
+            and scenario.reference_temperature == t_ref
+            and scenario.units == units
+            and probs.shape == weights.shape
+            and probs.tobytes() == weights.tobytes()
+        ):
+            return scenario
+    return None
 
 
 @dataclass(frozen=True)

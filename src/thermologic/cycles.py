@@ -39,6 +39,7 @@ from .costs import (
     CostReport,
     INFINITE_COST,
     WeightVector,
+    _optimised_scenario,
     _report,
     _transition_columns,
     expected_cost,
@@ -52,11 +53,11 @@ from .logic import (
     _frozen,
     _is_distribution,
     _logs,
-    _posterior,
-    _prune_outputs,
+    bayes_invert,
     classify,
-    propagate,
+    propagate,  # not called here; kept as a module attribute, which tests patch to count calls
     prune_zero_inputs,
+    prune_zero_outputs,
 )
 from .thermo import (
     NATURAL_UNITS,
@@ -66,6 +67,7 @@ from .thermo import (
     StateThermo,
     UnitSystem,
     _bound_terms,
+    _kept_states,
     make_model,
     mixture_free_energy,
 )
@@ -207,11 +209,15 @@ def reverse_operation(scenario: Scenario) -> ReverseOperationReport:
 
     States that never occur are pruned first (the posterior is undefined
     there).  Optimally implemented, the reverse exactly negates the
-    forward expected work and heat.
+    forward expected work and heat.  The pruned operation and the
+    posterior are those that :func:`~thermologic.logic.prune_zero_outputs`
+    and :func:`~thermologic.logic.bayes_invert` keep for the pair, so a
+    caller that asked for them already gets the same objects back.  A
+    pruned forward scenario takes its tables' arrays sliced from the
+    scenario's.
     """
     op0, dist0, kept_in = prune_zero_inputs(scenario.op, scenario.input_dist)
-    out0 = scenario.output_dist if op0 is scenario.op else propagate(op0, dist0)
-    op1, kept_out = _prune_outputs(op0, out0)
+    op1, kept_out = prune_zero_outputs(op0, dist0)
     kept_in_set, kept_out_set = set(kept_in), set(kept_out)
     pruned_inputs = tuple(
         lbl for i, lbl in enumerate(scenario.op.input_labels) if i not in kept_in_set
@@ -223,10 +229,10 @@ def reverse_operation(scenario: Scenario) -> ReverseOperationReport:
         scenario,
         input_dist=dist0,
         op=op1,
-        input_thermo=tuple(scenario.input_thermo[i] for i in kept_in),
-        output_thermo=tuple(scenario.output_thermo[j] for j in kept_out),
+        input_thermo=_kept_states(scenario.input_thermo, kept_in, scenario.kT),
+        output_thermo=_kept_states(scenario.output_thermo, kept_out, scenario.kT),
     )
-    reverse_op = _posterior(op1, dist0, forward.output_dist)
+    reverse_op = bayes_invert(op1, dist0)
     reverse = replace(
         forward,
         input_dist=forward.output_dist,
@@ -462,10 +468,20 @@ def build_reversible_cycle(
     optimised for the propagated weights.  Run on matching statistics
     the whole cycle costs nothing, which is what certifies the middle
     implementation as thermodynamically reversible.
+
+    When a live scenario already is this cycle, it is returned: one whose
+    optimal weights were made (:func:`~thermologic.costs.optimal_weights`),
+    with the same operation and table objects, an equal temperature and
+    units, and input statistics equal to ``weights`` bit for bit.  Its
+    reports, the designed middle leg among them, are then the ones
+    already priced.  In every other case a new scenario is built.
     """
     w = np.asarray(weights, dtype=float)
     if w.size != op.n_inputs or not _is_distribution(w):
         raise CostError("weights must form a distribution over the operation inputs")
+    found = _optimised_scenario(op, w, input_thermo, output_thermo, reference_temperature, units)
+    if found is not None:
+        return found
     return Scenario(
         DiscreteDistribution(w), op, input_thermo, output_thermo, reference_temperature, units
     )

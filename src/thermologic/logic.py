@@ -13,16 +13,22 @@ they all specialise).
 All values are immutable after construction and every function is pure:
 their arrays are read-only.  A copy (``copy.copy`` or ``copy.deepcopy``)
 or an unpickled value makes its arrays read-only again, and starts
-without the memos that the cost layer keeps by object.  A
-:class:`LogicalOperation` computes two things once, on first access, and
-keeps them: its :attr:`~LogicalOperation.classification` (what
-:func:`classify` returns) and its :attr:`~LogicalOperation.support`, the
-read-only row-major indices of its realisable transitions.
+without the memos kept by object.  A :class:`LogicalOperation` computes
+two things once, on first access, and keeps them: its
+:attr:`~LogicalOperation.classification` (what :func:`classify` returns)
+and its :attr:`~LogicalOperation.support`, the read-only row-major
+indices of its realisable transitions.  A :class:`DiscreteDistribution`
+keeps, weakly keyed by the operation, what :func:`propagate`,
+:func:`prune_zero_outputs` and :func:`bayes_invert` derive from an
+(operation, distribution) pair, so each is built once per pair for as
+long as both objects live (:func:`_once_per_pair`, which the cost layer
+shares).
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,6 +124,38 @@ class _Frozen:
         self.__dict__.update(_frozen(state))
 
 
+class _PairMemo(_Frozen):
+    """A value that keeps what is derived from it and another object, weakly keyed by the other."""
+
+    @cached_property
+    def _per_pair(self) -> weakref.WeakKeyDictionary:
+        return weakref.WeakKeyDictionary()
+
+    def __getstate__(self):
+        # The memo holds weak references, which do not pickle; a copy starts empty.
+        state = dict(self.__dict__)
+        state.pop("_per_pair", None)
+        return state
+
+
+def _once_per_pair(key, holder: _PairMemo, build):
+    """``build(key, holder)``, made once and kept by ``holder`` while both live.
+
+    Each pair keeps one dict of builds, made before the first build runs,
+    so a build may read another build of its pair.  A build that raises
+    keeps nothing, so the next call raises again.  Threads that race on a
+    pair may each build it; what they get is equal in content.  A kept
+    value must not hold ``key``, or the entry would live as long as
+    ``holder``.
+    """
+    made = holder._per_pair.get(key)
+    if made is None:
+        made = holder._per_pair[key] = {}
+    if build not in made:
+        made[build] = build(key, holder)
+    return made[build]
+
+
 def _in_unit_range(arr: np.ndarray) -> bool:
     """Every entry within ``PROB_ATOL`` of ``[0, 1]``; NaN fails, as min and max propagate it."""
     return bool(arr.min() >= -PROB_ATOL and arr.max() <= 1.0 + PROB_ATOL)
@@ -138,11 +176,13 @@ def _index_labels(n: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscreteDistribution(_Frozen):
+class DiscreteDistribution(_PairMemo):
     """Probability distribution over an ordered finite set of states.
 
-    Entries must lie in ``[0, 1]`` and sum to one within ``PROB_ATOL``.
-    Construction is strict: out-of-tolerance input is rejected rather than
+    Entries must lie within ``PROB_ATOL`` of ``[0, 1]``; they are clipped
+    to it, and the clipped entries must sum to one within ``PROB_ATOL``,
+    so every accepted ``probs`` passes the same check again.  Construction
+    is strict: out-of-tolerance input is rejected rather than
     renormalised, since silent renormalisation hides modelling bugs.
     Zero entries are legal; :meth:`pruned` drops them.
     """
@@ -155,10 +195,11 @@ class DiscreteDistribution(_Frozen):
             raise InvalidDistributionError("distribution must be a non-empty vector")
         if not _in_unit_range(arr):
             raise InvalidDistributionError(f"probabilities outside [0, 1]: {arr.tolist()}")
-        total = math.fsum(arr.tolist())
+        probs = _clipped(arr)
+        total = math.fsum(probs.tolist())
         if abs(total - 1.0) > PROB_ATOL:
             raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
-        object.__setattr__(self, "probs", _clipped(arr))
+        object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
         return self.probs.size
@@ -296,7 +337,15 @@ def propagate(op: LogicalOperation, dist: DiscreteDistribution) -> DiscreteDistr
     """Apply an operation to an input distribution.
 
     Returns the output distribution ``out[j] = sum_i dist[i] * matrix[i, j]``.
+    It is built once per (operation, distribution) pair and kept by
+    ``dist`` while ``op`` lives: every later call on the pair, and
+    :func:`prune_zero_outputs` and :func:`bayes_invert`, return or read
+    the same object.
     """
+    return _once_per_pair(op, dist, _propagated)
+
+
+def _propagated(op: LogicalOperation, dist: DiscreteDistribution) -> DiscreteDistribution:
     if len(dist) != op.n_inputs:
         raise ArityMismatchError(
             f"distribution has {len(dist)} states, operation expects {op.n_inputs}"
@@ -309,13 +358,14 @@ def bayes_invert(op: LogicalOperation, dist: DiscreteDistribution) -> LogicalOpe
 
     Entry ``(j, i)`` of the result is ``dist[i] * matrix[i, j] / out[j]``.
     Raises :class:`ZeroProbabilityOutputError` if any output state has zero
-    probability under ``dist`` (its posterior is undefined).
+    probability under ``dist`` (its posterior is undefined).  Like
+    :func:`propagate`, it is built once per pair and kept by ``dist``.
     """
-    return _posterior(op, dist, propagate(op, dist))
+    return _once_per_pair(op, dist, _posterior)
 
 
-def _posterior(op: LogicalOperation, dist: DiscreteDistribution, out: DiscreteDistribution):
-    """:func:`bayes_invert` of ``op`` under ``dist``, whose output distribution is ``out``."""
+def _posterior(op: LogicalOperation, dist: DiscreteDistribution) -> LogicalOperation:
+    out = _once_per_pair(op, dist, _propagated)
     dead = np.flatnonzero(out.probs == 0.0)
     if dead.size:
         raise ZeroProbabilityOutputError(op.output_labels[j] for j in dead)
@@ -361,18 +411,25 @@ def prune_zero_outputs(
     Returns the reduced operation and the retained output indices.  An
     input that never occurs may still reach a dropped output, and then its
     row no longer sums to one: that is rejected with a message naming the
-    input, which :func:`prune_zero_inputs` drops first.
+    input, which :func:`prune_zero_inputs` drops first.  Like
+    :func:`propagate`, the result is built once per pair and kept by
+    ``dist``, so every call on the pair returns the same reduced operation.
     """
-    return _prune_outputs(op, propagate(op, dist))
+    reduced, keep = _once_per_pair(op, dist, _pruned_outputs)
+    return (op if reduced is None else reduced), keep
 
 
-def _prune_outputs(op: LogicalOperation, out: DiscreteDistribution):
-    """:func:`prune_zero_outputs` of ``op``, whose output distribution is ``out``."""
+def _pruned_outputs(op: LogicalOperation, dist: DiscreteDistribution):
+    """:func:`prune_zero_outputs`, with ``None`` for an operation that keeps every output.
+
+    The memo keeps no reference to ``op``, so its entry dies with ``op``.
+    """
+    out = _once_per_pair(op, dist, _propagated)
     keep = np.flatnonzero(out.probs > 0.0)
     if keep.size == 0:
         raise InvalidOperationError("all outputs have zero probability")
     if keep.size == op.n_outputs:
-        return op, tuple(range(op.n_outputs))
+        return None, tuple(range(op.n_outputs))
     try:
         reduced = LogicalOperation(
             op.matrix[:, keep],

@@ -9,8 +9,10 @@ table as a :class:`ThermoTable`, a tuple that keeps its read-only energy,
 entropy and free-energy arrays (:func:`state_arrays`), made once per
 table and temperature, not once per scenario: every scenario built from
 the same table object (by ``dataclasses.replace``, as a reverse or as a
-cycle leg) shares them.  The mixture free energy of a distribution over
-states has one implementation (:func:`mixture_free_energy`).
+cycle leg) shares them, and a table of some of its states holds their
+rows of those arrays (:func:`_kept_states`).  The mixture free energy of
+a distribution over states has one implementation
+(:func:`mixture_free_energy`).
 
 A scenario is immutable, so it computes each derived value once, on first
 access, and keeps it: its output distribution, its two tables' state
@@ -179,6 +181,21 @@ def state_arrays(thermo, kt: float) -> StateArrays:
     if arrays is None:
         arrays = thermo._arrays[kt] = _tabulate(thermo, kt)
     return arrays
+
+
+def _kept_states(table: ThermoTable, keep: tuple[int, ...], kt: float) -> ThermoTable:
+    """The states ``keep`` of ``table``, holding at ``kt`` the rows ``keep`` of its arrays.
+
+    The rows are the arrays that tabulating the kept states would give,
+    bit for bit, so they are sliced rather than tabulated again.  All
+    states kept: ``table`` itself.
+    """
+    if len(keep) == len(table):
+        return table
+    kept = ThermoTable(table[i] for i in keep)
+    rows = np.array(keep)
+    kept._arrays[kt] = StateArrays(*(_frozen(column[rows]) for column in state_arrays(table, kt)))
+    return kept
 
 
 def mixture_free_energy(probs: np.ndarray, free_energy: np.ndarray, kt: float) -> float:

@@ -296,6 +296,50 @@ class TestReverseOperation:
         assert report.operation.input_labels == ("y", "w")
         assert report.operation.output_labels == ("a", "c", "e")
 
+    @pytest.mark.parametrize("units", [UnitSystem(), SI_UNITS], ids=["natural", "si"])
+    def test_a_pruned_reset_slices_its_tables_arrays_bit_for_bit(self, units, monkeypatch):
+        """Input 0 never occurs and outputs 0 and 2 are never reached: the pruned
+        forward leg's arrays are rows of the scenario's, equal in every bit to
+        those of a scenario built from the kept states, and nothing is tabulated."""
+        rng = np.random.default_rng(26)
+        op = LogicalOperation(np.eye(3)[[1, 1, 1, 1]])
+        sc = Scenario(
+            DiscreteDistribution([0.0, 0.3, 0.3, 0.4]),
+            op,
+            random_thermo(rng, 4),
+            random_thermo(rng, 3),
+            1.3,
+            units,
+        )
+        expected_cost(sc, optimal_weights(sc))
+        tabulated = []
+        tabulate = thermo._tabulate
+        monkeypatch.setattr(
+            thermo, "_tabulate", lambda table, kt: tabulated.append(table) or tabulate(table, kt)
+        )
+        report = reverse_operation(sc)
+        assert tabulated == []
+        assert (report.pruned_inputs, report.pruned_outputs) == (("0",), ("0", "2"))
+        monkeypatch.undo()
+        kept_in, kept_out = [1, 2, 3], [1]
+        plain = Scenario(
+            DiscreteDistribution(sc.input_dist.probs[kept_in]),
+            LogicalOperation(
+                op.matrix[kept_in][:, kept_out], input_labels=("1", "2", "3"), output_labels=("1",)
+            ),
+            tuple(sc.input_thermo[i] for i in kept_in),
+            tuple(sc.output_thermo[j] for j in kept_out),
+            sc.reference_temperature,
+            units,
+        )
+        want = reverse_operation(plain)
+        assert want.pruned_inputs == want.pruned_outputs == ()
+        assert bits(replace(report, pruned_inputs=(), pruned_outputs=())) == bits(want)
+        got_arrays = (report.scenario.input_arrays, report.scenario.output_arrays)
+        want_arrays = (want.scenario.input_arrays, want.scenario.output_arrays)
+        assert bits(got_arrays) == bits(want_arrays)
+        assert all(not a.flags.writeable for arrays in got_arrays for a in arrays)
+
     def test_unpruned_forward_leg_is_the_scenario(self):
         rng = np.random.default_rng(24)
         sc = Scenario(
@@ -842,8 +886,10 @@ def test_an_accounting_sequence_tabulates_each_table_once_and_prices_the_design_
     """Scenario, reverse, matched and mismatched cycle, uncertain and partial
     operations: the scenario's two tables are the only tables tabulated,
     each once, and the designed middle leg is priced once for both
-    evaluations.  The outer legs are priced from the cycle's arrays, not as
-    scenarios, by the transition kernel that prices every scenario."""
+    evaluations.  The cycle built at w = P from the scenario's own parts
+    is the scenario, so its middle leg is the scenario's report.  The
+    outer legs are priced from the cycle's arrays, not as scenarios, by
+    the transition kernel that prices every scenario."""
     rng = np.random.default_rng(36)
     sc = random_scenario(rng, max_states=5)
     n_in = sc.op.n_inputs
@@ -887,9 +933,10 @@ def test_an_accounting_sequence_tabulates_each_table_once_and_prices_the_design_
     ]
 
     design = optimal_weights(cycle)
+    assert cycle is sc and design is w
     assert [pair for pair in priced if pair[0] is cycle] == [(cycle, design)]
-    assert len(priced) == 3  # sc, the reverse leg and the designed middle leg
-    assert len(kernel) == 7  # those three, and the two outer legs of each evaluation
+    assert len(priced) == 2  # sc, which is also the designed middle leg, and the reverse leg
+    assert len(kernel) == 6  # those two, and the two outer legs of each evaluation
     designed, shifted = matched.leg_costs[1], mismatched.leg_costs[1]
     assert designed is expected_cost(cycle, design)
     for name in ("inputs", "outputs", "work", "heat", "finite"):
@@ -1026,3 +1073,76 @@ def test_a_standard_state_energy_that_overflows_is_rejected_as_by_the_reference(
         want = outcome(lambda: _reference_evaluate_cycle(cycle))
         assert want[0] is thermo.ThermoError
         assert outcome(lambda: evaluate_cycle(cycle)) == want
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    structure=st.sampled_from(STRUCTURES),
+    units=st.sampled_from((UnitSystem(), SI_UNITS)),
+    dead_input=st.booleans(),
+    ulp=st.sampled_from((0, -1, 1)),
+)
+def test_a_reused_cycle_evaluates_as_a_cycle_built_from_plain_tables(
+    seed, structure, units, dead_input, ulp
+):
+    """The cycle built at a priced scenario's own statistics from its own parts
+    is that scenario, and both evaluations equal in ``float.hex`` those of a
+    cycle built from plain-tuple tables, which is never reused.  Weights one
+    unit in the last place off the statistics build a new scenario.
+
+    ``dead_input`` gives input 0 probability zero in the scenario and in the
+    middle statistics; ``units`` equal to the scenario's need not be the same
+    object.
+    """
+    sc = replace(structured_scenario(seed, structure, dead_input), units=units)
+    rng = np.random.default_rng(seed)
+    n_in = sc.op.n_inputs
+    middle = random_distribution(rng, n_in).probs.copy()
+    if dead_input:
+        middle[0] = 0.0
+    middle /= middle.sum()
+    expected_cost(sc, optimal_weights(sc))
+    weights = optimal_weights(sc).weights.copy()
+    if ulp:
+        i = int(weights.argmax())
+        weights[i] = np.nextafter(weights[i], ulp * math.inf)
+    parts = (sc.reference_temperature, replace(units))
+    cycle = build_reversible_cycle(sc.op, weights, sc.input_thermo, sc.output_thermo, *parts)
+    plain = build_reversible_cycle(
+        sc.op, weights, tuple(sc.input_thermo), tuple(sc.output_thermo), *parts
+    )
+    assert (cycle is sc) == (ulp == 0)
+    assert plain is not sc and plain is not cycle
+    assert cycle.input_dist.probs.tobytes() == plain.input_dist.probs.tobytes()
+    got = (evaluate_cycle(cycle), evaluate_cycle(cycle, middle))
+    want = (evaluate_cycle(plain), evaluate_cycle(plain, middle))
+    assert bits(got) == bits(want)
+    if ulp == 0:
+        assert got[0].leg_costs[1] is expected_cost(sc, optimal_weights(sc))
+
+
+def test_only_a_scenario_with_the_same_parts_and_optimal_weights_is_reused():
+    rng = np.random.default_rng(37)
+    sc = random_scenario(rng)
+    parts = (sc.op, sc.input_dist.probs, sc.input_thermo, sc.output_thermo)
+    t_ref = sc.reference_temperature
+    # Before its optimal weights are made, the scenario is not recorded.
+    assert build_reversible_cycle(*parts, t_ref) is not sc
+    optimal_weights(sc)
+    assert build_reversible_cycle(*parts, t_ref) is sc
+    assert build_reversible_cycle(*parts, t_ref, UnitSystem()) is sc
+    op, probs, input_thermo, output_thermo = parts
+    for other in (
+        (random_operation(rng, op.n_inputs, op.n_outputs), probs, input_thermo, output_thermo, t_ref),
+        (op, probs.tolist()[::-1], input_thermo, output_thermo, t_ref),
+        (op, probs, tuple(input_thermo), output_thermo, t_ref),
+        (op, probs, input_thermo, tuple(output_thermo), t_ref),
+        (op, probs, input_thermo, output_thermo, 2.0 * t_ref),
+        (*parts, t_ref, UnitSystem(k_B=0.7)),
+    ):
+        built = build_reversible_cycle(*other)
+        assert built is not sc and isinstance(built, Scenario)
+    # Invalid weights are still rejected first.
+    with pytest.raises(CostError):
+        build_reversible_cycle(op, probs[:-1], input_thermo, output_thermo, t_ref)

@@ -1,9 +1,11 @@
 import copy
+import gc
 import importlib
 import inspect
 import math
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -305,16 +307,21 @@ def test_a_dead_input_reaching_a_dead_output_is_named_and_pruned_first():
 
 
 def _reference_distribution(values):
-    """The validation rules of DiscreteDistribution as first written, kept as the reference."""
+    """The validation rules of DiscreteDistribution, written plainly, kept as the reference.
+
+    The entries are clipped to [0, 1] before they are summed, so the sum
+    checked is the sum of the probabilities kept.
+    """
     arr = np.atleast_1d(np.asarray(values, dtype=float))
     if arr.ndim != 1 or arr.size == 0:
         raise InvalidDistributionError("distribution must be a non-empty vector")
     if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():
         raise InvalidDistributionError(f"probabilities outside [0, 1]: {arr.tolist()}")
-    total = math.fsum(arr.tolist())
+    clipped = np.clip(arr, 0.0, 1.0)
+    total = math.fsum(clipped.tolist())
     if abs(total - 1.0) > PROB_ATOL:
         raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
-    return (np.clip(arr, 0.0, 1.0),)
+    return (clipped,)
 
 
 def _reference_operation(values, input_labels, output_labels):
@@ -340,6 +347,20 @@ def _reference_operation(values, input_labels, output_labels):
         tuple(str(s) for s in in_labels),
         tuple(str(s) for s in out_labels),
     )
+
+
+def test_a_negative_entry_is_clipped_before_the_sum_is_checked():
+    """The sum that decides is that of the clipped probabilities the distribution keeps.
+
+    Summed as given, these entries are within ``PROB_ATOL`` of one; the
+    kept ``[0, 0.5, 0.5 + 1.05e-9]`` are not, so the input is rejected
+    here and not by a later check on the kept probabilities.
+    """
+    with pytest.raises(InvalidDistributionError, match=r"sum to 1\.00000000105, expected 1"):
+        DiscreteDistribution([-1e-9, 0.5, 0.5 + 1.05e-9])
+    kept = DiscreteDistribution([-0.5e-9, 0.5, 0.5 + 0.5e-9]).probs
+    assert kept.tolist() == [0.0, 0.5, 0.5 + 0.5e-9]
+    assert DiscreteDistribution(kept).probs.tobytes() == kept.tobytes()
 
 
 @settings(max_examples=400, deadline=None)
@@ -622,3 +643,90 @@ def test_every_type_with_array_fields_is_frozen_and_cloned():
     assert [name for name, cls in holders.items() if not issubclass(cls, logic._Frozen)] == []
     # ... and the clone property above builds one of each.
     assert sorted(holders.keys() - _array_values(0).keys()) == []
+
+
+def _pruned_pair():
+    """A 3 -> 3 operation whose output 2 never occurs, and an input distribution for it."""
+    op = LogicalOperation([[0.7, 0.3, 0.0], [0.0, 1.0, 0.0], [0.4, 0.6, 0.0]])
+    return op, DiscreteDistribution([0.2, 0.5, 0.3])
+
+
+def _fresh_pair(op, dist):
+    """Equal content in new objects, which share no memo with ``op`` and ``dist``."""
+    return LogicalOperation(op.matrix.copy()), DiscreteDistribution(dist.probs.copy())
+
+
+def test_the_pair_memo_returns_what_fresh_calls_return():
+    op, dist = _pruned_pair()
+    out = propagate(op, dist)
+    reduced, kept = prune_zero_outputs(op, dist)
+    posterior = bayes_invert(reduced, dist)
+    # Every later call on a pair returns the object built first.
+    assert propagate(op, dist) is out
+    assert prune_zero_outputs(op, dist) == (reduced, kept)
+    assert prune_zero_outputs(op, dist)[0] is reduced
+    assert bayes_invert(reduced, dist) is posterior
+    # ... which is what a fresh pair of equal content gives.
+    fresh_op, fresh_dist = _fresh_pair(op, dist)
+    fresh_reduced, fresh_kept = prune_zero_outputs(fresh_op, fresh_dist)
+    assert fresh_reduced is not reduced and fresh_kept == kept == (0, 1)
+    assert bits(propagate(fresh_op, fresh_dist)) == bits(out)
+    assert bits(fresh_reduced) == bits(reduced)
+    assert bits(bayes_invert(fresh_reduced, fresh_dist)) == bits(posterior)
+    # An operation that keeps every output is returned itself.
+    assert prune_zero_outputs(reduced, dist) == (reduced, (0, 1))
+    # A pair that raises keeps nothing and raises again.
+    for _ in range(2):
+        with pytest.raises(ZeroProbabilityOutputError):
+            bayes_invert(op, dist)
+        with pytest.raises(ArityMismatchError):
+            propagate(op, DiscreteDistribution([0.5, 0.5]))
+
+
+def test_each_pair_is_propagated_once_whichever_call_comes_first(monkeypatch):
+    built = []
+    real = logic._propagated
+
+    def counted(op, dist):
+        built.append(op)
+        return real(op, dist)
+
+    monkeypatch.setattr(logic, "_propagated", counted)
+    op, dist = _pruned_pair()
+    reduced, _ = prune_zero_outputs(op, dist)
+    posterior = bayes_invert(reduced, dist)
+    assert propagate(reduced, dist) is propagate(reduced, dist)
+    propagate(op, dist)
+    bayes_invert(reduced, dist)
+    assert built == [op, reduced]
+    assert bits(posterior) == bits(bayes_invert(*_fresh_pair(reduced, dist)))
+
+
+def test_pair_memo_entries_die_with_the_operation():
+    op, dist = _pruned_pair()
+    reduced, _ = prune_zero_outputs(op, dist)
+    values = [propagate(op, dist), reduced, bayes_invert(reduced, dist)]
+    identity = identity_op(3)
+    propagate(identity, dist)
+    prune_zero_outputs(identity, dist)  # kept as "nothing pruned", without the operation
+    refs = [weakref.ref(v) for v in (op, identity, *values)]
+    assert len(dist._per_pair) == 3
+    del op, identity, reduced, values
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    assert len(dist._per_pair) == 0
+
+
+@pytest.mark.parametrize("clone", CLONES.values(), ids=CLONES.keys())
+def test_a_clone_starts_with_an_empty_pair_memo(clone):
+    op, dist = _pruned_pair()
+    reduced, _ = prune_zero_outputs(op, dist)
+    out, posterior = propagate(op, dist), bayes_invert(reduced, dist)
+    twin = clone(dist)
+    assert "_per_pair" not in vars(twin)
+    assert not twin.probs.flags.writeable
+    assert propagate(op, twin) is not out and bits(propagate(op, twin)) == bits(out)
+    assert prune_zero_outputs(op, twin)[0] is not reduced
+    assert bits(bayes_invert(reduced, twin)) == bits(posterior)
+    assert not twin.probs.flags.writeable and len(twin._per_pair) == 2
+    assert propagate(op, dist) is out  # the original keeps its own memo
