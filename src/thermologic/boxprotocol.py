@@ -55,8 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .costs import WeightVector, _once_per_pair, expected_cost
-from .logic import _Frozen, _frozen, _logs
+from .costs import WeightVector, expected_cost
+from .logic import _Frozen, _frozen, _logs, _once_per_pair
 from .thermo import NATURAL_UNITS, Scenario, UnitSystem
 
 HIGH_TEMPERATURE_MARGIN = 10.0

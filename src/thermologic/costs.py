@@ -36,6 +36,7 @@ from .logic import (
     LogicalOperation,
     _Frozen,
     _PairMemo,
+    _first_row_off_one,
     _frozen,
     _logs,
     _once_per_pair,
@@ -138,9 +139,9 @@ def make_weights(scenario: Scenario, weights) -> WeightVector:
     lowest = w.min()
     if not lowest >= 0.0:  # NaN fails too; +inf fails the sum below
         raise CostError(f"weights must be non-negative, got {w.tolist()}")
-    total = math.fsum(w.tolist())
-    if abs(total - 1.0) > 1e-9:
-        raise CostError(f"weights sum to {total!r}, expected 1")
+    off = _first_row_off_one(w)
+    if off is not None:
+        raise CostError(f"weights sum to {off[1]!r}, expected 1")
     flagged = () if lowest > 0.0 else tuple(
         int(i)
         for i in np.flatnonzero((w == 0.0) & (scenario.input_dist.probs > 0.0))
@@ -274,8 +275,7 @@ def glp_bounds(scenario: Scenario) -> CostReport:
 
 
 def _transition_columns(
-    k: float,
-    t_ref: float,
+    kt: float,
     support: tuple[np.ndarray, np.ndarray],
     weights: np.ndarray,
     output_weights: np.ndarray,
@@ -296,27 +296,9 @@ def _transition_columns(
     finite = w_in != 0.0
     ratio = np.divide(output_weights[cols], w_in, out=np.ones(w_in.size), where=finite)
     log_ratio = _logs(ratio)
-    work = (table_out.free_energy[cols] - table_in.free_energy[rows]) + k * t_ref * log_ratio
-    heat = t_ref * k * (table_in.entropy[rows] - table_out.entropy[cols] + log_ratio)
+    work = (table_out.free_energy[cols] - table_in.free_energy[rows]) + kt * log_ratio
+    heat = kt * (table_in.entropy[rows] - table_out.entropy[cols] + log_ratio)
     return TransitionColumns(rows, cols, None, work, heat, finite)
-
-
-def _priced_transitions(scenario: Scenario, weights: WeightVector, pairs=None) -> TransitionColumns:
-    """:func:`_transition_columns` of ``scenario`` implemented with ``weights``.
-
-    ``pairs`` is an ``(inputs, outputs)`` pair of index arrays; by
-    default every transition with non-zero conditional probability, in
-    row-major order.
-    """
-    return _transition_columns(
-        scenario.units.k_B,
-        scenario.reference_temperature,
-        scenario.op.support if pairs is None else pairs,
-        weights.weights,
-        weights.output_weights,
-        scenario.input_arrays,
-        scenario.output_arrays,
-    )
 
 
 def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int, output_index: int):
@@ -334,7 +316,14 @@ def transition_cost(scenario: Scenario, weights: WeightVector, input_index: int,
             f"transition {scenario.op.input_labels[i]!r} -> "
             f"{scenario.op.output_labels[j]!r} never occurs"
         )
-    priced = _priced_transitions(scenario, weights, (np.array([i]), np.array([j])))
+    priced = _transition_columns(
+        scenario.kT,
+        (np.array([i]), np.array([j])),
+        weights.weights,
+        weights.output_weights,
+        scenario.input_arrays,
+        scenario.output_arrays,
+    )
     if not priced.finite[0]:
         return INFINITE_COST, INFINITE_COST
     return float(priced.work[0]), float(priced.heat[0])
@@ -352,12 +341,15 @@ def expected_cost(scenario: Scenario, weights: WeightVector) -> CostReport:
 
 
 def _price(scenario: Scenario, weights: WeightVector) -> CostReport:
-    return _report(
-        _priced_transitions(scenario, weights),
-        scenario.input_dist.probs,
-        scenario.op.matrix,
-        scenario.bound_terms,
+    columns = _transition_columns(
+        scenario.kT,
+        scenario.op.support,
+        weights.weights,
+        weights.output_weights,
+        scenario.input_arrays,
+        scenario.output_arrays,
     )
+    return _report(columns, scenario.input_dist.probs, scenario.op.matrix, scenario.bound_terms)
 
 
 def _report(

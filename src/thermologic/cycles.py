@@ -55,7 +55,6 @@ from .logic import (
     _logs,
     bayes_invert,
     classify,
-    propagate,  # not called here; kept as a module attribute, which tests patch to count calls
     prune_zero_inputs,
     prune_zero_outputs,
 )
@@ -500,16 +499,17 @@ def _outer_leg(
     matrix: np.ndarray,
     table_in: StateArrays,
     table_out: StateArrays,
+    checked: bool,
 ) -> CostReport:
     """The report of an outer leg ``matrix``, implemented for its own input statistics ``p_in``.
 
-    Its output statistics are checked as :func:`~thermologic.logic.propagate` checks them.
+    Its output statistics, ``p_in @ matrix``, are ``checked`` as ``propagate`` checks them.
     """
     k, t_ref = cycle.units.k_B, cycle.reference_temperature
     output_weights = p_in @ matrix
-    p_out = DiscreteDistribution(output_weights).probs
+    p_out = DiscreteDistribution(output_weights).probs if checked else output_weights
     columns = _transition_columns(
-        k, t_ref, matrix.nonzero(), p_in, output_weights, table_in, table_out
+        k * t_ref, matrix.nonzero(), p_in, output_weights, table_in, table_out
     )
     bounds = _bound_terms(k, t_ref, p_in, p_out, table_in, table_out)
     return _report(columns, p_in, matrix, bounds)
@@ -549,9 +549,9 @@ def evaluate_cycle(cycle: Scenario, middle_input=None) -> CycleEvaluation:
     standard = StateArrays(np.array([energy]), np.zeros(1), np.array([energy - cycle.kT * 0.0]))
     p_out = mid.output_dist.probs
     costs = (
-        _outer_leg(cycle, _ONE, mid.input_dist.probs[None, :], standard, cycle.input_arrays),
+        _outer_leg(cycle, _ONE, mid.input_dist.probs[None, :], standard, cycle.input_arrays, False),
         middle,
-        _outer_leg(cycle, p_out, np.ones((p_out.size, 1)), cycle.output_arrays, standard),
+        _outer_leg(cycle, p_out, np.ones((p_out.size, 1)), cycle.output_arrays, standard, True),
     )
     if any(is_infinite(c.expected_work) for c in costs):
         total_work = total_heat = INFINITE_COST

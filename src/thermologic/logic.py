@@ -21,8 +21,8 @@ indices of its realisable transitions.  A :class:`DiscreteDistribution`
 keeps, weakly keyed by the operation, what :func:`propagate`,
 :func:`prune_zero_outputs` and :func:`bayes_invert` derive from an
 (operation, distribution) pair, so each is built once per pair for as
-long as both objects live (:func:`_once_per_pair`, which the cost layer
-shares).
+long as both objects live (:func:`_once_per_pair`, which the cost and
+box-protocol layers share).
 """
 
 from __future__ import annotations
@@ -36,13 +36,10 @@ import numpy as np
 
 PROB_ATOL = 1e-9
 
-# The row-sum screen of LogicalOperation.  After the range check every entry
-# lies in [-PROB_ATOL, 1 + PROB_ATOL], so the n entries x of a row have
-# sum |x| <= sum x + 2 n PROB_ATOL, and their float sum, taken in any order, is
-# off from the exact sum by at most about (n - 1) 2**-53 sum |x|.  For a float
-# sum within _ROW_SCREEN_ATOL of 1 and n <= _SCREENED_WIDTH that error is below
-# 1.2e-10, so the exact sum is within PROB_ATOL of 1 and math.fsum accepts the
-# row too.  Wider rows are not screened.
+# The row-sum screen of _first_row_off_one, for non-negative entries only: the
+# float sum of n of them, in any order, is off from their exact sum by at most
+# about (n - 1) 2**-53 times it, below 1.2e-10 when n <= _SCREENED_WIDTH and the
+# float sum is within _ROW_SCREEN_ATOL of 1; then math.fsum accepts the row too.
 _ROW_SCREEN_ATOL = PROB_ATOL / 2
 _SCREENED_WIDTH = 2**20
 
@@ -156,18 +153,39 @@ def _once_per_pair(key, holder: _PairMemo, build):
     return made[build]
 
 
-def _in_unit_range(arr: np.ndarray) -> bool:
-    """Every entry within ``PROB_ATOL`` of ``[0, 1]``; NaN fails, as min and max propagate it."""
-    return bool(arr.min() >= -PROB_ATOL and arr.max() <= 1.0 + PROB_ATOL)
+def _first_row_off_one(rows: np.ndarray) -> tuple[int, float] | None:
+    """``(index, fsum)`` of the first row off 1 by more than ``PROB_ATOL``, or ``None``.
+
+    The one sum rule, for non-negative entries: a 1-d array is one row, overflow reads ``inf``.
+    """
+    if rows.ndim == 1:
+        suspects = ((0, rows),)
+    else:
+        screen = _ROW_SCREEN_ATOL if rows.shape[1] <= _SCREENED_WIDTH else -1.0  # -1: sum every row
+        rounded = rows.sum(axis=1).tolist()
+        suspects = ((i, rows[i]) for i, value in enumerate(rounded) if abs(value - 1.0) > screen)
+    for i, row in suspects:
+        try:
+            total = math.fsum(row.tolist())
+        except OverflowError:  # finite entries whose sum exceeds the float range
+            total = math.inf
+        if abs(total - 1.0) > PROB_ATOL:
+            return i, total
+    return None
 
 
 def _is_distribution(p: np.ndarray) -> bool:
-    """Entries at least 0 whose ``fsum`` is within 1e-9 of 1; NaN fails the first, +inf the sum."""
-    return bool((p >= 0.0).all()) and abs(math.fsum(p.ravel().tolist()) - 1.0) <= 1e-9
+    """Entries at least 0 that sum to one by :func:`_first_row_off_one`; NaN fails the first."""
+    return bool((p >= 0.0).all()) and _first_row_off_one(p.ravel()) is None
 
 
-def _clipped(arr: np.ndarray) -> np.ndarray:
-    """``arr`` clipped to ``[0, 1]`` in place and made read-only."""
+def _clipped(arr: np.ndarray, error: type[LogicError], outside: str) -> np.ndarray:
+    """``arr`` clipped to ``[0, 1]`` in place and made read-only, once within ``PROB_ATOL`` of it.
+
+    Else raises ``error(outside.format(entries))``; NaN fails, as min and max propagate it.
+    """
+    if not (arr.min(initial=0.0) >= -PROB_ATOL and arr.max(initial=0.0) <= 1.0 + PROB_ATOL):
+        raise error(outside.format(arr.tolist()))
     return _frozen(arr.clip(0.0, 1.0, out=arr))
 
 
@@ -193,12 +211,10 @@ class DiscreteDistribution(_PairMemo):
         arr = np.array(self.probs, dtype=float, ndmin=1)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidDistributionError("distribution must be a non-empty vector")
-        if not _in_unit_range(arr):
-            raise InvalidDistributionError(f"probabilities outside [0, 1]: {arr.tolist()}")
-        probs = _clipped(arr)
-        total = math.fsum(probs.tolist())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise InvalidDistributionError(f"probabilities sum to {total!r}, expected 1")
+        probs = _clipped(arr, InvalidDistributionError, "probabilities outside [0, 1]: {}")
+        off = _first_row_off_one(probs)
+        if off is not None:
+            raise InvalidDistributionError(f"probabilities sum to {off[1]!r}, expected 1")
         object.__setattr__(self, "probs", probs)
 
     def __len__(self) -> int:
@@ -224,12 +240,9 @@ class LogicalOperation(_Frozen):
     output state ``j``.  Labels are opaque strings used only for
     reporting; index order is authoritative.
 
-    Each row must sum to one within ``PROB_ATOL``, as :func:`math.fsum`
-    of the row gives it.  One array sum screens the rows first: a row
-    whose float sum lies within ``PROB_ATOL / 2`` of one passes, since
-    rounding cannot move a sum of at most ``2**20`` entries that far.
-    Every other row is decided by ``fsum``, in order, so the first row
-    rejected and its message are those of an exact check of every row.
+    Entries are checked and clipped as in :class:`DiscreteDistribution`,
+    and each clipped row must sum to one; the first row rejected and its
+    message are those of an exact ``fsum`` of every row.
     """
 
     matrix: np.ndarray
@@ -245,18 +258,12 @@ class LogicalOperation(_Frozen):
         out_labels = self.output_labels or _index_labels(n_out)
         if len(in_labels) != n_in or len(out_labels) != n_out:
             raise InvalidOperationError("label count does not match matrix shape")
-        if not _in_unit_range(arr):
-            raise InvalidOperationError("conditional probabilities outside [0, 1]")
-        screen = _ROW_SCREEN_ATOL if n_out <= _SCREENED_WIDTH else -1.0  # -1: sum every row
-        for i, rounded in enumerate(arr.sum(axis=1).tolist()):
-            if abs(rounded - 1.0) <= screen:
-                continue
-            total = math.fsum(arr[i].tolist())
-            if abs(total - 1.0) > PROB_ATOL:
-                raise InvalidOperationError(
-                    f"row for input '{in_labels[i]}' sums to {total!r}, expected 1"
-                )
-        object.__setattr__(self, "matrix", _clipped(arr))
+        matrix = _clipped(arr, InvalidOperationError, "conditional probabilities outside [0, 1]")
+        off = _first_row_off_one(matrix)
+        if off is not None:
+            label, total = in_labels[off[0]], off[1]
+            raise InvalidOperationError(f"row for input '{label}' sums to {total!r}, expected 1")
+        object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "input_labels", tuple(map(str, in_labels)))
         object.__setattr__(self, "output_labels", tuple(map(str, out_labels)))
 
@@ -285,18 +292,17 @@ class LogicalOperation(_Frozen):
 
 @dataclass(frozen=True, eq=False)
 class JointDistribution(_Frozen):
-    """Joint probability table over (input, output) pairs."""
+    """Joint probability table over (input, output) pairs, checked as a distribution is."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.matrix, dtype=float, ndmin=2)
-        if not (arr >= -PROB_ATOL).all():  # NaN fails too; +inf fails the sum below
-            raise InvalidDistributionError("joint probabilities must be non-negative")
-        total = math.fsum(arr.ravel().tolist())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise InvalidDistributionError(f"joint probabilities sum to {total!r}")
-        object.__setattr__(self, "matrix", _clipped(arr))
+        matrix = _clipped(arr, InvalidDistributionError, "joint probabilities outside [0, 1]")
+        off = _first_row_off_one(matrix.ravel())
+        if off is not None:
+            raise InvalidDistributionError(f"joint probabilities sum to {off[1]!r}")
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def input_marginal(self) -> DiscreteDistribution:

@@ -87,6 +87,19 @@ ADIABATIC_SCENARIO = dict(
 )
 QBOUND_CONFIG = {"trials": 3, "env_dim": 4, "seed": 2}
 
+# A row within PROB_ATOL of one as given, and 1.00000000105 once its negative entry is clipped.
+BAD_ROW_SCENARIO = dict(
+    RTZ_SCENARIO,
+    operation={
+        "inputs": ["0", "1"],
+        "outputs": ["0", "1", "2"],
+        "rows": [[-1e-9, 0.5, 0.50000000105], [1.0, 0.0, 0.0]],
+    },
+    output={"labels": ["0", "1", "2"]},
+)
+# Finite probabilities whose sum overflows a float; math.fsum raises OverflowError on them.
+OVERFLOWING = [1e308, 1e308]
+
 # Models that each run without their last keys, which the kind does not read
 # or which set the same value twice.
 UNREAD_MODEL_KEYS = {
@@ -320,6 +333,24 @@ class TestExitCodes:
             (["qbound", "--blocks", "2,x"], None, 2),
             (["qbound", "--env-dim", "-3"], None, 3),
             (["qbound", "--config"], dict(QBOUND_CONFIG, target_output_probs=[2.0, -1.0]), 3),
+            (["cost", "--weights", "1e308,1e308"], RTZ_SCENARIO, 3),
+            (["box-run", "--weights", "1e308,1e308"], RTZ_SCENARIO, 3),
+            (
+                ["cycle", "uncertain"],
+                dict(
+                    UNCERTAIN_CONFIG,
+                    branches=[
+                        {"operation": RTZ_SCENARIO["operation"], "probability": p}
+                        for p in OVERFLOWING
+                    ],
+                ),
+                3,
+            ),
+            (["cycle", "partial"], dict(PARTIAL_CONFIG, joint_prior=[OVERFLOWING, [0.0, 0.0]]), 3),
+            (["qbound", "--config"], dict(QBOUND_CONFIG, input_probs=OVERFLOWING), 3),
+            (["cost"], BAD_ROW_SCENARIO, 3),
+            (["classify"], BAD_ROW_SCENARIO, 3),
+            (["box-run"], BAD_ROW_SCENARIO, 3),
             # make_model would divide by k T_R = 0
             (["cost"], dict(with_model({"kind": "equilibrium"}), reference_temperature=0.0), 3),
             *(
@@ -355,6 +386,14 @@ class TestExitCodes:
             "qbound-blocks",
             "qbound-env-dim-negative",
             "qbound-target-not-a-distribution",
+            "cost-weights-sum-overflows",
+            "box-run-weights-sum-overflows",
+            "cycle-uncertain-branch-sum-overflows",
+            "cycle-partial-prior-sum-overflows",
+            "qbound-input-sum-overflows",
+            "cost-bad-row",
+            "classify-bad-row",
+            "box-run-bad-row",
             "cost-equilibrium-zero-temperature",
             *(f"cost-{name}" for name in UNREAD_MODEL_KEYS),
         ],

@@ -793,13 +793,13 @@ class TestPricingMemo:
     def test_a_pair_is_priced_once_across_cost_ledgers_and_reverse(self, monkeypatch):
         sc = self._scenario()
         calls = []
-        real = costs._priced_transitions
+        real = costs._price
 
-        def counted(scenario, weights, pairs=None):
+        def counted(scenario, weights):
             calls.append((scenario, weights))
-            return real(scenario, weights, pairs)
+            return real(scenario, weights)
 
-        monkeypatch.setattr(costs, "_priced_transitions", counted)
+        monkeypatch.setattr(costs, "_price", counted)
         w = optimal_weights(sc)
         report = expected_cost(sc, w)
         entropy_ledgers(sc, w)

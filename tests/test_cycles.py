@@ -377,7 +377,7 @@ class TestReverseOperation:
             propagated.append(op)
             return real(op, dist)
 
-        for module in (logic, thermo, cycles):
+        for module in (logic, thermo):
             monkeypatch.setattr(module, "propagate", counted)
         report = reverse_operation(sc)
         assert report.pruned_inputs == report.pruned_outputs == ()
@@ -894,23 +894,23 @@ def test_an_accounting_sequence_tabulates_each_table_once_and_prices_the_design_
     sc = random_scenario(rng, max_states=5)
     n_in = sc.op.n_inputs
     tabulated, priced, kernel = [], [], []
-    tabulate, price = thermo._tabulate, costs._priced_transitions
+    tabulate, price = thermo._tabulate, costs._price
     columns = costs._transition_columns
 
     def counted_tabulate(table, kt):
         tabulated.append((table, kt))
         return tabulate(table, kt)
 
-    def counted_price(scenario, weights, pairs=None):
+    def counted_price(scenario, weights):
         priced.append((scenario, weights))
-        return price(scenario, weights, pairs)
+        return price(scenario, weights)
 
     def counted_columns(*args):
         kernel.append(args)
         return columns(*args)
 
     monkeypatch.setattr(thermo, "_tabulate", counted_tabulate)
-    monkeypatch.setattr(costs, "_priced_transitions", counted_price)
+    monkeypatch.setattr(costs, "_price", counted_price)
     for module in (costs, cycles):
         monkeypatch.setattr(module, "_transition_columns", counted_columns)
     w = optimal_weights(sc)

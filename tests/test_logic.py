@@ -26,19 +26,26 @@ from helpers import (
 from thermologic import logic, quantum
 from thermologic.boxprotocol import run_protocol
 from thermologic.costs import (
+    CostError,
     expected_cost,
     make_weights,
     minimax_weights,
     minimize_expected_work,
     optimal_weights,
 )
-from thermologic.cycles import entropy_ledgers, reverse_operation
+from thermologic.cycles import (
+    entropy_ledgers,
+    partial_operation_cost,
+    reverse_operation,
+    uncertain_operation_cost,
+)
 from thermologic.logic import (
     PROB_ATOL,
     ArityMismatchError,
     DiscreteDistribution,
     InvalidDistributionError,
     InvalidOperationError,
+    JointDistribution,
     LogicalOperation,
     OperationClass,
     ZeroProbabilityOutputError,
@@ -58,7 +65,7 @@ from thermologic.logic import (
     shannon_entropy,
     ufz,
 )
-from thermologic.thermo import Scenario
+from thermologic.thermo import Scenario, StateThermo
 
 
 def dist_strategy(n):
@@ -325,7 +332,11 @@ def _reference_distribution(values):
 
 
 def _reference_operation(values, input_labels, output_labels):
-    """The validation rules of LogicalOperation as first written, kept as the reference."""
+    """The validation rules of LogicalOperation, written plainly, kept as the reference.
+
+    Each row is clipped to [0, 1] before it is summed, so the sum checked
+    is the sum of the row kept.
+    """
     arr = np.atleast_2d(np.asarray(values, dtype=float))
     if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
         raise InvalidOperationError("operation matrix must be 2-d and non-empty")
@@ -336,14 +347,15 @@ def _reference_operation(values, input_labels, output_labels):
         raise InvalidOperationError("label count does not match matrix shape")
     if not ((arr >= -PROB_ATOL) & (arr <= 1.0 + PROB_ATOL)).all():
         raise InvalidOperationError("conditional probabilities outside [0, 1]")
-    for i, row in enumerate(arr):
+    clipped = np.clip(arr, 0.0, 1.0)
+    for i, row in enumerate(clipped):
         total = math.fsum(row.tolist())
         if abs(total - 1.0) > PROB_ATOL:
             raise InvalidOperationError(
                 f"row for input '{in_labels[i]}' sums to {total!r}, expected 1"
             )
     return (
-        np.clip(arr, 0.0, 1.0),
+        clipped,
         tuple(str(s) for s in in_labels),
         tuple(str(s) for s in out_labels),
     )
@@ -464,6 +476,137 @@ def test_row_screen_needs_its_margin_and_its_width_bound(monkeypatch):
     # ... and a row wider than _SCREENED_WIDTH is summed exactly, whatever the screen.
     monkeypatch.setattr(logic, "_SCREENED_WIDTH", mismatch.shape[1] - 1)
     assert _matches_the_reference(mismatch)
+
+
+def test_operation_and_joint_rows_are_clipped_before_they_are_summed():
+    """The sums that decide are those of the clipped entries each value keeps.
+
+    As given, the first two tables are within ``PROB_ATOL`` of one; kept,
+    they sum to 1.00000000105, so they are rejected here and not by a later
+    check on the kept entries, such as the one ``propagate`` makes.  The
+    last row is short of one as given and within ``PROB_ATOL`` once kept.
+    """
+    with pytest.raises(InvalidOperationError, match=r"'0' sums to 1\.00000000105, expected 1"):
+        LogicalOperation([[-1e-9, 0.5, 0.5 + 1.05e-9]])
+    with pytest.raises(InvalidDistributionError, match=r"joint .* sum to 1\.00000000105"):
+        JointDistribution([[-1e-9, 0.5], [0.0, 0.5 + 1.05e-9]])
+    op = LogicalOperation([[-1e-9, 0.5, 0.5 - 0.95e-9]])
+    assert op.matrix.tolist() == [[0.0, 0.5, 0.5 - 0.95e-9]]
+    assert propagate(op, DiscreteDistribution([1.0])).probs.tobytes() == op.matrix[0].tobytes()
+
+
+def _flat_tables(n):
+    return ((StateThermo(0.0, 0.0, 1.0),) * n,) * 2
+
+
+def _flat_scenario(n):
+    uniform = DiscreteDistribution(np.full(n, 1.0 / n))
+    return Scenario(uniform, identity_op(n), *_flat_tables(n), 1.0)
+
+
+def _accepted_distribution(values):
+    p = np.asarray(values, dtype=float)
+    if not logic._is_distribution(p):
+        raise InvalidDistributionError("not a distribution")
+    return p
+
+
+# The five probability-sum checks, each returning the array it keeps.
+SUM_CHECKS = {
+    "DiscreteDistribution": lambda v: DiscreteDistribution(v).probs,
+    "LogicalOperation": lambda v: LogicalOperation(v).matrix,
+    "JointDistribution": lambda v: JointDistribution(v).matrix,
+    "_is_distribution": _accepted_distribution,
+    "make_weights": lambda v: make_weights(_flat_scenario(max(np.size(v), 1)), v).weights,
+}
+
+
+@st.composite
+def dusted_edge_tables(draw):
+    """One to four rows whose kept sums lie a few ulps from a sum edge, or from one.
+
+    Each row also holds up to three entries of negative dust, which the
+    sum as given sees and the kept sum does not.  Returned as a matrix,
+    or as its first row.
+    """
+    n_cols = draw(st.integers(4, 8))
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        dust = draw(
+            st.lists(st.sampled_from((-PROB_ATOL, -PROB_ATOL / 2, -1e-12, -5e-324)), max_size=3)
+        )
+        m = draw(st.integers(1, n_cols - len(dust)))
+        share = (1.0 + draw(st.sampled_from(SUM_EDGES + (0.0,)))) / m
+        steps = draw(st.integers(-2, 2))
+        for _ in range(abs(steps)):
+            share = math.nextafter(share, math.copysign(1.0, steps))
+        entries = [share] * m + dust + [0.0] * (n_cols - m - len(dust))
+        draw(st.randoms(use_true_random=False)).shuffle(entries)
+        rows.append(entries)
+    return np.array(rows) if draw(st.booleans()) else np.array(rows[0])
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    values=dusted_edge_tables()
+    | edge_probability_arrays("row")
+    | edge_probability_arrays("matrix")
+)
+def test_what_each_sum_check_accepts_it_accepts_again_bit_for_bit(values):
+    for name, check in SUM_CHECKS.items():
+        kept = outcome(lambda: (check(values),))
+        if isinstance(kept[0], type):
+            continue
+        again = outcome(lambda: (check(kept[0]),))
+        assert not isinstance(again[0], type), (name, values, again)
+        assert (again[0].shape, again[0].tobytes()) == (kept[0].shape, kept[0].tobytes()), name
+
+
+# Finite probabilities whose sum overflows a float: math.fsum raises OverflowError on them.
+OVERFLOWING = [1e308, 1e308]
+
+
+@pytest.mark.parametrize(
+    "error, message, build",
+    [
+        (CostError, "weights sum to inf", lambda: make_weights(_flat_scenario(2), OVERFLOWING)),
+        (
+            InvalidDistributionError,
+            r"joint probabilities outside \[0, 1\]",
+            lambda: JointDistribution([OVERFLOWING]),
+        ),
+        (
+            CostError,
+            "branch probabilities",
+            lambda: uncertain_operation_cost(
+                [(not_op(), p) for p in OVERFLOWING],
+                DiscreteDistribution([0.5, 0.5]),
+                *_flat_tables(2),
+            ),
+        ),
+        (
+            CostError,
+            "joint prior must be a probability table",
+            lambda: partial_operation_cost(
+                [OVERFLOWING, [0.0, 0.0]], not_op(), *_flat_tables(2)
+            ),
+        ),
+        (
+            quantum.SetupError,
+            "input probabilities",
+            lambda: quantum.default_setup(input_probs=OVERFLOWING),
+        ),
+        (
+            quantum.SetupError,
+            "target output probabilities",
+            lambda: quantum.default_setup(target_output_probs=OVERFLOWING),
+        ),
+    ],
+    ids=["make_weights", "JointDistribution", "branches", "joint-prior", "TrialSetup", "target"],
+)
+def test_a_sum_beyond_the_float_range_raises_each_checks_own_error(error, message, build):
+    with pytest.raises(error, match=message):
+        build()
 
 
 def test_exact_sums_grow_linearly_on_permutations(monkeypatch):
