@@ -20,6 +20,10 @@ unitary leaves at S(rho_S) + S(gamma_E); each draw is checked to be
 unitary to :data:`EIG_ATOL`, which is what the invariant assumes.
 Trials are evaluated in chunks, each one stacked array computation: one
 draw, one QR, and batched products, partial traces and marginal spectra.
+A joint state with nothing off its diagonal, as every canonical setup
+has, is rotated by scaling the unitary's columns by that diagonal in
+place of a dense product: each entry of ``U rho`` has one non-zero term,
+so the scaling rounds it the same way, bit for bit.
 The chunk-sized stacks are allocated once per sweep and reused by every
 chunk; each sweep has its own, so sweeps may run in separate threads.
 
@@ -35,6 +39,7 @@ dense products, QR and eigendecompositions of the marginals suffice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -50,6 +55,7 @@ MARGINAL_TOL = 0.05  # output block weights within this of the target respect th
 SLACK_TOL = 1e-9  # run_trials: a slack or lemma term below minus this is a violation
 MAX_TRIALS = 100_000  # run_trials: every result is kept, so a larger count is rejected
 CHUNK_ELEMENTS = 2**14  # run_trials: complex entries in each stacked d x d array of one chunk
+_GINIBRE_SCALE = 1.0 / math.sqrt(2.0)  # numpy divides a complex array by sqrt(2) as a product with this
 
 __all__ = [
     "QuantumError",
@@ -90,6 +96,8 @@ class DensityMatrix(_Frozen):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise QuantumError("density matrix must be square")
+        if m.size == 0:
+            raise QuantumError("density matrix must not be empty")
         if not np.isfinite(m).all():
             raise QuantumError("density matrix entries must be finite")
         if np.max(np.abs(m - m.conj().T)) > EIG_ATOL:
@@ -172,6 +180,8 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
     ``keep`` is 0 or 1."""
     d0, d1 = dims
     rho = np.asarray(rho, dtype=complex)
+    if rho.shape[-2:] != (d0 * d1, d0 * d1):
+        raise QuantumError(f"state of shape {rho.shape} does not match dims {d0} x {d1}")
     reshaped = rho.reshape(*rho.shape[:-2], d0, d1, d0, d1)
     if keep == 0:
         return np.einsum("...ijkj->...ik", reshaped)
@@ -213,9 +223,9 @@ def _haar_unitaries(
     """
     ws = _Workspace.allocate(count, dim) if workspace is None else workspace
     normals = rng.standard_normal(out=ws.draws)
-    z = ws.stack
-    z.real, z.imag = normals[:, 0], normals[:, 1]
-    z /= math.sqrt(2.0)
+    z = ws.stack  # (normals[:, 0] + i normals[:, 1]) / sqrt(2), bit for bit
+    np.multiply(normals[:, 0], _GINIBRE_SCALE, out=z.real)
+    np.multiply(normals[:, 1], _GINIBRE_SCALE, out=z.imag)
     q, r = np.linalg.qr(z)
     phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
     phases /= np.abs(phases)
@@ -302,8 +312,9 @@ class TrialSetup(_Frozen):
     """Fixed data shared by every trial in a sweep.
 
     What every trial reads and no unitary changes (the initial states,
-    the initial energies, the initial system and joint entropies, and
-    the log of the environment's canonical populations) is a cached
+    the diagonal of a diagonal joint state, the initial energies, the
+    initial system and joint entropies, and the log of the
+    environment's canonical populations) is a cached
     property: built on first use, once per setup, and read-only.  Each
     Hamiltonian is read as its energies, the diagonal it has in the
     computational basis.  The initial system state is built on
@@ -360,6 +371,16 @@ class TrialSetup(_Frozen):
     def initial_joint(self) -> np.ndarray:
         """The uncorrelated joint state: system tensor environment."""
         return _frozen(np.kron(self.initial_system.matrix, self.initial_environment.matrix))
+
+    @cached_property
+    def joint_populations(self) -> np.ndarray | None:
+        """The diagonal of the joint state when it is real and nothing off it is
+        non-zero, else ``None``: then ``U rho`` is ``U`` with each column scaled."""
+        joint = self.initial_joint
+        populations = joint.diagonal().real
+        if np.count_nonzero(joint - np.diag(populations)):
+            return None
+        return _frozen(populations.copy())
 
     @cached_property
     def initial_energies(self) -> tuple[float, float]:
@@ -486,7 +507,11 @@ def _verify(
     deviation = np.abs(residual, out=ws.draws[:, 0]).max()
     if not deviation <= EIG_ATOL:  # NaN fails too
         raise SetupError(f"matrix is not unitary: |U^dagger U - I| = {deviation:.3e}")
-    rotated = np.matmul(unitaries, setup.initial_joint, out=ws.stack)
+    populations = setup.joint_populations
+    if populations is None:
+        rotated = np.matmul(unitaries, setup.initial_joint, out=ws.stack)
+    else:  # U diag(populations): one non-zero term per entry, rounded as the product rounds it
+        rotated = np.multiply(unitaries, populations, out=ws.stack)
     rho_final = np.matmul(rotated, adjoints, out=ws.rho_final)
 
     sys_final = partial_trace(rho_final, (ds, de), keep=0)
@@ -561,8 +586,10 @@ def run_trials(setup: TrialSetup, trials: int, seed: int) -> TrialBatchResult:
     ``1 + |work| + |bound|``.  Every result is kept, so ``trials`` may be
     at most :data:`MAX_TRIALS`.
     """
-    if not 0 <= trials <= MAX_TRIALS:
-        raise SetupError(f"trial count must be between 0 and {MAX_TRIALS}, got {trials!r}")
+    if not (isinstance(trials, numbers.Integral) and 0 <= trials <= MAX_TRIALS):
+        raise SetupError(
+            f"trial count must be an integer between 0 and {MAX_TRIALS}, got {trials!r}"
+        )
     rng = np.random.default_rng(seed)
     dim = setup.system_h.dim * setup.env_h.dim
     chunk = max(1, CHUNK_ELEMENTS // dim**2)

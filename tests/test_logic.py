@@ -412,19 +412,20 @@ SUM_EDGES = (PROB_ATOL, -PROB_ATOL, PROB_ATOL / 2, -PROB_ATOL / 2)
 def edge_sum_rows(draw, n_cols):
     """A row of ``n_cols`` entries whose exact sum lies a few ulps from a sum edge.
 
-    ``m`` equal shares of the edge value carry the sum, the other entries
-    are zeros and pairs ``-x, x`` of tiny entries, in a random order.  The
-    float sum of the shares is off from their exact sum by a few ulps, so
-    the two often fall on opposite sides of the edge.
+    ``m`` equal shares carry the edge value less the pairs ``x, x`` of tiny
+    entries, and the other entries are zeros, in a random order.  The
+    pairs are non-negative, so clipping keeps them and the kept sum is the
+    designed one.  The float sum of the shares is off from their exact sum
+    by a few ulps, so the two often fall on opposite sides of the edge.
     """
     pairs = draw(st.lists(st.sampled_from((PROB_ATOL, 1e-12, 1e-17)), max_size=5))
     m = draw(st.integers(1, n_cols - 2 * len(pairs)))
-    share = (1.0 + draw(st.sampled_from(SUM_EDGES))) / m
+    share = (1.0 + draw(st.sampled_from(SUM_EDGES)) - math.fsum(2 * x for x in pairs)) / m
     steps = draw(st.integers(-2, 1))  # the steps whose float and exact sums straddle most often
     for _ in range(abs(steps)):
         share = math.nextafter(share, math.copysign(1.0, steps))
     zero = draw(st.sampled_from((0.0, -0.0)))
-    entries = [share] * m + [y for x in pairs for y in (-x, x)]
+    entries = [share] * m + [x for x in pairs for _ in range(2)]
     entries += [zero] * (n_cols - len(entries))
     draw(st.randoms(use_true_random=False)).shuffle(entries)
     return entries

@@ -40,6 +40,10 @@ class TestDensityMatrix:
         with pytest.raises(QuantumError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(QuantumError, match="must not be empty"):
+            DensityMatrix(np.zeros((0, 0)))
+
 
 class TestGibbsState:
     def test_flat_spectrum_is_maximally_mixed(self):
@@ -204,6 +208,11 @@ class TestPartialTrace:
         joint = np.kron(a, b)
         assert np.max(np.abs(partial_trace(joint, (2, 3), 0) - a)) < 1e-12
         assert np.max(np.abs(partial_trace(joint, (2, 3), 1) - b)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(4, 4), (2, 3), (6,)])
+    def test_rejects_a_state_that_does_not_match_the_dims(self, shape):
+        with pytest.raises(QuantumError, match="does not match dims 3 x 2"):
+            partial_trace(np.zeros(shape), (3, 2), 0)
 
 
 class TestHaar:
@@ -437,15 +446,16 @@ def test_trial_count_is_capped():
     setup = default_setup((1, 1), 2, 1.0)
     assert MAX_TRIALS >= 100 * 500  # far above the command line's default of 500
     assert len(run_trials(setup, 3, seed=1).results) == 3
-    for trials in (-1, MAX_TRIALS + 1, 10**400):
+    for trials in (-1, MAX_TRIALS + 1, 10**400, 2.5):
         with pytest.raises(SetupError, match="trial count"):
             run_trials(setup, trials, seed=1)
 
 
 def _entropy_per_trial(m) -> float:
+    # 0 ln 0 = 0 as a zero term in the eigenvalue's place: numpy's sum groups by
+    # position, so dropping the term could move the result by an ulp.
     eigs = np.clip(np.linalg.eigvalsh(np.asarray(m, dtype=complex)), 0.0, None)
-    kept = eigs[eigs > 1e-300]
-    return float(-(kept * np.log(kept)).sum())
+    return float(-(eigs * np.log(np.where(eigs > 1e-300, eigs, 1.0))).sum())
 
 
 def _verify_per_trial(setup, unitary, index):
@@ -501,11 +511,57 @@ def _non_diagonal_setup() -> TrialSetup:
     )
 
 
+def _diagonal_setup() -> TrialSetup:
+    """Diagonal block states that are not canonical at the reference temperature."""
+    return TrialSetup(
+        system_h=HamiltonianSpec(np.array([0.0, 0.4, 0.5, 1.1, 1.6])),
+        env_h=HamiltonianSpec(np.linspace(0.0, 1.7, 4)),
+        blocks=((0, 2), (2, 3)),
+        input_probs=np.array([0.35, 0.65]),
+        input_states=(np.diag([0.1, 0.9]), np.diag([0.5, 0.2, 0.3])),
+        reference_temperature=0.8,
+    )
+
+
 SWEEP_SETUPS = {
     "targeted": lambda: default_setup((1, 3), 8, 0.7, [0.3, 0.7], [0.4, 0.6]),
     "untargeted": lambda: default_setup((2, 2, 2), 4, 1.3, [0.2, 0.5, 0.3]),
     "non-diagonal blocks": _non_diagonal_setup,
+    "diagonal non-canonical blocks": _diagonal_setup,
+    "zero-probability block": lambda: default_setup((4, 4), 8, 1.0, [1.0, 0.0]),
+    "underflowing populations": lambda: default_setup((2, 2), 16, 0.002),
 }
+
+
+class _CountedProducts:
+    """numpy as :mod:`quantum` sees it, recording the right operand of each ``matmul``."""
+
+    def __init__(self):
+        self.right = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, **kwargs):
+        self.right.append(b)
+        return np.matmul(a, b, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "make, dense",
+    [(_non_diagonal_setup, True), (_diagonal_setup, False), (default_setup, False)],
+    ids=["non-diagonal", "diagonal", "default"],
+)
+def test_only_a_joint_state_off_its_diagonal_takes_the_dense_product(monkeypatch, make, dense):
+    # A diagonal joint state rotates by scaling the unitary's columns; U^dagger U
+    # and rho_f = (U rho) U^dagger are dense products whatever the state.
+    setup = make()
+    counted = _CountedProducts()
+    monkeypatch.setattr(quantum, "np", counted)
+    run_trials(setup, 3, seed=1)  # one chunk
+    assert (setup.joint_populations is None) == dense
+    want = [False, True, False] if dense else [False, False]
+    assert [b is setup.initial_joint for b in counted.right] == want
 
 
 class TestCachedSetup:
@@ -571,6 +627,7 @@ class TestCachedSetup:
             setup.initial_environment.matrix,
             setup.initial_joint,
             setup.env_log_gibbs,
+            _diagonal_setup().joint_populations,
         ]
         for arr in arrays:
             with pytest.raises(ValueError):
