@@ -26,6 +26,8 @@ place of a dense product: each entry of ``U rho`` has one non-zero term,
 so the scaling rounds it the same way, bit for bit.
 The chunk-sized stacks are allocated once per sweep and reused by every
 chunk; each sweep has its own, so sweeps may run in separate threads.
+The QR runs numpy's own two LAPACK steps on those stacks, so a chunk
+allocates no d x d array and its unitaries are those of np.linalg.qr.
 
 Everything here is in natural units (k_B = 1): temperatures are energies,
 and entropies are in nats.  Every Hamiltonian is diagonal in the
@@ -45,6 +47,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .logic import _Frozen, _frozen, _is_distribution
 
@@ -56,6 +59,8 @@ SLACK_TOL = 1e-9  # run_trials: a slack or lemma term below minus this is a viol
 MAX_TRIALS = 100_000  # run_trials: every result is kept, so a larger count is rejected
 CHUNK_ELEMENTS = 2**14  # run_trials: complex entries in each stacked d x d array of one chunk
 _GINIBRE_SCALE = 1.0 / math.sqrt(2.0)  # numpy divides a complex array by sqrt(2) as a product with this
+# geqrf of a stack with m <= n rows, as np.linalg.qr calls it: qr_r_raw_m before numpy 2.0
+_qr_r_raw = getattr(_umath_linalg, "qr_r_raw", None) or _umath_linalg.qr_r_raw_m
 
 __all__ = [
     "QuantumError",
@@ -137,6 +142,11 @@ def _positive_finite(temperature: float) -> bool:
     return 0.0 < temperature < math.inf  # NaN fails too
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _gibbs_exponents(hamiltonian: HamiltonianSpec, temperature: float) -> np.ndarray:
     """``-(E - E_min) / T``: shifted by the minimum so large spectra cannot overflow."""
     return -(hamiltonian.energies - hamiltonian.energies.min()) / temperature
@@ -193,19 +203,21 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], keep: int) -> np.ndarr
 class _Workspace(NamedTuple):
     """Scratch stacks for up to ``len(draws)`` trials of one dimension.
 
-    A sweep allocates one and reuses it for every chunk, so a chunk
-    allocates only what the QR allocates itself.  Each stack is
-    overwritten by the next chunk, so no array of it is ever returned.
+    A sweep allocates one and reuses it for every chunk.  Each chunk's
+    QR factorises the Ginibre stack in place and writes its unitaries
+    into ``unitaries``, so a chunk allocates no d x d array.  Each stack
+    is overwritten by the next chunk, so no array of it is ever returned.
     """
 
     draws: np.ndarray  # the normals, then |U^dagger U - I| in the first half
-    stack: np.ndarray  # z, then U^dagger U, then U rho
+    stack: np.ndarray  # z, then its QR factors, then U^dagger U, then U rho
+    unitaries: np.ndarray
     conjugates: np.ndarray  # conj(U), read transposed as the adjoints
     rho_final: np.ndarray
 
     @classmethod
     def allocate(cls, count: int, dim: int) -> _Workspace:
-        stacks = (np.empty((count, dim, dim), dtype=complex) for _ in range(3))
+        stacks = (np.empty((count, dim, dim), dtype=complex) for _ in range(4))
         return cls(np.empty((count, 2, dim, dim)), *stacks)
 
     def head(self, count: int) -> _Workspace:
@@ -213,21 +225,33 @@ class _Workspace(NamedTuple):
         return _Workspace(*(array[:count] for array in self))
 
 
+def _raise_qr_error(err, flag):
+    raise np.linalg.LinAlgError("Incorrect argument found while performing QR factorization")
+
+
 def _haar_unitaries(
     count: int, dim: int, rng: np.random.Generator, workspace: _Workspace | None = None
 ) -> np.ndarray:
     """A stack of ``count`` Haar unitaries: the draws of ``count`` :func:`haar_unitary` calls.
 
-    The Ginibre stack is built in ``workspace``, which must hold exactly
-    ``count`` trials of dimension ``dim``; the unitaries are a new array.
+    The unitaries are ``workspace.unitaries``, which must hold exactly
+    ``count`` trials of dimension ``dim``.  The QR is the one
+    ``np.linalg.qr`` runs, LAPACK's geqrf and then ungqr, called on the
+    workspace: geqrf overwrites the Ginibre stack with R and the
+    reflectors, and ungqr writes Q into ``unitaries``.  So the unitaries
+    are those of ``np.linalg.qr``, bit for bit, and no d x d array is
+    allocated.
     """
     ws = _Workspace.allocate(count, dim) if workspace is None else workspace
     normals = rng.standard_normal(out=ws.draws)
     z = ws.stack  # (normals[:, 0] + i normals[:, 1]) / sqrt(2), bit for bit
     np.multiply(normals[:, 0], _GINIBRE_SCALE, out=z.real)
     np.multiply(normals[:, 1], _GINIBRE_SCALE, out=z.imag)
-    q, r = np.linalg.qr(z)
-    phases = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    with np.errstate(
+        call=_raise_qr_error, invalid="call", over="ignore", divide="ignore", under="ignore"
+    ):
+        q = _umath_linalg.qr_reduced(z, _qr_r_raw(z), out=ws.unitaries)
+    phases = np.diagonal(z, axis1=-2, axis2=-1).copy()  # R's diagonal
     phases /= np.abs(phases)
     q *= phases[:, None, :]
     return q
@@ -235,6 +259,8 @@ def _haar_unitaries(
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via QR of a complex Ginibre matrix."""
+    if not (_is_integer(dim) and dim >= 1):
+        raise QuantumError(f"dimension must be an integer of at least 1, got {dim!r}")
     return _haar_unitaries(1, dim, rng)[0]
 
 
@@ -421,6 +447,8 @@ def default_setup(
     """
     if any(size < 1 for size in system_block_sizes):
         raise SetupError("block outside system dimension")
+    if not _is_integer(env_dim):
+        raise SetupError(f"env_dim must be an integer, got {env_dim!r}")
     if env_dim < 1:
         raise SetupError(f"env_dim must be at least 1, got {env_dim}")
     dim = sum(system_block_sizes)
@@ -552,6 +580,7 @@ def verify_bound(setup: TrialSetup, unitary: np.ndarray, index: int = 0) -> Tria
     A matrix that is not unitary to :data:`EIG_ATOL` raises :class:`SetupError`.
     """
     dim = setup.system_h.dim * setup.env_h.dim
+    unitary = np.asarray(unitary, dtype=complex)
     if unitary.shape != (dim, dim):
         raise SetupError("unitary dimension does not match setup")
     return _verify(setup, unitary[None]).results(setup, index)[0]
@@ -586,7 +615,7 @@ def run_trials(setup: TrialSetup, trials: int, seed: int) -> TrialBatchResult:
     ``1 + |work| + |bound|``.  Every result is kept, so ``trials`` may be
     at most :data:`MAX_TRIALS`.
     """
-    if not (isinstance(trials, numbers.Integral) and 0 <= trials <= MAX_TRIALS):
+    if not (_is_integer(trials) and 0 <= trials <= MAX_TRIALS):
         raise SetupError(
             f"trial count must be an integer between 0 and {MAX_TRIALS}, got {trials!r}"
         )

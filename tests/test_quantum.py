@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -226,16 +227,27 @@ class TestHaar:
         u2 = haar_unitary(6, np.random.default_rng(9))
         assert np.array_equal(u1, u2)
 
-    def test_stacked_draws_equal_the_per_matrix_construction(self):
-        # A sweep draws a chunk of unitaries at once; each must be the one that a
+    @pytest.mark.parametrize("dim", [1, 8, 64])
+    def test_stacked_draws_equal_the_per_matrix_construction(self, dim):
+        # A sweep draws a chunk of unitaries at once into one reused workspace, the
+        # last, partial chunk into its leading trials; each must be the one that a
         # lone QR of its own Ginibre matrix, phase-fixed column by column, gives.
-        dim = 8
-        stacked = quantum._haar_unitaries(5, dim, np.random.default_rng(4))
         rng = np.random.default_rng(4)
-        for unitary in stacked:
+        ws = quantum._Workspace.allocate(3, dim)
+        chunks = [quantum._haar_unitaries(n, dim, rng, ws.head(n)).copy() for n in (3, 3, 1)]
+        rng = np.random.default_rng(4)
+        for unitary in np.concatenate(chunks):
             z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / math.sqrt(2.0)
             q, r = np.linalg.qr(z)
             assert np.array_equal(unitary, q * (np.diag(r) / np.abs(np.diag(r))))
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, True, "4"])
+    def test_dimension_must_be_a_positive_integer(self, dim):
+        rng = np.random.default_rng(0)
+        with pytest.raises(QuantumError, match="dimension must be an integer of at least 1"):
+            haar_unitary(dim, rng)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state  # no draw
+        assert haar_unitary(np.int64(2), rng).shape == (2, 2)
 
 
 class TestMixtureIdentity:
@@ -306,6 +318,8 @@ class TestMixtureIdentity:
             ((0, 2), 4, "block outside"),
             ((2, 2), 0, "env_dim must be at least 1, got 0"),
             ((2, 2), -3, "env_dim must be at least 1, got -3"),
+            ((2, 2), True, "env_dim must be an integer, got True"),
+            ((2, 2), 2.5, "env_dim must be an integer, got 2.5"),
         ],
     )
     def test_default_setup_checks_dimensions_before_building(
@@ -345,6 +359,13 @@ class TestVerifyBound:
             * (result.environment_relative_entropy + result.subadditivity_slack),
             abs=1e-10,
         )
+
+    def test_a_nested_list_is_read_as_a_matrix(self):
+        setup = default_setup((2, 2), 4, 1.0)
+        unitary = haar_unitary(16, np.random.default_rng(6))
+        assert bits(verify_bound(setup, unitary.tolist())) == bits(verify_bound(setup, unitary))
+        with pytest.raises(SetupError, match="does not match"):
+            verify_bound(setup, unitary[:4, :4].tolist())
 
     def test_slack_decomposes_into_the_two_lemmas(self):
         setup = default_setup((2, 2), 8, 1.0, input_probs=[0.6, 0.4])
@@ -425,6 +446,22 @@ def test_chunk_size_does_not_change_a_sweep(monkeypatch):
         assert not any(r.output_block_weights.flags.writeable for r in batch.results)
 
 
+def test_a_chunk_allocates_no_stack_beyond_the_workspace():
+    # Each chunk's QR runs in the workspace, so a warm sweep's traced peak exceeds
+    # the workspace by less than one d x d stack of a chunk (256 KiB at d = 64).
+    setup = default_setup((4, 4), 8, 1.0)  # d = 64: chunks of 4 + 4 + 1 trials
+    chunk = quantum.CHUNK_ELEMENTS // 64**2
+    workspace = sum(array.nbytes for array in quantum._Workspace.allocate(chunk, 64))
+    run_trials(setup, 9, seed=1)  # builds the setup's cached properties
+    tracemalloc.start()
+    try:
+        run_trials(setup, 9, seed=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - workspace < chunk * 64**2 * np.dtype(complex).itemsize
+
+
 class TestIdentity:
     def test_planted_environment_energy_error_is_counted(self):
         setup = default_setup((2, 2), 8, 1.0, input_probs=[0.6, 0.4])
@@ -446,7 +483,7 @@ def test_trial_count_is_capped():
     setup = default_setup((1, 1), 2, 1.0)
     assert MAX_TRIALS >= 100 * 500  # far above the command line's default of 500
     assert len(run_trials(setup, 3, seed=1).results) == 3
-    for trials in (-1, MAX_TRIALS + 1, 10**400, 2.5):
+    for trials in (-1, MAX_TRIALS + 1, 10**400, 2.5, True):
         with pytest.raises(SetupError, match="trial count"):
             run_trials(setup, trials, seed=1)
 
